@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -19,6 +20,7 @@ from .dictionary import DictionaryConfig, build_dictionary, dump_dictionary_csv
 from .encoder import EncoderConfig
 from .errors import (
     ConfigError,
+    CorruptFile,
     InputError,
     InvalidConfig,
     IoError,
@@ -216,6 +218,15 @@ def _cmd_eval(args) -> int:
     width = cfg.encoder.width
     bin_width = args.bin or width
 
+    try:
+        decay, every = args.lr_decay.split("@")
+        lr_decay, decay_every = float(decay), int(every)
+        valid = math.isfinite(lr_decay) and decay_every >= 1
+    except ValueError:
+        valid = False
+    if not valid:
+        raise InvalidConfig(f"bad --lr-decay {args.lr_decay!r}, want F@E, E >= 1")
+
     labels_by_stem = {}
     try:
         with open(args.labels) as fh:
@@ -223,6 +234,8 @@ def _cmd_eval(args) -> int:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
+                if "," not in line:
+                    raise CorruptFile(f"labels line {line!r} has no comma")
                 stem, label = [p.strip() for p in line.split(",", 1)]
                 labels_by_stem[stem] = label
     except OSError as exc:
@@ -246,13 +259,12 @@ def _cmd_eval(args) -> int:
     features = np.array(features)
     labels = np.array(labels)
 
-    decay, every = args.lr_decay.split("@")
     train_cfg = evaluate.MlpTrainConfig(
         epochs=args.epochs,
         batch_size=args.batch,
         learning_rate=args.lr,
-        lr_decay=float(decay),
-        decay_every=int(every),
+        lr_decay=lr_decay,
+        decay_every=decay_every,
         seed=args.seed,
     )
     model = evaluate.mlp_train(features, labels, train_cfg)

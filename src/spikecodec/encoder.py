@@ -3,7 +3,7 @@
 Per segment: correlate the residual against every kernel at every shift in
 [-W/2, +W/2], pick the dominant (kernel, shift) pair, subtract its scaled
 contribution, and repeat until the code budget is exhausted or the picked
-intensity falls below the halting threshold.
+intensity is zero or falls below the halting threshold.
 
 Two correlation backends produce the same surface: `correlate_direct`
 (time-domain multiply-accumulate) and `correlate_spectral` (FFT, complex
@@ -18,6 +18,7 @@ fixed read window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,8 +92,10 @@ class EncoderConfig:
     def validate(self) -> None:
         if self.max_codes < 0:
             raise InvalidConfig("max_codes must be >= 0")
-        if self.halt_threshold < 0:
-            raise InvalidConfig("halt_threshold must be >= 0")
+        if not math.isfinite(self.halt_threshold) or self.halt_threshold < 0:
+            raise InvalidConfig(
+                f"halt_threshold must be finite and >= 0, got {self.halt_threshold}"
+            )
         if self.backend not in ("direct", "spectral"):
             raise InvalidConfig(f"unknown backend {self.backend!r}")
         if self.arithmetic not in ("float", "fixed"):
@@ -218,8 +221,10 @@ def encode_segment(
     """Run the matching-pursuit loop on one segment.
 
     Emits at most `cfg.max_codes` codes, stopping early when the picked
-    intensity magnitude drops below `cfg.halt_threshold`. Pure function of
-    its inputs; distinct segments can be encoded concurrently.
+    intensity magnitude drops below `cfg.halt_threshold` or is zero: a zero
+    code leaves the residual unchanged, so every later pick would repeat it.
+    Pure function of its inputs; distinct segments can be encoded
+    concurrently.
     """
     cfg.validate()
     if segment.width != cfg.width:
@@ -241,7 +246,7 @@ def encode_segment(
         else:
             surface = correlate_spectral(residual, sdict)
         code = select_code(surface, cfg.select, segment.segment_index)
-        if abs(code.s) < cfg.halt_threshold:
+        if code.s == 0 or abs(code.s) < cfg.halt_threshold:
             break
         codes.append(code)
         residual = subtract_component(residual, code, dictionary)
@@ -250,45 +255,64 @@ def encode_segment(
 
 # ----- fixed-point datapath -----
 
+def _kernel_supports(kernels_raw: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Per kernel: its nonzero support [lo, hi), max |k| and sum |k|, as
+    Python ints; (0, 0, 0, 0) for an all-zero kernel."""
+    supports = []
+    for krow in kernels_raw:
+        nonzero = np.flatnonzero(krow)
+        if len(nonzero) == 0:
+            supports.append((0, 0, 0, 0))
+            continue
+        lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
+        mag = np.abs(krow[lo:hi])
+        supports.append((lo, hi, int(mag.max()), int(mag.sum())))
+    return supports
+
+
 def _correlate_fixed_direct(
     resid_raw: np.ndarray,
     kernels_raw: np.ndarray,
+    supports: list[tuple[int, int, int, int]],
     fmt: FixedFormat,
     stats: SaturationStats | None,
 ) -> np.ndarray:
     """Fixed-point correlation surface (raw int64), per-term round-to-even
-    rescale, ascending-index accumulation, per-step overflow policy."""
-    w = len(resid_raw)
-    kernel_len = kernels_raw.shape[1]
-    half = w // 2
-    padded = np.concatenate(
-        [np.zeros(half, np.int64), resid_raw, np.zeros(kernel_len, np.int64)]
-    )
-    windows = sliding_window_view(padded, kernel_len)[: w + 1]
+    rescale, ascending-index accumulation, per-step overflow policy.
 
+    Each kernel is multiplied over its nonzero support only (`supports`
+    from `_kernel_supports`); terms outside it are exact zeros, which leave
+    the accumulator and the overflow counts unchanged.
+    """
+    w = len(resid_raw)
+    windows = _residual_windows(resid_raw, kernels_raw.shape[1])
     rmax = int(np.max(np.abs(resid_raw)))
-    surface = np.empty((kernels_raw.shape[0], w + 1), dtype=np.int64)
-    for m in range(kernels_raw.shape[0]):
-        krow = kernels_raw[m]
-        kmax = int(np.max(np.abs(krow)))
-        if rmax == 0 or kmax == 0:
-            surface[m] = 0
+    surface = np.zeros((kernels_raw.shape[0], w + 1), dtype=np.int64)
+    if rmax == 0:
+        return surface
+    for m, (lo, hi, kmax, kabs) in enumerate(supports):
+        if kmax == 0:
             continue
-        if rmax * kmax >= (1 << 62) // max(kernel_len, 1):
+        rows = windows[:, lo:hi]
+        krow = kernels_raw[m, lo:hi]
+        if rmax * kmax >= (1 << 62) // (hi - lo):
             # not enough int64 headroom: exact scalar path
-            surface[m] = [
-                fixed_dot(windows[j], krow, fmt, stats) for j in range(w + 1)
-            ]
+            surface[m] = [fixed_dot(row, krow, fmt, stats) for row in rows]
             continue
-        terms = rescale_half_even_array(windows * krow, fmt.frac_bits)
+        terms = rescale_half_even_array(rows * krow, fmt.frac_bits)
+        # |round(p / 2**f)| <= (|p| >> f) + 1 bounds every running sum of
+        # this kernel by the left side below: within it nothing saturates
+        # or wraps, and the order of the sum is free
+        if ((rmax * kabs) >> fmt.frac_bits) + (hi - lo) <= fmt.raw_max:
+            surface[m] = terms.sum(axis=1)
+            continue
         running = np.cumsum(terms, axis=1)
         row = running[:, -1]
         over = (running.max(axis=1) > fmt.raw_max) | (
             running.min(axis=1) < fmt.raw_min
         )
-        if np.any(over):
-            for j in np.nonzero(over)[0]:
-                row[j] = fixed_dot(windows[j], krow, fmt, stats)
+        for j in np.flatnonzero(over):
+            row[j] = fixed_dot(rows[j], krow, fmt, stats)
         surface[m] = row
     return surface
 
@@ -302,12 +326,15 @@ def _encode_segment_fixed(
 ) -> CodeSet:
     fmt = cfg.fixed_format
     kernels_raw = quantize_array(dictionary.kernels, fmt, stats)
+    supports = _kernel_supports(kernels_raw)
     resid_raw = quantize_array(segment.samples, fmt, stats)
 
     codes: list[Code] = []
     for _ in range(cfg.max_codes):
         if cfg.backend == "direct":
-            surface_raw = _correlate_fixed_direct(resid_raw, kernels_raw, fmt, stats)
+            surface_raw = _correlate_fixed_direct(
+                resid_raw, kernels_raw, supports, fmt, stats
+            )
         else:
             # FFT stage runs in float; the stored surface is requantized to
             # the datapath width, as a wide-word FFT core would deliver it
@@ -322,7 +349,7 @@ def _encode_segment_fixed(
             surface_raw = quantize_array(float_surface.values, fmt, stats)
         surface = CorrelationSurface(values=dequantize_array(surface_raw, fmt))
         code = select_code(surface, cfg.select, segment.segment_index)
-        if abs(code.s) < cfg.halt_threshold:
+        if code.s == 0 or abs(code.s) < cfg.halt_threshold:
             break
         codes.append(code)
 

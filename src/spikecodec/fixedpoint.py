@@ -184,12 +184,19 @@ def apply_overflow_array(
 
 
 def rescale_half_even_array(products: np.ndarray, frac_bits: int) -> np.ndarray:
-    """Vectorized `_round_half_even` over an int64 product array."""
-    q = products >> frac_bits  # arithmetic shift == floor division
-    r = products & ((1 << frac_bits) - 1)
-    half = 1 << (frac_bits - 1)
-    bump = (r > half) | ((r == half) & ((q & 1) == 1))
-    return q + bump
+    """Vectorized `_round_half_even` over an int64 product array.
+
+    Computes (p + half - 1 + ((p >> f) & 1)) >> f: adding half - 1 rounds
+    every remainder above half up, and the quotient's low bit adds the one
+    more needed to lift an exact half to the even neighbour. Exact for
+    |p| < 2**62, which every caller's headroom check guarantees.
+    """
+    out = products >> frac_bits  # arithmetic shift == floor division
+    out &= 1
+    out += (1 << (frac_bits - 1)) - 1
+    out += products
+    out >>= frac_bits
+    return out
 
 
 def fixed_dot(

@@ -31,7 +31,13 @@ from .dictionary import (
     kernel_spectra,
 )
 from .encoder import Code, CodeSet, EncoderConfig, Segment, encode_segment, shift_kernel
-from .errors import CorruptFile, InvalidConfig, IoError, UnsupportedFormat
+from .errors import (
+    CorruptFile,
+    InvalidConfig,
+    IoError,
+    NumericError,
+    UnsupportedFormat,
+)
 from .spikecoder import SpikeEvent
 
 EVENT_HEADER = "t_samples,channel,kernel,level,intensity_center"
@@ -65,25 +71,32 @@ def detect_format(path: str) -> str:
 
 
 def read_input(cfg: RunConfig) -> tuple[np.ndarray, float | None]:
-    """Load the configured input; returns (samples, sample_rate_or_None)."""
+    """Load the configured input; returns (samples, sample_rate_or_None).
+
+    Raises NumericError when a sample is NaN or infinite.
+    """
     fmt = cfg.input_format or detect_format(cfg.input_path)
+    rate = cfg.sample_rate
     try:
         if fmt == "wav16":
-            return _read_wav16(cfg.input_path)
-        if fmt == "csv":
+            samples, rate = _read_wav16(cfg.input_path)
+        elif fmt == "csv":
             with open(cfg.input_path) as fh:
                 text = fh.read()
             values = [tok for tok in text.replace(",", " ").split() if tok]
             try:
-                return np.array([float(v) for v in values]), cfg.sample_rate
+                samples = np.array([float(v) for v in values])
             except ValueError as exc:
                 raise CorruptFile(f"non-numeric csv value: {exc}")
-        if fmt == "raw-f32":
-            data = np.fromfile(cfg.input_path, dtype="<f4").astype(np.float64)
-            return data, cfg.sample_rate
+        elif fmt == "raw-f32":
+            samples = np.fromfile(cfg.input_path, dtype="<f4").astype(np.float64)
+        else:
+            raise UnsupportedFormat(f"unknown input format {fmt!r}")
     except OSError as exc:
         raise IoError(f"cannot read {cfg.input_path!r}: {exc}")
-    raise UnsupportedFormat(f"unknown input format {fmt!r}")
+    if not np.all(np.isfinite(samples)):
+        raise NumericError(f"{cfg.input_path!r} holds NaN or infinite samples")
+    return samples, rate
 
 
 def _read_wav16(path: str) -> tuple[np.ndarray, float]:
@@ -98,6 +111,8 @@ def _read_wav16(path: str) -> tuple[np.ndarray, float]:
             frames = wf.readframes(wf.getnframes())
     except (wave.Error, EOFError) as exc:
         raise CorruptFile(f"bad wav file {path!r}: {exc}")
+    if len(frames) % (2 * channels):
+        raise CorruptFile(f"wav file {path!r} ends mid-frame")
     data = np.frombuffer(frames, dtype="<i2").astype(np.float64)
     if channels > 1:
         data = data.reshape(-1, channels).mean(axis=1)

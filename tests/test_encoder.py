@@ -196,6 +196,19 @@ def test_zero_segment_encodes_to_nothing(small_dict):
     assert len(out.codes) == 0
 
 
+@pytest.mark.parametrize("backend", ["direct", "spectral"])
+@pytest.mark.parametrize("arithmetic", ["float", "fixed"])
+def test_silent_segment_halts_at_threshold_zero(
+    small_dict, small_sdict, backend, arithmetic
+):
+    # a zero pick leaves the residual unchanged: spending the budget on
+    # repeats of it would be wasted correlations
+    cfg = EncoderConfig(max_codes=8, width=256, backend=backend,
+                        arithmetic=arithmetic)
+    out = encode_segment(Segment(np.zeros(256)), small_dict, small_sdict, cfg)
+    assert len(out.codes) == 0
+
+
 def test_single_kernel_recovery_halts_after_one_code(full_dict):
     x = 3.0 * shift_kernel(full_dict.kernels[9], -40, 2048)
     cfg = EncoderConfig(max_codes=4, halt_threshold=1e-6, width=2048)

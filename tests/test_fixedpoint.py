@@ -3,7 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spikecodec.encoder import EncoderConfig, Segment, encode_segment
+from hypothesis import given
+from hypothesis import strategies as st
+
+from spikecodec.dictionary import DictionaryConfig, build_dictionary
+from spikecodec.encoder import (
+    EncoderConfig,
+    Segment,
+    _correlate_fixed_direct,
+    _kernel_supports,
+    encode_segment,
+)
 from spikecodec.errors import DimensionMismatch, InvalidConfig
 from spikecodec.fixedpoint import (
     FixedFormat,
@@ -17,6 +27,7 @@ from spikecodec.fixedpoint import (
     quantize_array,
     rescale_half_even_array,
 )
+from spikecodec.pipeline import make_audio_clip
 
 FMT = FixedFormat(total_bits=34, frac_bits=24)
 
@@ -128,16 +139,84 @@ def test_fixed_dot_headroom_fallback_matches_scalar():
     assert fixed_dot(a, b, fmt) == acc.raw
 
 
+def _round_half_even_oracle(p, frac_bits):
+    quot, rem = divmod(p, 1 << frac_bits)
+    half = 1 << (frac_bits - 1)
+    if rem > half or (rem == half and quot % 2 == 1):
+        quot += 1
+    return quot
+
+
 def test_rescale_half_even_array_matches_python_divmod():
     rng = np.random.default_rng(3)
-    products = rng.integers(-(1 << 40), 1 << 40, 1000)
+    # exact halves of both parities and signs, and the edges of the
+    # documented |p| < 2**62 range
+    halves = [q * (1 << 24) + (1 << 23) for q in range(-6, 6)]
+    edges = [(1 << 62) - 1, -(1 << 62) + 1]
+    products = np.concatenate(
+        [rng.integers(-(1 << 40), 1 << 40, 1000), np.array(halves + edges)]
+    )
     out = rescale_half_even_array(products, 24)
     for p, q in zip(products.tolist(), out.tolist()):
-        quot, rem = divmod(p, 1 << 24)
-        half = 1 << 23
-        if rem > half or (rem == half and quot % 2 == 1):
-            quot += 1
-        assert q == quot
+        assert q == _round_half_even_oracle(p, 24)
+
+
+@given(st.integers(-(1 << 62) + 1, (1 << 62) - 1), st.integers(1, 40))
+def test_rescale_half_even_array_property(p, frac_bits):
+    out = rescale_half_even_array(np.array([p], dtype=np.int64), frac_bits)
+    assert int(out[0]) == _round_half_even_oracle(p, frac_bits)
+
+
+def _fixed_surface_oracle(resid_raw, kernels_raw, fmt, stats):
+    """Entry (m, j): fixed_dot of kernel m with the residual read at
+    tau = j - W/2 (zero outside the segment), windows built by index
+    arithmetic."""
+    w = len(resid_raw)
+    kernel_len = kernels_raw.shape[1]
+    surface = np.zeros((len(kernels_raw), w + 1), dtype=np.int64)
+    for j in range(w + 1):
+        idx = j - w // 2 + np.arange(kernel_len)
+        inside = (idx >= 0) & (idx < w)
+        window = np.where(inside, resid_raw[np.clip(idx, 0, w - 1)], 0)
+        for m, krow in enumerate(kernels_raw):
+            surface[m, j] = fixed_dot(window, krow, fmt, stats)
+    return surface
+
+
+@pytest.mark.parametrize(
+    "width, fmt, scale, overflow_counted",
+    [
+        (256, FMT, 1.0, False),  # real-scale input
+        (128, FMT, 400.0, True),  # saturating rows take the exact fallback
+        (256, FixedFormat(20, 10, "wrap"), 300.0, True),
+        (64, FixedFormat(48, 36), 1.0, False),  # int64 headroom too short
+    ],
+)
+def test_fixed_direct_surface_matches_scalar_oracle(
+    width, fmt, scale, overflow_counted
+):
+    d = build_dictionary(DictionaryConfig(num_kernels=8, kernel_len=width))
+    x = scale * make_audio_clip(width, seed=5)
+    # an all-zero kernel row has an empty support
+    kernels_raw = np.vstack(
+        [quantize_array(d.kernels, fmt), np.zeros((1, width), np.int64)]
+    )
+    resid_raw = quantize_array(x, fmt)
+    supports = _kernel_supports(kernels_raw)
+    stats, oracle_stats = SaturationStats(), SaturationStats()
+    surface = _correlate_fixed_direct(resid_raw, kernels_raw, supports, fmt, stats)
+    oracle = _fixed_surface_oracle(resid_raw, kernels_raw, fmt, oracle_stats)
+    assert np.array_equal(surface, oracle)
+    assert (stats.saturations, stats.wraps) == (
+        oracle_stats.saturations, oracle_stats.wraps
+    )
+    assert (stats.saturations + stats.wraps > 0) == overflow_counted
+    if fmt.total_bits == 48:
+        rmax = int(np.max(np.abs(resid_raw)))
+        assert any(
+            rmax * kmax >= (1 << 62) // (hi - lo)
+            for lo, hi, kmax, _ in supports if kmax
+        )
 
 
 def test_fixed_mode_encoding_matches_float_on_margin_separated_signal(small_dict):

@@ -280,6 +280,43 @@ def test_cli_exit_code_4_on_bad_events(tmp_path):
     assert out.returncode == 4
 
 
+def _truncated_wav(tmp_path):
+    path = tmp_path / "cut.wav"
+    _write_wav(path, np.arange(64))
+    path.write_bytes(path.read_bytes()[:-1])  # ends mid-frame
+    return ["encode", str(path), *SMALL_FLAGS]
+
+
+def _encode_args(tmp_path, name, data, *extra):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return ["encode", str(path), *extra, *SMALL_FLAGS]
+
+
+def _eval_args(tmp_path, labels_text, *extra):
+    labels = tmp_path / "labels.csv"
+    labels.write_text(labels_text)
+    return ["eval", "--features-from", str(tmp_path), "--labels", str(labels),
+            *extra]
+
+
+@pytest.mark.parametrize("make_argv, code", [
+    (_truncated_wav, 3),
+    (lambda tmp: _eval_args(tmp, "clip_a\n"), 3),  # labels line without comma
+    (lambda tmp: _eval_args(tmp, "clip_a,x\n", "--lr-decay", "0.9"), 2),
+    (lambda tmp: _eval_args(tmp, "clip_a,x\n", "--lr-decay", "0.9@0"), 2),
+    (lambda tmp: _encode_args(tmp, "s.csv", b"0.1,0.2", "--threshold", "nan"), 2),
+    (lambda tmp: _encode_args(tmp, "nan.csv", b"0.1,nan,0.2"), 4),
+    (lambda tmp: _encode_args(
+        tmp, "inf.f32", np.array([0.1, np.inf], dtype="<f4").tobytes()), 4),
+], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
+        "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32"])
+def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
+    out = _cli(*make_argv(tmp_path))
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_config_file_and_flag_precedence(tmp_path, signal_csv):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("width=128\nkernels=6\nk=4\nthreshold=0.0\n# comment\n")
