@@ -8,9 +8,9 @@ Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -155,13 +155,7 @@ def _cmd_encode(args) -> int:
         freq_hi = cfg.dictionary.freq_hi if hi_given else min(
             cfg.dictionary.freq_hi, rate / 2.0
         )
-        cfg.dictionary = DictionaryConfig(
-            num_kernels=cfg.dictionary.num_kernels,
-            sample_rate=rate,
-            freq_lo=cfg.dictionary.freq_lo,
-            freq_hi=freq_hi,
-            kernel_len=cfg.dictionary.kernel_len,
-        )
+        cfg.dictionary = replace(cfg.dictionary, sample_rate=rate, freq_hi=freq_hi)
         cfg.dictionary.validate()
     dictionary = build_dictionary(cfg.dictionary)
     codesets = encode_signal(samples, dictionary, cfg.encoder)
@@ -180,6 +174,8 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     cfg = _build_configs(args)
+    if args.length is not None and args.length < 1:
+        raise InvalidConfig(f"--length must be >= 1, got {args.length}")
     events = parse_events(args.events)
     dictionary = build_dictionary(cfg.dictionary)
     table = build_channel_table(dictionary.num_kernels, DEFAULT_CENTERS)
@@ -187,7 +183,7 @@ def _cmd_decode(args) -> int:
     codesets = codes_from_events(events, width)
     n_segments = max((cs.codes[0].segment_index for cs in codesets if cs.codes),
                      default=-1) + 1
-    total_len = args.length or n_segments * width
+    total_len = n_segments * width if args.length is None else args.length
     x_hat = reconstruct(
         codesets, dictionary, width, total_len,
         quantized=args.quantized, table=table, metric=cfg.itp_metric,
@@ -200,6 +196,8 @@ def _cmd_decode(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _build_configs(args)
+    if args.segments < 1:
+        raise InvalidConfig(f"--segments must be >= 1, got {args.segments}")
     reports = run_bench(cfg, n_segments=args.segments)
     print(f"{'backend':<9} {'arith':<6} {'ms/segment':>11} "
           f"{'codes/s':>10} {'segs/s':>8}  match")
@@ -220,12 +218,13 @@ def _cmd_eval(args) -> int:
 
     try:
         decay, every = args.lr_decay.split("@")
-        lr_decay, decay_every = float(decay), int(every)
-        valid = math.isfinite(lr_decay) and decay_every >= 1
+        train_cfg = evaluate.MlpTrainConfig(
+            epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr,
+            lr_decay=float(decay), decay_every=int(every), seed=args.seed,
+        )
     except ValueError:
-        valid = False
-    if not valid:
-        raise InvalidConfig(f"bad --lr-decay {args.lr_decay!r}, want F@E, E >= 1")
+        raise InvalidConfig(f"bad --lr-decay {args.lr_decay!r}, want F@E")
+    train_cfg.validate()  # before any file is read
 
     labels_by_stem = {}
     try:
@@ -258,15 +257,6 @@ def _cmd_eval(args) -> int:
         labels.append(class_names.index(labels_by_stem[stem]))
     features = np.array(features)
     labels = np.array(labels)
-
-    train_cfg = evaluate.MlpTrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        lr_decay=lr_decay,
-        decay_every=decay_every,
-        seed=args.seed,
-    )
     model = evaluate.mlp_train(features, labels, train_cfg)
     preds = np.argmax(evaluate.mlp_forward(model, features), axis=1)
     counts = evaluate.ConfusionCounts.from_predictions(labels, preds, len(class_names))

@@ -233,24 +233,34 @@ def encode_segment(
         )
     if cfg.backend == "spectral" and sdict is None:
         raise InvalidConfig("spectral backend requires a SpectralDictionary")
-    if cfg.arithmetic == "fixed":
-        return _encode_segment_fixed(segment, dictionary, sdict, cfg, stats)
-
-    residual = Segment(
-        segment.samples.copy(), segment.segment_index, segment.width
-    )
+    datapath = _fixed_datapath if cfg.arithmetic == "fixed" else _float_datapath
+    residual, correlate, subtract = datapath(segment, dictionary, sdict, cfg, stats)
     codes: list[Code] = []
     for _ in range(cfg.max_codes):
-        if cfg.backend == "direct":
-            surface = correlate_direct(residual, dictionary)
-        else:
-            surface = correlate_spectral(residual, sdict)
+        native, surface = correlate(residual)
         code = select_code(surface, cfg.select, segment.segment_index)
         if code.s == 0 or abs(code.s) < cfg.halt_threshold:
             break
         codes.append(code)
-        residual = subtract_component(residual, code, dictionary)
+        residual = subtract(residual, code, native)
     return CodeSet(codes=codes)
+
+
+def _float_datapath(segment, dictionary, sdict, cfg, stats):
+    """float64 residual. The public functions are looked up per call, so a
+    wrapper installed on them (a tracer) sees every call."""
+
+    def correlate(residual: Segment):
+        if cfg.backend == "direct":
+            surface = correlate_direct(residual, dictionary)
+        else:
+            surface = correlate_spectral(residual, sdict)
+        return surface, surface
+
+    def subtract(residual: Segment, code: Code, _surface) -> Segment:
+        return subtract_component(residual, code, dictionary)
+
+    return segment, correlate, subtract
 
 
 # ----- fixed-point datapath -----
@@ -317,20 +327,13 @@ def _correlate_fixed_direct(
     return surface
 
 
-def _encode_segment_fixed(
-    segment: Segment,
-    dictionary: Dictionary,
-    sdict: SpectralDictionary | None,
-    cfg: EncoderConfig,
-    stats: SaturationStats | None,
-) -> CodeSet:
+def _fixed_datapath(segment, dictionary, sdict, cfg, stats):
+    """Raw int64 residual and surface; select_code ranks the dequantized copy."""
     fmt = cfg.fixed_format
     kernels_raw = quantize_array(dictionary.kernels, fmt, stats)
     supports = _kernel_supports(kernels_raw)
-    resid_raw = quantize_array(segment.samples, fmt, stats)
 
-    codes: list[Code] = []
-    for _ in range(cfg.max_codes):
+    def correlate(resid_raw: np.ndarray):
         if cfg.backend == "direct":
             surface_raw = _correlate_fixed_direct(
                 resid_raw, kernels_raw, supports, fmt, stats
@@ -338,21 +341,13 @@ def _encode_segment_fixed(
         else:
             # FFT stage runs in float; the stored surface is requantized to
             # the datapath width, as a wide-word FFT core would deliver it
-            float_surface = correlate_spectral(
-                Segment(
-                    dequantize_array(resid_raw, fmt),
-                    segment.segment_index,
-                    segment.width,
-                ),
-                sdict,
-            )
+            float_residual = Segment(dequantize_array(resid_raw, fmt))
+            float_surface = correlate_spectral(float_residual, sdict)
             surface_raw = quantize_array(float_surface.values, fmt, stats)
-        surface = CorrelationSurface(values=dequantize_array(surface_raw, fmt))
-        code = select_code(surface, cfg.select, segment.segment_index)
-        if code.s == 0 or abs(code.s) < cfg.halt_threshold:
-            break
-        codes.append(code)
+        return surface_raw, CorrelationSurface(dequantize_array(surface_raw, fmt))
 
+    def subtract(resid_raw: np.ndarray, code: Code, surface_raw: np.ndarray):
+        # the raw pick, not code.s requantized: inexact past 53 bits
         s_raw = int(surface_raw[code.m, code.tau + segment.width // 2])
         shifted = shift_kernel(kernels_raw[code.m], code.tau, segment.width)
         kmax = int(np.max(np.abs(shifted)))
@@ -364,5 +359,6 @@ def _encode_segment_fixed(
             )
         else:
             scaled = rescale_half_even_array(s_raw * shifted, fmt.frac_bits)
-        resid_raw = apply_overflow_array(resid_raw - scaled, fmt, stats)
-    return CodeSet(codes=codes)
+        return apply_overflow_array(resid_raw - scaled, fmt, stats)
+
+    return quantize_array(segment.samples, fmt, stats), correlate, subtract

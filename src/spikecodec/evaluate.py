@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateData, ShapeMismatch
+from .errors import DegenerateData, InvalidConfig, ShapeMismatch
 from .spikecoder import ChannelTable, SpikeEvent
 
 
@@ -97,6 +97,17 @@ class MlpTrainConfig:
     decay_every: int = 50
     hidden: tuple[int, ...] = (256, 64)
     seed: int = 0
+
+    def validate(self) -> None:
+        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise InvalidConfig(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if not np.isfinite(self.lr_decay):
+            raise InvalidConfig(f"lr_decay must be finite, got {self.lr_decay}")
+        for name in ("epochs", "batch_size", "decay_every"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -183,6 +194,7 @@ def mlp_train(
     Raises DegenerateData when fewer than two classes are present or any
     class index up to the maximum label is unrepresented.
     """
+    cfg.validate()
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=int)
     if features.ndim != 2 or len(features) != len(labels):

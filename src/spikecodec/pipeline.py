@@ -108,11 +108,12 @@ def _read_wav16(path: str) -> tuple[np.ndarray, float]:
                 )
             rate = wf.getframerate()
             channels = wf.getnchannels()
+            expected = 2 * channels * wf.getnframes()
             frames = wf.readframes(wf.getnframes())
     except (wave.Error, EOFError) as exc:
         raise CorruptFile(f"bad wav file {path!r}: {exc}")
-    if len(frames) % (2 * channels):
-        raise CorruptFile(f"wav file {path!r} ends mid-frame")
+    if len(frames) < expected:
+        raise CorruptFile(f"wav file {path!r} is shorter than its header declares")
     data = np.frombuffer(frames, dtype="<i2").astype(np.float64)
     if channels > 1:
         data = data.reshape(-1, channels).mean(axis=1)

@@ -1,12 +1,26 @@
+import os
+
 import numpy as np
 import pytest
 
+import spikecodec
 from spikecodec.dictionary import (
     DictionaryConfig,
     build_dictionary,
     default_fft_len,
     kernel_spectra,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def cli_subprocess_imports_this_package():
+    """CLI tests run `python -m spikecodec.cli` in a subprocess: give it the
+    package these tests import, also when only pytest's `pythonpath` finds
+    it."""
+    src = os.path.dirname(os.path.dirname(spikecodec.__file__))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from spikecodec.dictionary import DictionaryConfig, build_dictionary
+from spikecodec.dictionary import (
+    DictionaryConfig,
+    build_dictionary,
+    default_fft_len,
+    kernel_spectra,
+)
 from spikecodec.encoder import (
     Code,
     CorrelationSurface,
@@ -15,6 +22,8 @@ from spikecodec.encoder import (
     subtract_component,
 )
 from spikecodec.errors import DimensionMismatch, InvalidConfig, ShiftOutOfRange
+from spikecodec.fixedpoint import FixedFormat, SaturationStats
+from spikecodec.pipeline import make_audio_clip, segment_stream
 
 from conftest import max_in_support_shift
 
@@ -287,6 +296,54 @@ def test_backend_equivalence_on_random_segments(small_dict, small_sdict):
         assert [(c.m, c.tau) for c in a] == [(c.m, c.tau) for c in b]
         for ca, cb in zip(a, b):
             assert abs(abs(ca.s) - abs(cb.s)) <= 1e-6 * abs(ca.s)
+
+
+def _encoder_digest(width, scale, cfg):
+    """sha256 over (segment, m, tau, s as float64 bytes) of every code of a
+    seeded 4-segment clip, then the saturation and wrap counts."""
+    d = build_dictionary(DictionaryConfig(num_kernels=8, kernel_len=width))
+    sdict = kernel_spectra(d, default_fft_len(width, width), signal_len=width)
+    stats = SaturationStats()
+    digest = hashlib.sha256()
+    x = scale * make_audio_clip(4 * width, seed=3)
+    for seg in segment_stream(x, width):
+        for c in encode_segment(seg, d, sdict, cfg, stats).codes:
+            digest.update(np.array([c.segment_index, c.m, c.tau]).tobytes())
+            digest.update(np.float64(c.s).tobytes())
+    digest.update(np.array([stats.saturations, stats.wraps]).tobytes())
+    return digest.hexdigest()[:16], stats.saturations + stats.wraps
+
+
+FIXED_34_24 = FixedFormat(34, 24)
+
+
+@pytest.mark.parametrize("width, scale, cfg_kwargs, digest, overflows", [
+    (128, 1.0, dict(backend="direct"), "75e3a18503a272fa", 0),
+    (128, 1.0, dict(backend="spectral"), "0933121d5bbe8d7b", 0),
+    (128, 1.0, dict(backend="direct", arithmetic="fixed",
+                    fixed_format=FIXED_34_24), "73ac9f87b8bb8eeb", 0),
+    (128, 1.0, dict(backend="spectral", arithmetic="fixed",
+                    fixed_format=FIXED_34_24), "92b109adff4acdc0", 0),
+    (128, 400.0, dict(backend="direct", arithmetic="fixed",
+                      fixed_format=FIXED_34_24), "2ccd9de581c64fa0", 1698),
+    (128, 300.0, dict(backend="direct", arithmetic="fixed",
+                      fixed_format=FixedFormat(20, 10, "wrap")),
+     "264a3f2b5c27991d", 380),
+    (128, 1.0, dict(backend="spectral", arithmetic="fixed",
+                    fixed_format=FIXED_34_24, select="signed"),
+     "fd78bf0d68a900f2", 0),
+    # 48:36 leaves too little int64 headroom for the array subtract
+    (64, 1.0, dict(backend="spectral", arithmetic="fixed",
+                   fixed_format=FixedFormat(48, 36)), "28b654e495c55a11", 0),
+], ids=["direct-float", "spectral-float", "direct-34:24", "spectral-34:24",
+        "direct-34:24-saturating", "direct-20:10-wrap", "spectral-34:24-signed",
+        "spectral-48:36"])
+def test_encoder_output_pinned_per_mode(width, scale, cfg_kwargs, digest,
+                                        overflows):
+    # a refactor of the pursuit loop or a datapath must keep every mode's
+    # codes and overflow counts bit for bit: they become the event bytes
+    cfg = EncoderConfig(max_codes=4, width=width, **cfg_kwargs)
+    assert _encoder_digest(width, scale, cfg) == (digest, overflows)
 
 
 def test_exact_recovery_across_in_support_shifts(full_dict):

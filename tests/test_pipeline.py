@@ -11,6 +11,7 @@ from spikecodec.dictionary import DictionaryConfig
 from spikecodec.encoder import EncoderConfig
 from spikecodec.errors import CorruptFile, UnsupportedFormat
 from spikecodec.pipeline import (
+    EVENT_HEADER,
     RunConfig,
     codes_from_events,
     make_audio_clip,
@@ -280,11 +281,13 @@ def test_cli_exit_code_4_on_bad_events(tmp_path):
     assert out.returncode == 4
 
 
-def _truncated_wav(tmp_path):
-    path = tmp_path / "cut.wav"
-    _write_wav(path, np.arange(64))
-    path.write_bytes(path.read_bytes()[:-1])  # ends mid-frame
-    return ["encode", str(path), *SMALL_FLAGS]
+def _cut_wav(frames, cut_bytes):
+    def make_argv(tmp_path):
+        path = tmp_path / "cut.wav"
+        _write_wav(path, np.arange(frames))
+        path.write_bytes(path.read_bytes()[:-cut_bytes])
+        return ["encode", str(path), *SMALL_FLAGS]
+    return make_argv
 
 
 def _encode_args(tmp_path, name, data, *extra):
@@ -300,8 +303,22 @@ def _eval_args(tmp_path, labels_text, *extra):
             *extra]
 
 
+def _train_args(tmp_path, *extra):
+    # two event files without events, one per class: only the flags are bad
+    for stem in ("clip_a", "clip_b"):
+        (tmp_path / f"{stem}.csv").write_text(EVENT_HEADER + "\n")
+    return _eval_args(tmp_path, "clip_a,x\nclip_b,y\n", "--epochs", "2", *extra)
+
+
+def _decode_args(tmp_path, *extra):
+    events = tmp_path / "ev.csv"
+    events.write_text(EVENT_HEADER + "\n")
+    return ["decode", str(events), "-o", str(tmp_path / "x.f32"), *extra,
+            *SMALL_FLAGS]
+
+
 @pytest.mark.parametrize("make_argv, code", [
-    (_truncated_wav, 3),
+    (_cut_wav(64, 1), 3),  # ends mid-frame
     (lambda tmp: _eval_args(tmp, "clip_a\n"), 3),  # labels line without comma
     (lambda tmp: _eval_args(tmp, "clip_a,x\n", "--lr-decay", "0.9"), 2),
     (lambda tmp: _eval_args(tmp, "clip_a,x\n", "--lr-decay", "0.9@0"), 2),
@@ -309,8 +326,18 @@ def _eval_args(tmp_path, labels_text, *extra):
     (lambda tmp: _encode_args(tmp, "nan.csv", b"0.1,nan,0.2"), 4),
     (lambda tmp: _encode_args(
         tmp, "inf.f32", np.array([0.1, np.inf], dtype="<f4").tobytes()), 4),
+    (lambda tmp: _train_args(tmp, "--lr", "nan"), 2),
+    (lambda tmp: _train_args(tmp, "--lr", "-1"), 2),
+    (lambda tmp: _train_args(tmp, "--epochs", "-1"), 2),
+    (lambda tmp: _train_args(tmp, "--batch", "0"), 2),
+    (_cut_wav(4096, 200), 3),  # 100 whole frames short of its header
+    (lambda tmp: _decode_args(tmp, "--length", "-5"), 2),
+    (lambda tmp: _decode_args(tmp, "--length", "0"), 2),
+    (lambda tmp: ["bench", "--segments", "0", *SMALL_FLAGS], 2),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
-        "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32"])
+        "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
+        "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
+        "length-negative", "length-zero", "bench-segments-zero"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     out = _cli(*make_argv(tmp_path))
     assert out.returncode == code, out.stderr
