@@ -24,7 +24,6 @@ from .errors import (
     InputError,
     InvalidConfig,
     IoError,
-    NumericError,
     SpikeCodecError,
 )
 from .fixedpoint import FixedFormat, parse_format
@@ -214,7 +213,9 @@ def _cmd_eval(args) -> int:
     cfg = _build_configs(args)
     table = build_channel_table(_merged(args, "kernels", int, 40), DEFAULT_CENTERS)
     width = cfg.encoder.width
-    bin_width = args.bin or width
+    bin_width = width if args.bin is None else args.bin
+    if bin_width < 1:  # before any file is read
+        raise InvalidConfig(f"--bin must be >= 1, got {bin_width}")
 
     try:
         decay, every = args.lr_decay.split("@")
@@ -351,7 +352,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (NumericError, SpikeCodecError) as exc:
+    except SpikeCodecError as exc:  # NumericError and the rest
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
 

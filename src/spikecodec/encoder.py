@@ -6,10 +6,10 @@ contribution, and repeat until the code budget is exhausted or the picked
 intensity is zero or falls below the halting threshold.
 
 Two correlation backends produce the same surface: `correlate_direct`
-(time-domain multiply-accumulate) and `correlate_spectral` (FFT, complex
-multiply with conjugated kernel spectra, inverse FFT). Arithmetic runs in
-float64 or, for hardware-faithful emulation, in the fixed-point format from
-:mod:`spikecodec.fixedpoint`.
+(time-domain multiply-accumulate) and `correlate_spectral` (real FFT of the
+residual, multiply with the kernel spectra, inverse real FFT). Arithmetic
+runs in float64 or, for hardware-faithful emulation, in the fixed-point
+format from :mod:`spikecodec.fixedpoint`.
 
 Boundary policy: kernels shifted partially out of the window are truncated
 (zero outside, no renormalization), the behaviour of a shift register with a
@@ -154,10 +154,12 @@ def correlate_spectral(
         raise DimensionMismatch(
             f"fft_len {sdict.fft_len} below linear-correlation bound {bound}"
         )
-    spectrum = np.fft.fft(residual.samples, n=sdict.fft_len)
-    full = np.fft.ifft(spectrum[np.newaxis, :] * np.conj(sdict.spectra), axis=1).real
-    lags = np.arange(-(w // 2), w // 2 + 1) % sdict.fft_len
-    return CorrelationSurface(values=np.ascontiguousarray(full[:, lags]))
+    # residual rotated to start at bin n - W/2: lag tau lands in bin W/2 - tau
+    n, r = sdict.fft_len, residual.samples
+    rotated = np.concatenate([r[w // 2 :], np.zeros(n - w), r[: w // 2]])
+    product = np.conj(np.fft.rfft(rotated)) * sdict.spectra[:, : n // 2 + 1]
+    full = np.fft.irfft(product, n, axis=1)
+    return CorrelationSurface(values=np.ascontiguousarray(full[:, w::-1]))
 
 
 def select_code(

@@ -64,10 +64,6 @@ class FixedValue:
                 f"raw {self.raw} outside {self.fmt.total_bits}-bit range"
             )
 
-    @property
-    def value(self) -> float:
-        return self.raw / self.fmt.scale
-
 
 @dataclass
 class SaturationStats:

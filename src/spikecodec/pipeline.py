@@ -16,6 +16,8 @@ channel center magnitudes.
 from __future__ import annotations
 
 import json
+import os
+import threading
 import time
 import wave
 from dataclasses import dataclass, field, replace
@@ -268,17 +270,37 @@ def encode_signal(
     cfg: EncoderConfig,
     sdict: SpectralDictionary | None = None,
 ) -> list[CodeSet]:
-    """Segment and encode a whole signal; segment order is preserved."""
+    """Segment and encode a whole signal, one thread per available CPU; the
+    codes do not depend on the thread count. Re-raises the first failure."""
     if cfg.backend == "spectral" and sdict is None:
-        sdict = kernel_spectra(
-            dictionary,
-            default_fft_len(cfg.width, dictionary.kernel_len),
-            signal_len=cfg.width,
-        )
-    return [
-        encode_segment(seg, dictionary, sdict, cfg)
-        for seg in segment_stream(samples, cfg.width)
-    ]
+        fft_len = default_fft_len(cfg.width, dictionary.kernel_len)
+        sdict = kernel_spectra(dictionary, fft_len, signal_len=cfg.width)
+    segments = segment_stream(samples, cfg.width)
+    codesets = [None] * len(segments)
+    failures: dict[int, BaseException] = {}
+    pending, lock = iter(range(len(segments))), threading.Lock()
+
+    def take():  # in order, none after a failure: as a serial loop stops
+        with lock:
+            return None if failures else next(pending, None)
+
+    def work():
+        for i in iter(take, None):
+            try:
+                codesets[i] = encode_segment(segments[i], dictionary, sdict, cfg)
+            except BaseException as exc:
+                failures[i] = exc
+
+    workers = min(len(segments), len(os.sched_getaffinity(0)))
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return codesets
 
 
 # ----- synthetic corpus and benchmark -----
@@ -342,9 +364,8 @@ def run_bench(cfg: RunConfig, n_segments: int = 10) -> list[BenchReport]:
     dictionary = build_dictionary(cfg.dictionary)
     width = cfg.encoder.width
     samples = make_bench_corpus(dictionary, n_segments, width, cfg.seed)
-    sdict = kernel_spectra(
-        dictionary, default_fft_len(width, dictionary.kernel_len), signal_len=width
-    )
+    fft_len = default_fft_len(width, dictionary.kernel_len)
+    sdict = kernel_spectra(dictionary, fft_len, signal_len=width)
 
     reports = []
     reference: dict[str, list[tuple[int, int]]] = {}

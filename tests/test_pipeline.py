@@ -1,19 +1,29 @@
 import io
 import json
+import os
 import subprocess
 import sys
+import threading
 import wave
 
 import numpy as np
 import pytest
 
-from spikecodec.dictionary import DictionaryConfig
-from spikecodec.encoder import EncoderConfig
-from spikecodec.errors import CorruptFile, UnsupportedFormat
+from spikecodec import cli, pipeline
+from spikecodec.dictionary import (
+    DictionaryConfig,
+    build_dictionary,
+    default_fft_len,
+    kernel_spectra,
+)
+from spikecodec.encoder import EncoderConfig, encode_segment
+from spikecodec.errors import CorruptFile, NumericError, UnsupportedFormat
+from spikecodec.fixedpoint import FixedFormat
 from spikecodec.pipeline import (
     EVENT_HEADER,
     RunConfig,
     codes_from_events,
+    encode_signal,
     make_audio_clip,
     make_bench_corpus,
     parse_events,
@@ -227,6 +237,145 @@ def test_bench_with_zero_budget():
         assert r.segments_per_second > 0
 
 
+# ----- encode_signal across threads -----
+
+PAR_WIDTH = 128
+
+
+@pytest.fixture
+def force_cpus(monkeypatch):
+    """force_cpus(n): encode_signal sees n available CPUs. Returns the list
+    of threads started from then on."""
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+
+    def force(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        started.clear()
+        return started
+
+    return force
+
+
+@pytest.fixture(scope="module")
+def par_dict():
+    return build_dictionary(DictionaryConfig(num_kernels=8, kernel_len=PAR_WIDTH))
+
+
+def _five_segments():
+    x = make_audio_clip(5 * PAR_WIDTH, seed=3)
+    x[2 * PAR_WIDTH : 3 * PAR_WIDTH] = 0.0  # a silent segment halts at once
+    return x
+
+
+def _par_config(backend="spectral", fixed=None):
+    return EncoderConfig(
+        max_codes=4, width=PAR_WIDTH, backend=backend,
+        arithmetic="fixed" if fixed else "float",
+        fixed_format=fixed or FixedFormat(),
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("fixed", [None, FixedFormat(34, 24)],
+                         ids=["float", "34:24"])
+@pytest.mark.parametrize("backend", ["direct", "spectral"])
+def test_encode_signal_equals_serial_loop(par_dict, force_cpus, backend, fixed,
+                                          workers):
+    cfg = _par_config(backend, fixed)
+    x = _five_segments()
+    sdict = kernel_spectra(par_dict, default_fft_len(PAR_WIDTH, PAR_WIDTH),
+                           signal_len=PAR_WIDTH)
+    serial = [encode_segment(seg, par_dict, sdict, cfg)
+              for seg in segment_stream(x, PAR_WIDTH)]
+    assert sum(len(cs) for cs in serial) == 16  # 4 codes, silent one none
+    started = force_cpus(workers)
+    assert encode_signal(x, par_dict, cfg) == serial
+    assert len(started) == workers - 1  # the caller takes its own share
+
+
+def test_single_segment_starts_no_thread(par_dict, force_cpus):
+    started = force_cpus(3)
+    x = make_audio_clip(PAR_WIDTH, seed=3)
+    assert len(encode_signal(x, par_dict, _par_config())) == 1
+    assert started == []
+
+
+def _fail_on(monkeypatch, errors):
+    """encode_segment raises errors[i] on segment i. An earlier failing
+    segment waits until the last one has started, so that all fail."""
+    real = pipeline.encode_segment
+    last_started = threading.Event()
+
+    def flaky(segment, *args, **kwargs):
+        i = segment.segment_index
+        if i == max(errors):
+            last_started.set()
+        elif i in errors:
+            last_started.wait(timeout=10)
+        if i in errors:
+            raise errors[i]
+        return real(segment, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "encode_segment", flaky)
+
+
+@pytest.mark.parametrize("failing", [(3,), (1, 3)], ids=["one", "two"])
+def test_encode_signal_reraises_first_failing_segment(
+        par_dict, monkeypatch, force_cpus, failing):
+    errors = {i: NumericError(f"segment {i}") for i in failing}
+    _fail_on(monkeypatch, errors)
+    force_cpus(3)
+    before = threading.active_count()
+    with pytest.raises(NumericError) as raised:
+        encode_signal(_five_segments(), par_dict, _par_config())
+    assert raised.value is errors[min(failing)]  # the serial loop's error
+    assert threading.active_count() == before
+
+
+def _five_segment_wav(tmp_path):
+    path = tmp_path / "five.wav"
+    _write_wav(path, np.round(32767 * _five_segments()))
+    return path
+
+
+def test_cli_encode_failure_on_a_thread_exits_4(tmp_path, monkeypatch, capsys,
+                                                force_cpus):
+    wav = _five_segment_wav(tmp_path)
+    _fail_on(monkeypatch, {3: NumericError("segment 3")})
+    force_cpus(3)
+    before = threading.active_count()
+    argv = ["encode", str(wav), "-o", str(tmp_path / "ev.csv"), *SMALL_FLAGS]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert "numeric error: segment 3" in err
+    assert "Traceback" not in err
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("backend", ["direct", "spectral"])
+def test_cli_event_bytes_do_not_depend_on_thread_count(tmp_path, force_cpus,
+                                                       backend):
+    wav = _five_segment_wav(tmp_path)
+    outputs = []
+    for i, workers in enumerate([1, 3, 3]):
+        force_cpus(workers)
+        events = tmp_path / f"ev{i}.csv"
+        assert cli.main(["encode", str(wav), "-o", str(events),
+                         "--with-raw-intensity", "--backend", backend,
+                         *SMALL_FLAGS]) == 0
+        outputs.append(events.read_bytes())
+    # the header, then 4 codes in each of the 4 segments that are not silent
+    assert len(outputs[0].splitlines()) == 1 + 4 * 4
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 # ----- command-line interface -----
 
 def _cli(*argv):
@@ -334,10 +483,13 @@ def _decode_args(tmp_path, *extra):
     (lambda tmp: _decode_args(tmp, "--length", "-5"), 2),
     (lambda tmp: _decode_args(tmp, "--length", "0"), 2),
     (lambda tmp: ["bench", "--segments", "0", *SMALL_FLAGS], 2),
+    (lambda tmp: _train_args(tmp, "--bin", "0"), 2),
+    (lambda tmp: _train_args(tmp, "--bin", "-5"), 2),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
-        "length-negative", "length-zero", "bench-segments-zero"])
+        "length-negative", "length-zero", "bench-segments-zero", "bin-zero",
+        "bin-negative"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     out = _cli(*make_argv(tmp_path))
     assert out.returncode == code, out.stderr
