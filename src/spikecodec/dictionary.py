@@ -21,6 +21,7 @@ Waveforms are truncated at the buffer end and L2-normalized afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,11 +106,15 @@ class SpectralDictionary:
 
     spectra: np.ndarray  # (num_kernels, fft_len), complex
     fft_len: int
-    kernel_len: int
+    support: tuple[int, int]  # columns [lo, hi) where some kernel is nonzero
 
     @property
     def num_kernels(self) -> int:
         return self.spectra.shape[0]
+
+    @cached_property
+    def magnitudes(self) -> np.ndarray:  # |spectra| on the rfft bins, on first use
+        return np.abs(self.spectra[:, : self.fft_len // 2 + 1])
 
 
 def build_dictionary(config: DictionaryConfig = DictionaryConfig()) -> Dictionary:
@@ -154,32 +159,38 @@ def kernel_onset(config: DictionaryConfig) -> int:
 def kernel_spectra(
     dictionary: Dictionary, fft_len: int, signal_len: int | None = None
 ) -> SpectralDictionary:
-    """Precompute kernel DFTs at `fft_len` bins.
-
-    `fft_len` must be a power of two at least ``signal_len + kernel_len - 1``
-    (the linear-correlation bound); `signal_len` defaults to the kernel
-    length, i.e. segments as wide as the kernels.
-    """
-    kernel_len = dictionary.kernel_len
+    """Precompute kernel DFTs at `fft_len` bins, which must be 2^a or 3*2^a
+    and at least `_lag_window_bound` for the kernels' nonzero columns and the
+    segment width `signal_len` (default: the kernel length)."""
     if signal_len is None:
-        signal_len = kernel_len
-    bound = signal_len + kernel_len - 1
+        signal_len = dictionary.kernel_len
+    cols = np.flatnonzero(np.any(dictionary.kernels, axis=0))
+    support = (int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 0)
+    bound = _lag_window_bound(signal_len, *support)
     if fft_len < bound:
-        raise LengthTooSmall(
-            f"fft_len {fft_len} below linear-correlation bound {bound}"
-        )
-    if fft_len & (fft_len - 1) != 0:
-        raise InvalidConfig(f"fft_len must be a power of two, got {fft_len}")
+        raise LengthTooSmall(f"fft_len {fft_len} below lag-window bound {bound}")
+    base = fft_len // 3 if fft_len % 3 == 0 else fft_len
+    if base & (base - 1) != 0:
+        raise InvalidConfig(f"fft_len must be 2^a or 3*2^a, got {fft_len}")
 
     spectra = np.fft.fft(dictionary.kernels, n=fft_len, axis=1)
     spectra.flags.writeable = False
-    return SpectralDictionary(spectra=spectra, fft_len=fft_len, kernel_len=kernel_len)
+    return SpectralDictionary(spectra, fft_len, support)
+
+
+def _lag_window_bound(width: int, lo: int, hi: int) -> int:
+    """Smallest FFT length n with no aliasing on the +/- width/2 lag window
+    for kernels nonzero on columns [lo, hi): the kernel index t - tau spans
+    [-width/2, 3*width/2) and must not wrap into [lo, hi); n >= hi."""
+    return max(hi + width // 2, 3 * width // 2 - lo, hi)
 
 
 def default_fft_len(width: int, kernel_len: int) -> int:
-    """Smallest power of two satisfying the linear-correlation bound."""
-    bound = width + kernel_len - 1
-    return 1 << int(np.ceil(np.log2(bound)))
+    """Smallest 2^a or 3*2^a meeting `_lag_window_bound` for the kernels of
+    `build_dictionary`, which are nonzero on [kernel_len/2, kernel_len)."""
+    bound = _lag_window_bound(width, kernel_len // 2, kernel_len)
+    pow2 = 1 << (bound - 1).bit_length()
+    return 3 * pow2 // 4 if 3 * pow2 // 4 >= bound else pow2
 
 
 def dump_dictionary_csv(dictionary: Dictionary, fh) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dictionary import Dictionary, SpectralDictionary
+from .dictionary import Dictionary, SpectralDictionary, _lag_window_bound
 from .errors import DimensionMismatch, InvalidConfig, ShiftOutOfRange
 from .fixedpoint import (
     FixedFormat,
@@ -143,23 +143,38 @@ def correlate_direct(residual: Segment, dictionary: Dictionary) -> CorrelationSu
 
 
 def correlate_spectral(
-    residual: Segment, sdict: SpectralDictionary
+    residual: Segment, sdict: SpectralDictionary, prune: str | None = None
 ) -> CorrelationSurface:
-    """FFT backend; identical contract to `correlate_direct`."""
+    """FFT backend; identical contract to `correlate_direct`.
+
+    With `prune` set to a select rule, rows that can neither hold nor tie
+    that rule's pick are left zero, so `select_code` returns the same code:
+    |row m| <= B_m = sum_k w_k |K_m[k]| |R[k]| with irfft's weights w (1/n
+    at DC and Nyquist, 2/n elsewhere; 1 + 1e-9 covers rounding), the row of
+    largest B_m sets the best value, and rows with B_m >= best are kept."""
     w = residual.width
     if w % 2:
         raise DimensionMismatch(f"correlation needs an even width, got {w}")
-    bound = w + sdict.kernel_len - 1
-    if sdict.fft_len < bound:
-        raise DimensionMismatch(
-            f"fft_len {sdict.fft_len} below linear-correlation bound {bound}"
-        )
-    # residual rotated to start at bin n - W/2: lag tau lands in bin W/2 - tau
     n, r = sdict.fft_len, residual.samples
+    bound = _lag_window_bound(w, *sdict.support)
+    if n < bound:
+        raise DimensionMismatch(f"fft_len {n} below lag-window bound {bound}")
+    # residual rotated to start at bin n - W/2: lag tau lands in bin W/2 - tau
     rotated = np.concatenate([r[w // 2 :], np.zeros(n - w), r[: w // 2]])
-    product = np.conj(np.fft.rfft(rotated)) * sdict.spectra[:, : n // 2 + 1]
-    full = np.fft.irfft(product, n, axis=1)
-    return CorrelationSurface(values=np.ascontiguousarray(full[:, w::-1]))
+    spectrum = np.conj(np.fft.rfft(rotated))
+    kernels = sdict.spectra[:, : n // 2 + 1]
+    rows = slice(None)
+    if prune is not None:
+        weights = np.full(n // 2 + 1, 2.0 / n)
+        # DC and Nyquist; for odd n there is no Nyquist bin and both are bin 0
+        weights[0] = weights[n // 2 * (1 - n % 2)] = 1.0 / n
+        bounds = (1 + 1e-9) * (sdict.magnitudes @ (weights * np.abs(spectrum)))
+        top = np.fft.irfft(spectrum * kernels[np.argmax(bounds)], n)[w::-1]
+        best = np.max(np.abs(top) if prune == "abs" else top)
+        rows = np.flatnonzero(bounds >= best)
+    values = np.zeros((sdict.num_kernels, w + 1))
+    values[rows] = np.fft.irfft(spectrum * kernels[rows], n, axis=1)[:, w::-1]
+    return CorrelationSurface(values=values)
 
 
 def select_code(
@@ -256,7 +271,7 @@ def _float_datapath(segment, dictionary, sdict, cfg, stats):
         if cfg.backend == "direct":
             surface = correlate_direct(residual, dictionary)
         else:
-            surface = correlate_spectral(residual, sdict)
+            surface = correlate_spectral(residual, sdict, cfg.select)
         return surface, surface
 
     def subtract(residual: Segment, code: Code, _surface) -> Segment:

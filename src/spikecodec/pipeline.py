@@ -16,6 +16,7 @@ channel center magnitudes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -235,15 +236,18 @@ def parse_events(path: str) -> list[SpikeEvent]:
 
 
 def _event_from_fields(t, channel, kernel, level, center, raw) -> SpikeEvent:
-    center = float(center)
+    t, center = int(t), float(center)
+    # sign information only survives in the raw column
+    raw = float(raw) if raw is not None else center
+    if t < 0 or not (math.isfinite(center) and math.isfinite(raw)):
+        raise ValueError(f"negative time {t} or non-finite intensity {center}, {raw}")
     return SpikeEvent(
-        t=int(t),
+        t=t,
         m=int(kernel),
         level=int(level),
         channel=int(channel),
         magnitude_level_center=center,
-        # sign information only survives in the raw column
-        raw_intensity=float(raw) if raw is not None else center,
+        raw_intensity=raw,
     )
 
 

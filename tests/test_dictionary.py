@@ -124,11 +124,11 @@ def test_spectra_match_naive_dft_oracle(full_dict):
 def test_fft_len_bounds():
     d = _delta_dictionary(length=256)
     with pytest.raises(LengthTooSmall):
-        kernel_spectra(d, 256)  # below 256 + 256 - 1
+        kernel_spectra(d, 256)  # below the lag-window bound 3 * 256 / 2
     with pytest.raises(InvalidConfig):
-        kernel_spectra(d, 600)  # not a power of two
-    assert default_fft_len(256, 256) == 512
-    assert default_fft_len(2048, 2048) == 4096
+        kernel_spectra(d, 600)  # neither 2^a nor 3 * 2^a
+    assert default_fft_len(256, 256) == 384
+    assert default_fft_len(2048, 2048) == 3072
 
 
 def test_csv_dump_round_trips_one_row(small_dict):

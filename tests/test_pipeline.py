@@ -466,6 +466,12 @@ def _decode_args(tmp_path, *extra):
             *SMALL_FLAGS]
 
 
+def _decode_row_args(tmp_path, row):
+    events = tmp_path / "ev.csv"
+    events.write_text(f"{EVENT_HEADER},raw_intensity\n{row}\n")
+    return ["decode", str(events), "-o", str(tmp_path / "x.f32"), *SMALL_FLAGS]
+
+
 @pytest.mark.parametrize("make_argv, code", [
     (_cut_wav(64, 1), 3),  # ends mid-frame
     (lambda tmp: _eval_args(tmp, "clip_a\n"), 3),  # labels line without comma
@@ -485,11 +491,14 @@ def _decode_args(tmp_path, *extra):
     (lambda tmp: ["bench", "--segments", "0", *SMALL_FLAGS], 2),
     (lambda tmp: _train_args(tmp, "--bin", "0"), 2),
     (lambda tmp: _train_args(tmp, "--bin", "-5"), 2),
+    (lambda tmp: _decode_row_args(tmp, "64,10,3,2,0.411500,inf"), 3),
+    (lambda tmp: _decode_row_args(tmp, "64,10,3,2,nan,0.411500"), 3),
+    (lambda tmp: _decode_row_args(tmp, "-10,10,3,2,0.411500,0.411500"), 3),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
         "length-negative", "length-zero", "bench-segments-zero", "bin-zero",
-        "bin-negative"])
+        "bin-negative", "raw-intensity-inf", "center-nan", "time-negative"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     out = _cli(*make_argv(tmp_path))
     assert out.returncode == code, out.stderr
