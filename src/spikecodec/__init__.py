@@ -5,65 +5,27 @@ a gammatone kernel dictionary, a per-segment matching-pursuit encoder with
 time-domain and FFT backends (float or 34-bit fixed-point arithmetic),
 intensity-to-place spike mapping, linear-superposition reconstruction, and
 an evaluation toolkit (temporal averaging, P/R/F1, a small MLP).
+
+The package exports the names the README's library example uses; the rest
+lives in the submodules (`spikecodec.pipeline`, `spikecodec.evaluate`, ...).
 """
 
-from .decoder import (
-    ReconstructionReport,
-    error_curve,
-    evaluate_reconstruction,
-    reconstruct,
-    reconstruction_error,
-)
-from .dictionary import (
-    Dictionary,
-    DictionaryConfig,
-    SpectralDictionary,
-    build_dictionary,
-    default_fft_len,
-    dump_dictionary_csv,
-    erb_space,
-    kernel_spectra,
-)
-from .encoder import (
-    Code,
-    CodeSet,
-    CorrelationSurface,
-    EncoderConfig,
-    Segment,
-    correlate_direct,
-    correlate_spectral,
-    encode_segment,
-    select_code,
-    shift_kernel,
-    subtract_component,
-)
-from .evaluate import (
-    ConfusionCounts,
-    MlpModel,
-    MlpTrainConfig,
-    mlp_forward,
-    mlp_train,
-    prf1,
-    temporal_average,
-)
-from .fixedpoint import FixedFormat, FixedValue, dequantize, macc, quantize
-from .pipeline import (
-    BenchReport,
-    RunConfig,
-    encode_signal,
-    parse_events,
-    read_input,
-    run_bench,
-    segment_stream,
-    write_events,
-)
-from .spikecoder import (
-    DEFAULT_CENTERS,
-    ChannelTable,
-    SpikeEvent,
-    build_channel_table,
-    emit_stream,
-    map_code,
-)
+from .decoder import reconstruct
+from .dictionary import DictionaryConfig, build_dictionary
+from .encoder import CODE_DTYPE, EncoderConfig, Segment, encode_segment
+from .spikecoder import EVENT_DTYPE, build_channel_table, emit_stream
+
+__all__ = [
+    "CODE_DTYPE",
+    "EVENT_DTYPE",
+    "DictionaryConfig",
+    "EncoderConfig",
+    "Segment",
+    "build_channel_table",
+    "build_dictionary",
+    "emit_stream",
+    "encode_segment",
+    "reconstruct",
+]
 
 __version__ = "0.1.0"

@@ -161,7 +161,7 @@ def _cmd_encode(args) -> int:
     table = build_channel_table(dictionary.num_kernels, DEFAULT_CENTERS)
     events = emit_stream(codesets, table, cfg.encoder.width, cfg.itp_metric)
     write_events(events, cfg)
-    n_codes = sum(len(cs.codes) for cs in codesets)
+    n_codes = sum(len(cs) for cs in codesets)
     sps = cfg.encoder.max_codes
     rate_hz = sps * cfg.dictionary.sample_rate / cfg.encoder.width
     print(f"wrote {len(events)} events ({n_codes} codes, "
@@ -180,8 +180,7 @@ def _cmd_decode(args) -> int:
     table = build_channel_table(dictionary.num_kernels, DEFAULT_CENTERS)
     width = cfg.encoder.width
     codesets = codes_from_events(events, width)
-    n_segments = max((cs.codes[0].segment_index for cs in codesets if cs.codes),
-                     default=-1) + 1
+    n_segments = int(codesets[-1].segment_index[0]) + 1 if codesets else 0
     total_len = n_segments * width if args.length is None else args.length
     x_hat = reconstruct(
         codesets, dictionary, width, total_len,
@@ -189,7 +188,7 @@ def _cmd_decode(args) -> int:
     )
     write_waveform(x_hat, args.output, cfg.dictionary.sample_rate)
     print(f"reconstructed {total_len} samples from "
-          f"{sum(len(c.codes) for c in codesets)} codes -> {args.output}")
+          f"{sum(len(cs) for cs in codesets)} codes -> {args.output}")
     return 0
 
 
@@ -253,7 +252,7 @@ def _cmd_eval(args) -> int:
         if path is None:
             raise IoError(f"no event file for {stem!r} in {args.features_from!r}")
         events = parse_events(path)
-        duration = max((ev.t for ev in events), default=0) // width * width + width
+        duration = int(events.t.max(initial=0)) // width * width + width
         features.append(evaluate.temporal_average(events, duration, bin_width, table))
         labels.append(class_names.index(labels_by_stem[stem]))
     features = np.array(features)

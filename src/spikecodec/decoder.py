@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dictionary import Dictionary
-from .encoder import CodeSet, shift_kernel
+from .encoder import shift_kernel
 from .errors import CodeOutOfBounds, InvalidConfig, LengthMismatch
 from .spikecoder import ChannelTable, nearest_level
 
@@ -27,17 +27,38 @@ class ReconstructionReport:
     per_k_curve: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _effective_intensity(
-    s: float, quantized: bool, table: ChannelTable | None, metric: str
-) -> float:
-    if not quantized or s == 0.0:
-        return s
-    level = nearest_level(s, table, metric)
-    return math.copysign(table.centers[level], s)
+def _checked_codes(
+    codesets: list[np.ndarray],
+    dictionary: Dictionary,
+    width: int,
+    total_len: int,
+    quantized: bool,
+    table: ChannelTable | None,
+    metric: str,
+) -> list[tuple]:
+    """All codes in segment order as (segment_index, m, tau, s) tuples of
+    Python numbers, with s replaced in quantized mode by its channel center
+    (keeping the sign). Raises CodeOutOfBounds for a code that does not fit
+    the dictionary, the width or the output length."""
+    if quantized and table is None:
+        raise InvalidConfig("quantized reconstruction needs a ChannelTable")
+    rows = []
+    for cs in codesets:
+        for seg, m, tau, s in cs.tolist():
+            if not (0 <= m < dictionary.num_kernels and abs(tau) <= width // 2
+                    and 0 <= seg and (seg + 1) * width <= total_len):
+                raise CodeOutOfBounds(
+                    f"code {(seg, m, tau, s)} out of range for "
+                    f"{dictionary.num_kernels} kernels, W={width}, {total_len} samples"
+                )
+            if quantized and s != 0.0:
+                s = math.copysign(table.centers[nearest_level(s, table, metric)], s)
+            rows.append((seg, m, tau, s))
+    return rows
 
 
 def reconstruct(
-    codesets: list[CodeSet],
+    codesets: list[np.ndarray],
     dictionary: Dictionary,
     width: int,
     total_len: int,
@@ -45,25 +66,17 @@ def reconstruct(
     table: ChannelTable | None = None,
     metric: str = "log",
 ) -> np.ndarray:
-    """Sum s_i * shift_kernel(kernel m_i, tau_i) at each segment offset."""
-    if quantized and table is None:
-        raise InvalidConfig("quantized reconstruction needs a ChannelTable")
+    """Sum s_i * shift_kernel(kernel m_i, tau_i) at each segment offset.
+
+    One code at a time, in segment order: `np.add.at` over all codes gives
+    the same sums but is several times slower."""
     out = np.zeros(total_len)
-    for cs in codesets:
-        for code in cs.codes:
-            if not (0 <= code.m < dictionary.num_kernels):
-                raise CodeOutOfBounds(f"kernel index {code.m} out of range")
-            if abs(code.tau) > width // 2:
-                raise CodeOutOfBounds(f"shift {code.tau} out of range for W={width}")
-            offset = code.segment_index * width
-            if offset < 0 or offset + width > total_len:
-                raise CodeOutOfBounds(
-                    f"segment {code.segment_index} does not fit in {total_len} samples"
-                )
-            s = _effective_intensity(code.s, quantized, table, metric)
-            out[offset : offset + width] += s * shift_kernel(
-                dictionary.kernels[code.m], code.tau, width
-            )
+    for seg, m, tau, s in _checked_codes(
+        codesets, dictionary, width, total_len, quantized, table, metric
+    ):
+        out[seg * width : (seg + 1) * width] += s * shift_kernel(
+            dictionary.kernels[m], tau, width
+        )
     return out
 
 
@@ -86,7 +99,7 @@ def reconstruction_error(x: np.ndarray, x_hat: np.ndarray) -> ReconstructionRepo
 
 def error_curve(
     x: np.ndarray,
-    codesets: list[CodeSet],
+    codesets: list[np.ndarray],
     dictionary: Dictionary,
     width: int,
     quantized: bool = False,
@@ -100,30 +113,26 @@ def error_curve(
     reproduces the encoder's own residual trajectory.
     """
     x = np.asarray(x, dtype=np.float64)
+    codes = _checked_codes(
+        codesets, dictionary, width, len(x), quantized, table, metric
+    )
+    # each code's position in its segment: the k-th codes go in together
+    rank = [k for cs in codesets for k in range(len(cs))]
     residual = x.copy()
-    max_k = max((len(cs.codes) for cs in codesets), default=0)
     curve = []
-    for k in range(1, max_k + 1):
-        for cs in codesets:
-            if len(cs.codes) < k:
-                continue
-            code = cs.codes[k - 1]
-            offset = code.segment_index * width
-            if offset < 0 or offset + width > len(x):
-                raise CodeOutOfBounds(
-                    f"segment {code.segment_index} does not fit in {len(x)} samples"
+    for k in range(max(rank, default=-1) + 1):
+        for (seg, m, tau, s), r in zip(codes, rank):
+            if r == k:
+                residual[seg * width : (seg + 1) * width] -= s * shift_kernel(
+                    dictionary.kernels[m], tau, width
                 )
-            s = _effective_intensity(code.s, quantized, table, metric)
-            residual[offset : offset + width] -= s * shift_kernel(
-                dictionary.kernels[code.m], code.tau, width
-            )
-        curve.append((k, float(np.linalg.norm(residual))))
+        curve.append((k + 1, float(np.linalg.norm(residual))))
     return curve
 
 
 def evaluate_reconstruction(
     x: np.ndarray,
-    codesets: list[CodeSet],
+    codesets: list[np.ndarray],
     dictionary: Dictionary,
     width: int,
     quantized: bool = False,
@@ -135,7 +144,7 @@ def evaluate_reconstruction(
         codesets, dictionary, width, len(x), quantized, table, metric
     )
     report = reconstruction_error(x, x_hat)
-    report.codes_used = sum(len(cs.codes) for cs in codesets)
+    report.codes_used = sum(len(cs) for cs in codesets)
     report.per_k_curve = error_curve(
         x, codesets, dictionary, width, quantized, table, metric
     )

@@ -19,7 +19,7 @@ fixed read window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,25 +58,11 @@ class Segment:
             )
 
 
-@dataclass(frozen=True)
-class Code:
-    """One matching-pursuit result: kernel index, shift, signed intensity."""
-
-    m: int
-    tau: int
-    s: float
-    segment_index: int = 0
-
-
-@dataclass
-class CodeSet:
-    codes: list[Code] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __iter__(self):
-        return iter(self.codes)
+# one matching-pursuit result per row: segment, kernel index, shift, signed
+# intensity; encode_segment returns one segment's codes as an np.recarray
+CODE_DTYPE = np.dtype([
+    ("segment_index", np.int64), ("m", np.int64), ("tau", np.int64), ("s", np.float64)
+])
 
 
 @dataclass(frozen=True)
@@ -107,21 +93,6 @@ class EncoderConfig:
             raise InvalidConfig(f"width must be even and >= 2, got {self.width}")
 
 
-@dataclass
-class CorrelationSurface:
-    """values[m, j] = correlation of the residual with kernel m at shift
-    tau = j - W/2; shape (num_kernels, W + 1)."""
-
-    values: np.ndarray
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1] - 1
-
-    def at(self, m: int, tau: int) -> float:
-        return float(self.values[m, tau + self.width // 2])
-
-
 def _residual_windows(samples: np.ndarray, kernel_len: int) -> np.ndarray:
     """Rows j = residual slice [tau_j, tau_j + kernel_len), zero outside,
     for tau_j = j - W//2, j = 0..W. Zero-copy strided view."""
@@ -135,16 +106,18 @@ def _residual_windows(samples: np.ndarray, kernel_len: int) -> np.ndarray:
     return sliding_window_view(padded, kernel_len)[: w + 1]
 
 
-def correlate_direct(residual: Segment, dictionary: Dictionary) -> CorrelationSurface:
-    """Time-domain correlation of the residual against all shifted kernels."""
-    windows = _residual_windows(residual.samples, dictionary.kernel_len)
+def correlate_direct(residual: np.ndarray, dictionary: Dictionary) -> np.ndarray:
+    """Time-domain correlation of the residual against all shifted kernels:
+    values[m, j] = correlation with kernel m at shift tau = j - W/2, shape
+    (num_kernels, W + 1)."""
+    windows = _residual_windows(residual, dictionary.kernel_len)
     values = windows @ dictionary.kernels.T  # (W+1, num_kernels)
-    return CorrelationSurface(values=np.ascontiguousarray(values.T))
+    return np.ascontiguousarray(values.T)
 
 
 def correlate_spectral(
-    residual: Segment, sdict: SpectralDictionary, prune: str | None = None
-) -> CorrelationSurface:
+    residual: np.ndarray, sdict: SpectralDictionary, prune: str | None = None
+) -> np.ndarray:
     """FFT backend; identical contract to `correlate_direct`.
 
     With `prune` set to a select rule, rows that can neither hold nor tie
@@ -152,15 +125,16 @@ def correlate_spectral(
     |row m| <= B_m = sum_k w_k |K_m[k]| |R[k]| with irfft's weights w (1/n
     at DC and Nyquist, 2/n elsewhere; 1 + 1e-9 covers rounding), the row of
     largest B_m sets the best value, and rows with B_m >= best are kept."""
-    w = residual.width
+    w, n = len(residual), sdict.fft_len
     if w % 2:
         raise DimensionMismatch(f"correlation needs an even width, got {w}")
-    n, r = sdict.fft_len, residual.samples
     bound = _lag_window_bound(w, *sdict.support)
     if n < bound:
         raise DimensionMismatch(f"fft_len {n} below lag-window bound {bound}")
     # residual rotated to start at bin n - W/2: lag tau lands in bin W/2 - tau
-    rotated = np.concatenate([r[w // 2 :], np.zeros(n - w), r[: w // 2]])
+    rotated = np.concatenate(
+        [residual[w // 2 :], np.zeros(n - w), residual[: w // 2]]
+    )
     spectrum = np.conj(np.fft.rfft(rotated))
     kernels = sdict.spectra[:, : n // 2 + 1]
     rows = slice(None)
@@ -174,27 +148,20 @@ def correlate_spectral(
         rows = np.flatnonzero(bounds >= best)
     values = np.zeros((sdict.num_kernels, w + 1))
     values[rows] = np.fft.irfft(spectrum * kernels[rows], n, axis=1)[:, w::-1]
-    return CorrelationSurface(values=values)
+    return values
 
 
-def select_code(
-    surface: CorrelationSurface, select: str = "abs", segment_index: int = 0
-) -> Code:
-    """Pick the dominant surface entry.
+def select_code(values: np.ndarray, select: str = "abs") -> tuple[int, int, float]:
+    """Pick the dominant entry of a correlation surface as (m, tau, s).
 
     Ties break to the smallest kernel index, then the most negative shift
     (argmax scans in C order), mirroring a sequential comparator that only
     updates on strict improvement. `select="abs"` ranks by magnitude and
     keeps the sign in `s`; `select="signed"` ranks by raw value.
     """
-    ranked = np.abs(surface.values) if select == "abs" else surface.values
+    ranked = np.abs(values) if select == "abs" else values
     m, j = np.unravel_index(int(np.argmax(ranked)), ranked.shape)
-    return Code(
-        m=int(m),
-        tau=int(j) - surface.width // 2,
-        s=float(surface.values[m, j]),
-        segment_index=segment_index,
-    )
+    return int(m), int(j) - (values.shape[1] - 1) // 2, float(values[m, j])
 
 
 def shift_kernel(kernel: np.ndarray, tau: int, width: int) -> np.ndarray:
@@ -215,17 +182,12 @@ def shift_kernel(kernel: np.ndarray, tau: int, width: int) -> np.ndarray:
 
 
 def subtract_component(
-    residual: Segment, code: Code, dictionary: Dictionary
-) -> Segment:
+    residual: np.ndarray, m: int, tau: int, s: float, dictionary: Dictionary
+) -> np.ndarray:
     """New residual = residual - s * shift_kernel(kernel m, tau)."""
-    if not (0 <= code.m < dictionary.num_kernels):
-        raise DimensionMismatch(f"kernel index {code.m} out of range")
-    shifted = shift_kernel(dictionary.kernels[code.m], code.tau, residual.width)
-    return Segment(
-        samples=residual.samples - code.s * shifted,
-        segment_index=residual.segment_index,
-        width=residual.width,
-    )
+    if not (0 <= m < dictionary.num_kernels):
+        raise DimensionMismatch(f"kernel index {m} out of range")
+    return residual - s * shift_kernel(dictionary.kernels[m], tau, len(residual))
 
 
 def encode_segment(
@@ -234,8 +196,9 @@ def encode_segment(
     sdict: SpectralDictionary | None = None,
     cfg: EncoderConfig = EncoderConfig(),
     stats: SaturationStats | None = None,
-) -> CodeSet:
-    """Run the matching-pursuit loop on one segment.
+) -> np.recarray:
+    """Run the matching-pursuit loop on one segment; returns its codes as a
+    CODE_DTYPE record array in emission order.
 
     Emits at most `cfg.max_codes` codes, stopping early when the picked
     intensity magnitude drops below `cfg.halt_threshold` or is zero: a zero
@@ -252,32 +215,32 @@ def encode_segment(
         raise InvalidConfig("spectral backend requires a SpectralDictionary")
     datapath = _fixed_datapath if cfg.arithmetic == "fixed" else _float_datapath
     residual, correlate, subtract = datapath(segment, dictionary, sdict, cfg, stats)
-    codes: list[Code] = []
+    rows = []
     for _ in range(cfg.max_codes):
-        native, surface = correlate(residual)
-        code = select_code(surface, cfg.select, segment.segment_index)
-        if code.s == 0 or abs(code.s) < cfg.halt_threshold:
+        native, values = correlate(residual)
+        m, tau, s = select_code(values, cfg.select)
+        if s == 0 or abs(s) < cfg.halt_threshold:
             break
-        codes.append(code)
-        residual = subtract(residual, code, native)
-    return CodeSet(codes=codes)
+        rows.append((segment.segment_index, m, tau, s))
+        residual = subtract(residual, m, tau, s, native)
+    return np.array(rows, CODE_DTYPE).view(np.recarray)
 
 
 def _float_datapath(segment, dictionary, sdict, cfg, stats):
     """float64 residual. The public functions are looked up per call, so a
     wrapper installed on them (a tracer) sees every call."""
 
-    def correlate(residual: Segment):
+    def correlate(residual: np.ndarray):
         if cfg.backend == "direct":
-            surface = correlate_direct(residual, dictionary)
+            values = correlate_direct(residual, dictionary)
         else:
-            surface = correlate_spectral(residual, sdict, cfg.select)
-        return surface, surface
+            values = correlate_spectral(residual, sdict, cfg.select)
+        return values, values
 
-    def subtract(residual: Segment, code: Code, _surface) -> Segment:
-        return subtract_component(residual, code, dictionary)
+    def subtract(residual: np.ndarray, m: int, tau: int, s: float, _values):
+        return subtract_component(residual, m, tau, s, dictionary)
 
-    return segment, correlate, subtract
+    return segment.samples, correlate, subtract
 
 
 # ----- fixed-point datapath -----
@@ -358,15 +321,14 @@ def _fixed_datapath(segment, dictionary, sdict, cfg, stats):
         else:
             # FFT stage runs in float; the stored surface is requantized to
             # the datapath width, as a wide-word FFT core would deliver it
-            float_residual = Segment(dequantize_array(resid_raw, fmt))
-            float_surface = correlate_spectral(float_residual, sdict)
-            surface_raw = quantize_array(float_surface.values, fmt, stats)
-        return surface_raw, CorrelationSurface(dequantize_array(surface_raw, fmt))
+            float_values = correlate_spectral(dequantize_array(resid_raw, fmt), sdict)
+            surface_raw = quantize_array(float_values, fmt, stats)
+        return surface_raw, dequantize_array(surface_raw, fmt)
 
-    def subtract(resid_raw: np.ndarray, code: Code, surface_raw: np.ndarray):
-        # the raw pick, not code.s requantized: inexact past 53 bits
-        s_raw = int(surface_raw[code.m, code.tau + segment.width // 2])
-        shifted = shift_kernel(kernels_raw[code.m], code.tau, segment.width)
+    def subtract(resid_raw: np.ndarray, m: int, tau: int, _s, surface_raw):
+        # the raw pick, not s requantized: inexact past 53 bits
+        s_raw = int(surface_raw[m, tau + segment.width // 2])
+        shifted = shift_kernel(kernels_raw[m], tau, segment.width)
         kmax = int(np.max(np.abs(shifted)))
         if abs(s_raw) * max(kmax, 1) >= (1 << 62):
             # int64 headroom exhausted: exact per-sample rescale

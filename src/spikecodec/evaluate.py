@@ -14,30 +14,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateData, InvalidConfig, ShapeMismatch
-from .spikecoder import ChannelTable, SpikeEvent
+from .errors import CodeOutOfBounds, DegenerateData, InvalidConfig, ShapeMismatch
+from .spikecoder import EVENT_DTYPE, ChannelTable
 
 
 def temporal_average(
-    events: list[SpikeEvent],
+    events: np.ndarray,
     duration: int,
     bin_width: int,
     table: ChannelTable,
     mode: str = "binary",
 ) -> np.ndarray:
-    """Per-channel mean spike activity over time bins.
+    """Per-channel mean spike activity over time bins of an EVENT_DTYPE
+    array.
 
     `mode="binary"` counts a bin as active if it holds at least one spike,
     so entries lie in [0, 1]; `mode="count"` averages raw spike counts per
-    bin instead. Events at or beyond `duration` are ignored.
+    bin instead. Events at or beyond `duration` are ignored. Raises
+    CodeOutOfBounds for a channel outside the table.
     """
     if duration <= 0 or bin_width <= 0:
         raise DegenerateData("duration and bin_width must be positive")
+    events = np.asarray(events, EVENT_DTYPE)
+    t, channel = events["t"], events["channel"]
+    bad = (channel < 0) | (channel >= table.total_channels)
+    if np.any(bad):
+        raise CodeOutOfBounds(
+            f"channel {channel[bad][0]} outside [0, {table.total_channels})"
+        )
     n_bins = -(-duration // bin_width)  # ceil
     counts = np.zeros((table.total_channels, n_bins))
-    for ev in events:
-        if 0 <= ev.t < duration:
-            counts[ev.channel, ev.t // bin_width] += 1
+    kept = (t >= 0) & (t < duration)
+    np.add.at(counts, (channel[kept], t[kept] // bin_width), 1)
     if mode == "binary":
         return (counts > 0).mean(axis=1)
     return counts.mean(axis=1)

@@ -33,7 +33,7 @@ from .dictionary import (
     default_fft_len,
     kernel_spectra,
 )
-from .encoder import Code, CodeSet, EncoderConfig, Segment, encode_segment, shift_kernel
+from .encoder import CODE_DTYPE, EncoderConfig, Segment, encode_segment, shift_kernel
 from .errors import (
     CorruptFile,
     InvalidConfig,
@@ -41,7 +41,7 @@ from .errors import (
     NumericError,
     UnsupportedFormat,
 )
-from .spikecoder import SpikeEvent
+from .spikecoder import EVENT_DTYPE
 
 EVENT_HEADER = "t_samples,channel,kernel,level,intensity_center"
 
@@ -158,34 +158,26 @@ def _fmt_intensity(value: float) -> str:
     return format(value, "#.6g")  # 6 significant digits, trailing zeros kept
 
 
-def write_events_csv(events: list[SpikeEvent], fh, with_raw: bool = False) -> None:
+def write_events_csv(events: np.ndarray, fh, with_raw: bool = False) -> None:
+    """`events`: an EVENT_DTYPE array. Rows go through .tolist(), so every
+    field is formatted as a Python int or float."""
     header = EVENT_HEADER + (",raw_intensity" if with_raw else "")
     fh.write(header + "\n")
-    for ev in events:
-        line = (
-            f"{ev.t},{ev.channel},{ev.m},{ev.level},"
-            f"{_fmt_intensity(ev.magnitude_level_center)}"
-        )
+    for t, channel, m, level, center, raw in np.asarray(events).tolist():
+        line = f"{t},{channel},{m},{level},{_fmt_intensity(center)}"
         if with_raw:
-            line += f",{_fmt_intensity(ev.raw_intensity)}"
+            line += f",{_fmt_intensity(raw)}"
         fh.write(line + "\n")
 
 
-def write_events_jsonl(events: list[SpikeEvent], fh, with_raw: bool = False) -> None:
-    for ev in events:
-        record = {
-            "t_samples": ev.t,
-            "channel": ev.channel,
-            "kernel": ev.m,
-            "level": ev.level,
-            "intensity_center": ev.magnitude_level_center,
-        }
-        if with_raw:
-            record["raw_intensity"] = ev.raw_intensity
-        fh.write(json.dumps(record) + "\n")
+def write_events_jsonl(events: np.ndarray, fh, with_raw: bool = False) -> None:
+    keys = ("t_samples", "channel", "kernel", "level", "intensity_center",
+            "raw_intensity")[: 6 if with_raw else 5]
+    for row in np.asarray(events).tolist():
+        fh.write(json.dumps(dict(zip(keys, row))) + "\n")
 
 
-def write_events(events: list[SpikeEvent], cfg: RunConfig) -> None:
+def write_events(events: np.ndarray, cfg: RunConfig) -> None:
     try:
         with open(cfg.output_path, "w", newline="\n") as fh:
             if cfg.output_format == "jsonl":
@@ -198,14 +190,15 @@ def write_events(events: list[SpikeEvent], cfg: RunConfig) -> None:
         raise IoError(f"cannot write {cfg.output_path!r}: {exc}")
 
 
-def parse_events(path: str) -> list[SpikeEvent]:
-    """Read an event file (csv or jsonl) back into SpikeEvent records."""
+def parse_events(path: str) -> np.recarray:
+    """Read an event file (csv or jsonl) back into an EVENT_DTYPE record
+    array. Raises CorruptFile on a malformed record, a negative time, a
+    non-finite intensity, a zero raw intensity or a center that is not
+    positive."""
     events = []
     try:
         with open(path) as fh:
             first = fh.readline()
-            if not first:
-                return events
             if first.lstrip().startswith("{"):
                 for line in [first] + fh.readlines():
                     if not line.strip():
@@ -216,7 +209,7 @@ def parse_events(path: str) -> list[SpikeEvent]:
                         rec["level"], rec["intensity_center"],
                         rec.get("raw_intensity"),
                     ))
-            else:
+            elif first:
                 if not first.startswith(EVENT_HEADER):
                     raise CorruptFile(f"unexpected event header in {path!r}")
                 has_raw = "raw_intensity" in first
@@ -228,44 +221,40 @@ def parse_events(path: str) -> list[SpikeEvent]:
                         parts[0], parts[1], parts[2], parts[3], parts[4],
                         parts[5] if has_raw else None,
                     ))
+        return np.array(events, EVENT_DTYPE).view(np.recarray)
     except OSError as exc:
         raise IoError(f"cannot read {path!r}: {exc}")
-    except (ValueError, KeyError, IndexError) as exc:
+    except (ValueError, KeyError, IndexError, OverflowError) as exc:
         raise CorruptFile(f"bad event record in {path!r}: {exc}")
-    return events
 
 
-def _event_from_fields(t, channel, kernel, level, center, raw) -> SpikeEvent:
+def _event_from_fields(t, channel, kernel, level, center, raw) -> tuple:
     t, center = int(t), float(center)
     # sign information only survives in the raw column
     raw = float(raw) if raw is not None else center
     if t < 0 or not (math.isfinite(center) and math.isfinite(raw)):
         raise ValueError(f"negative time {t} or non-finite intensity {center}, {raw}")
-    return SpikeEvent(
-        t=t,
-        m=int(kernel),
-        level=int(level),
-        channel=int(channel),
-        magnitude_level_center=center,
-        raw_intensity=raw,
-    )
+    if center <= 0 or raw == 0:  # emit_stream writes neither
+        raise ValueError(f"intensity center {center} or raw intensity {raw}")
+    return t, int(channel), int(kernel), int(level), center, raw
 
 
-def codes_from_events(events: list[SpikeEvent], width: int) -> list[CodeSet]:
-    """Rebuild per-segment code sets from parsed events (inverse of
-    emit_stream up to intensity quantization when raw values are absent).
+def codes_from_events(events: np.ndarray, width: int) -> list[np.recarray]:
+    """Rebuild per-segment CODE_DTYPE arrays, in segment order, from parsed
+    events (inverse of emit_stream up to intensity quantization when raw
+    values are absent). Within a segment codes keep their file order.
 
     A shift of exactly +W/2 shares its event time with the next segment's
     -W/2 and resolves to the latter; the schema carries no segment id.
     """
-    by_segment: dict[int, list[Code]] = {}
-    for ev in events:
-        seg = ev.t // width
-        tau = ev.t - seg * width - width // 2
-        by_segment.setdefault(seg, []).append(
-            Code(m=ev.m, tau=tau, s=ev.raw_intensity, segment_index=seg)
-        )
-    return [CodeSet(codes=by_segment[k]) for k in sorted(by_segment)]
+    by_segment: dict[int, list[tuple]] = {}
+    for t, _, m, _, _, s in np.asarray(events).tolist():
+        seg, tau = divmod(t, width)
+        by_segment.setdefault(seg, []).append((seg, m, tau - width // 2, s))
+    return [
+        np.array(by_segment[seg], CODE_DTYPE).view(np.recarray)
+        for seg in sorted(by_segment)
+    ]
 
 
 def encode_signal(
@@ -273,7 +262,7 @@ def encode_signal(
     dictionary: Dictionary,
     cfg: EncoderConfig,
     sdict: SpectralDictionary | None = None,
-) -> list[CodeSet]:
+) -> list[np.recarray]:
     """Segment and encode a whole signal, one thread per available CPU; the
     codes do not depend on the thread count. Re-raises the first failure."""
     if cfg.backend == "spectral" and sdict is None:
@@ -379,8 +368,8 @@ def run_bench(cfg: RunConfig, n_segments: int = 10) -> list[BenchReport]:
             start = time.perf_counter()
             codesets = encode_signal(samples, dictionary, enc, sdict)
             elapsed = time.perf_counter() - start
-            n_codes = sum(len(cs.codes) for cs in codesets)
-            seq = [(c.m, c.tau) for cs in codesets for c in cs.codes]
+            n_codes = sum(len(cs) for cs in codesets)
+            seq = [(c.m, c.tau) for cs in codesets for c in cs]
             if backend == "direct":
                 reference[arithmetic] = seq
             reports.append(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import Code, CodeSet
+from .encoder import CODE_DTYPE
 from .errors import InvalidCenters, ZeroIntensity
 
 # three logarithmically distributed per-kernel center intensities
@@ -34,14 +34,16 @@ class ChannelTable:
         return self.num_kernels * self.levels
 
 
-@dataclass(frozen=True)
-class SpikeEvent:
-    t: int  # absolute time in samples
-    m: int  # kernel index
-    level: int  # 0..N-1
-    channel: int  # m * N + level
-    magnitude_level_center: float
-    raw_intensity: float = 0.0  # signed s of the originating code
+# one spike per row, in event-file column order; `raw_intensity` is the signed
+# s of the originating code and `channel` is m * N + level
+EVENT_DTYPE = np.dtype([
+    ("t", np.int64),  # absolute time in samples
+    ("channel", np.int64),
+    ("m", np.int64),  # kernel index
+    ("level", np.int64),  # 0..N-1
+    ("magnitude_level_center", np.float64),
+    ("raw_intensity", np.float64),
+])
 
 
 def build_channel_table(
@@ -57,51 +59,41 @@ def build_channel_table(
     return ChannelTable(centers=centers, num_kernels=num_kernels)
 
 
-def nearest_level(intensity: float, table: ChannelTable, metric: str = "log") -> int:
-    """Index of the center nearest |intensity|; ties go to the lower level.
+def nearest_level(intensity, table: ChannelTable, metric: str = "log"):
+    """Index of the center nearest |intensity|, per element for an array;
+    ties go to the lower level.
 
     `metric="log"` measures distance between log-magnitudes (the natural
     choice for logarithmically spaced centers); `metric="linear"` compares
     plain differences for low-precision hardware mimicry.
     """
-    mag = abs(float(intensity))
-    if mag == 0.0:
+    mag = np.abs(np.asarray(intensity, dtype=np.float64))
+    if np.any(mag == 0.0):
         raise ZeroIntensity("zero intensity maps to no spike")
     centers = np.asarray(table.centers)
     if metric == "log":
-        dist = np.abs(np.log(mag) - np.log(centers))
+        dist = np.abs(np.log(mag)[..., None] - np.log(centers))
     else:
-        dist = np.abs(mag - centers)
-    return int(np.argmin(dist))
-
-
-def map_code(
-    code: Code, table: ChannelTable, width: int, metric: str = "log"
-) -> SpikeEvent:
-    """Map one code to its spike event; raises ZeroIntensity for s = 0."""
-    level = nearest_level(code.s, table, metric)
-    return SpikeEvent(
-        t=code.segment_index * width + width // 2 + code.tau,
-        m=code.m,
-        level=level,
-        channel=code.m * table.levels + level,
-        magnitude_level_center=table.centers[level],
-        raw_intensity=code.s,
-    )
+        dist = np.abs(mag[..., None] - centers)
+    return np.argmin(dist, axis=-1)
 
 
 def emit_stream(
-    codesets: list[CodeSet], table: ChannelTable, width: int, metric: str = "log"
-) -> list[SpikeEvent]:
-    """Serialize codesets to a deterministic (t, channel)-ordered event list.
+    codesets: list[np.ndarray], table: ChannelTable, width: int, metric: str = "log"
+) -> np.recarray:
+    """Serialize per-segment code arrays to a deterministic (t, channel)-ordered
+    EVENT_DTYPE record array; codes with equal (t, channel) keep their order.
 
     Zero-intensity codes emit nothing.
     """
-    events = []
-    for cs in codesets:
-        for code in cs.codes:
-            if code.s == 0.0:
-                continue
-            events.append(map_code(code, table, width, metric))
-    events.sort(key=lambda e: (e.t, e.channel))
-    return events
+    codes = np.concatenate([np.empty(0, CODE_DTYPE), *codesets])
+    codes = codes[codes["s"] != 0.0]
+    level = nearest_level(codes["s"], table, metric)
+    events = np.empty(len(codes), EVENT_DTYPE).view(np.recarray)
+    events.t = codes["segment_index"] * width + width // 2 + codes["tau"]
+    events.channel = codes["m"] * table.levels + level
+    events.m = codes["m"]
+    events.level = level
+    events.magnitude_level_center = np.asarray(table.centers)[level]
+    events.raw_intensity = codes["s"]
+    return events[np.lexsort((events.channel, events.t))]

@@ -10,6 +10,19 @@ from spikecodec.dictionary import (
     default_fft_len,
     kernel_spectra,
 )
+from spikecodec.encoder import CODE_DTYPE
+from spikecodec.spikecoder import EVENT_DTYPE
+
+
+def codes(*rows):
+    """One segment's code array from (segment_index, m, tau, s) rows."""
+    return np.array(list(rows), CODE_DTYPE).view(np.recarray)
+
+
+def events(*rows):
+    """An event array from (t, channel, m, level, magnitude_level_center,
+    raw_intensity) rows."""
+    return np.array(list(rows), EVENT_DTYPE).view(np.recarray)
 
 
 @pytest.fixture(scope="session", autouse=True)

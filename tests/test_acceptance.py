@@ -71,8 +71,8 @@ def test_criterion_1_kernel_recovery(full_dict):
         s = float(rng.uniform(0.5, 4.0)) * float(rng.choice([-1.0, 1.0]))
         x = s * shift_kernel(full_dict.kernels[m], tau, W)
         out = encode_segment(Segment(x), full_dict, cfg=cfg)
-        assert len(out.codes) == 1, f"case {case}: expected halting after one code"
-        code = out.codes[0]
+        assert len(out) == 1, f"case {case}: expected halting after one code"
+        code = out[0]
         assert (code.m, code.tau) == (m, tau), f"case {case}"
         assert abs(code.s - s) <= 1e-6 * abs(s), f"case {case}"
         residual = x - code.s * shift_kernel(full_dict.kernels[code.m], code.tau, W)
@@ -90,8 +90,8 @@ def test_criterion_2_backend_equivalence():
     cfg_spectral = EncoderConfig(max_codes=8, width=256, backend="spectral")
     for seed in range(100):
         x = np.random.default_rng(seed).standard_normal(256)
-        a = encode_segment(Segment(x.copy()), d, cfg=cfg_direct).codes
-        b = encode_segment(Segment(x.copy()), d, sd, cfg_spectral).codes
+        a = encode_segment(Segment(x.copy()), d, cfg=cfg_direct)
+        b = encode_segment(Segment(x.copy()), d, sd, cfg_spectral)
         assert [(c.m, c.tau) for c in a] == [(c.m, c.tau) for c in b], f"seed {seed}"
         for ca, cb in zip(a, b):
             assert abs(abs(ca.s) - abs(cb.s)) <= 1e-6 * abs(ca.s), f"seed {seed}"
@@ -109,14 +109,14 @@ def test_criterion_3_energy_monotonicity_and_greedy_dominance(full_dict, full_sd
     for seed in range(20):
         x = np.random.default_rng(seed).standard_normal(W)
         out = encode_segment(Segment(x.copy()), full_dict, full_sdict, cfg)
-        assert len(out.codes) == 16
-        mags = [abs(c.s) for c in out.codes]
+        assert len(out) == 16
+        mags = [abs(c.s) for c in out]
         for a, b in zip(mags, mags[1:]):
             assert b <= a, f"seed {seed}: |s| increased {a} -> {b}"
             pairs += 1
         residual = x.copy()
         energy = float(np.sum(residual**2))
-        for code in out.codes:
+        for code in out:
             residual -= code.s * shift_kernel(full_dict.kernels[code.m], code.tau, W)
             new_energy = float(np.sum(residual**2))
             assert new_energy < energy, f"seed {seed}: energy did not decrease"
@@ -157,14 +157,14 @@ def test_criterion_5_fixed_point_fidelity():
     def float_margins(x):
         """top-|correlation| margins over the three float selection steps"""
         margins = []
-        residual = Segment(x.copy())
+        residual = x.copy()
         for _ in range(cfg_float.max_codes):
             surface = correlate_direct(residual, d)
-            flat = np.sort(np.abs(surface.values).ravel())
+            flat = np.sort(np.abs(surface).ravel())
             margins.append(float(flat[-1] - flat[-2]))
             from spikecodec.encoder import select_code, subtract_component
-            code = select_code(surface)
-            residual = subtract_component(residual, code, d)
+            m, tau, s = select_code(surface)
+            residual = subtract_component(residual, m, tau, s, d)
         return margins
 
     rng = np.random.default_rng(77)
@@ -178,8 +178,8 @@ def test_criterion_5_fixed_point_fidelity():
         if min(float_margins(x)) <= margin_floor:
             continue  # not margin-separated; criterion does not apply
         cases += 1
-        a = encode_segment(Segment(x.copy()), d, cfg=cfg_float).codes
-        b = encode_segment(Segment(x.copy()), d, cfg=cfg_fixed).codes
+        a = encode_segment(Segment(x.copy()), d, cfg=cfg_float)
+        b = encode_segment(Segment(x.copy()), d, cfg=cfg_fixed)
         assert [(c.m, c.tau) for c in a] == [(c.m, c.tau) for c in b]
 
     xs = np.random.default_rng(78).uniform(-2.0, 2.0, 100_000)

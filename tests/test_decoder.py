@@ -9,9 +9,11 @@ from spikecodec.decoder import (
     reconstruct,
     reconstruction_error,
 )
-from spikecodec.encoder import Code, CodeSet, EncoderConfig, Segment, encode_segment, shift_kernel
+from spikecodec.encoder import EncoderConfig, Segment, encode_segment, shift_kernel
 from spikecodec.errors import CodeOutOfBounds, LengthMismatch
 from spikecodec.spikecoder import build_channel_table
+
+from conftest import codes
 
 
 def test_empty_codesets_reconstruct_to_silence(small_dict):
@@ -29,8 +31,8 @@ def test_encode_reconstruct_round_trip(full_dict):
 
 
 def test_disjoint_codes_superpose_linearly(small_dict):
-    a = CodeSet(codes=[Code(m=7, tau=-100, s=1.5, segment_index=0)])
-    b = CodeSet(codes=[Code(m=7, tau=60, s=-0.7, segment_index=1)])
+    a = codes((0, 7, -100, 1.5))
+    b = codes((1, 7, 60, -0.7))
     together = reconstruct([a, b], small_dict, 256, 512)
     separate = reconstruct([a], small_dict, 256, 512) + reconstruct(
         [b], small_dict, 256, 512
@@ -69,13 +71,13 @@ def test_length_mismatch_rejected():
 
 
 def test_out_of_bounds_codes_rejected(small_dict):
-    bad_kernel = [CodeSet(codes=[Code(m=50, tau=0, s=1.0)])]
+    bad_kernel = [codes((0, 50, 0, 1.0))]
     with pytest.raises(CodeOutOfBounds):
         reconstruct(bad_kernel, small_dict, 256, 256)
-    bad_segment = [CodeSet(codes=[Code(m=0, tau=0, s=1.0, segment_index=4)])]
+    bad_segment = [codes((4, 0, 0, 1.0))]
     with pytest.raises(CodeOutOfBounds):
         reconstruct(bad_segment, small_dict, 256, 1024)
-    bad_tau = [CodeSet(codes=[Code(m=0, tau=200, s=1.0)])]
+    bad_tau = [codes((0, 0, 200, 1.0))]
     with pytest.raises(CodeOutOfBounds):
         reconstruct(bad_tau, small_dict, 256, 256)
 

@@ -13,8 +13,6 @@ from spikecodec.dictionary import (
     kernel_spectra,
 )
 from spikecodec.encoder import (
-    Code,
-    CorrelationSurface,
     EncoderConfig,
     Segment,
     correlate_direct,
@@ -94,17 +92,17 @@ def test_shift_out_of_range_raises():
 # ----- correlation backends -----
 
 def test_zero_residual_gives_zero_surface(small_dict, small_sdict):
-    seg = Segment(np.zeros(256))
-    assert not np.any(correlate_direct(seg, small_dict).values)
-    assert np.max(np.abs(correlate_spectral(seg, small_sdict).values)) < 1e-12
+    seg = np.zeros(256)
+    assert not np.any(correlate_direct(seg, small_dict))
+    assert np.max(np.abs(correlate_spectral(seg, small_sdict))) < 1e-12
 
 
 def test_autocorrelation_peak_is_unit_and_global_max(small_dict):
-    seg = Segment(small_dict.kernels[3].copy())
+    seg = small_dict.kernels[3].copy()
     surface = correlate_direct(seg, small_dict)
-    assert abs(surface.at(3, 0) - 1.0) < 1e-9
-    assert np.max(np.abs(surface.values)) <= 1.0 + 1e-9
-    m, j = np.unravel_index(np.argmax(np.abs(surface.values)), surface.values.shape)
+    assert abs(surface[3, 0 + 256 // 2] - 1.0) < 1e-9
+    assert np.max(np.abs(surface)) <= 1.0 + 1e-9
+    m, j = np.unravel_index(np.argmax(np.abs(surface)), surface.shape)
     assert (m, j - 128) == (3, 0)
 
 
@@ -115,18 +113,18 @@ def test_direct_matches_triple_loop_oracle():
     )
     rng = np.random.default_rng(3)
     residual = rng.standard_normal(width)
-    surface = correlate_direct(Segment(residual), d)
+    surface = correlate_direct(residual, d)
     oracle = brute_force_correlation(residual, d.kernels, width)
-    assert surface.values.shape == (4, width + 1)
-    assert np.max(np.abs(surface.values - oracle)) < 1e-9
+    assert surface.shape == (4, width + 1)
+    assert np.max(np.abs(surface - oracle)) < 1e-9
 
 
 def test_spectral_matches_direct(small_dict, small_sdict):
     rng = np.random.default_rng(4)
     for _ in range(5):
-        seg = Segment(rng.standard_normal(256))
-        a = correlate_direct(seg, small_dict).values
-        b = correlate_spectral(seg, small_sdict).values
+        seg = rng.standard_normal(256)
+        a = correlate_direct(seg, small_dict)
+        b = correlate_spectral(seg, small_sdict)
         assert np.max(np.abs(a - b)) < 1e-6
 
 
@@ -141,9 +139,9 @@ def test_spectral_matches_direct_when_kernel_len_differs_from_width(kernel_len):
     sdict = kernel_spectra(d, fft_len, signal_len=width)
     rng = np.random.default_rng(kernel_len)
     for _ in range(3):
-        seg = Segment(rng.standard_normal(width))
-        a = correlate_direct(seg, d).values
-        b = correlate_spectral(seg, sdict).values
+        seg = rng.standard_normal(width)
+        a = correlate_direct(seg, d)
+        b = correlate_spectral(seg, sdict)
         assert b.shape == (6, width + 1)
         assert np.max(np.abs(a - b)) < 1e-12
 
@@ -158,9 +156,9 @@ def test_spectral_matches_direct_at_lag_window_bound():
     sdict = kernel_spectra(d, fft_len, signal_len=width)
     rng = np.random.default_rng(720)
     for _ in range(3):
-        seg = Segment(rng.standard_normal(width))
-        a = correlate_direct(seg, d).values
-        b = correlate_spectral(seg, sdict).values
+        seg = rng.standard_normal(width)
+        a = correlate_direct(seg, d)
+        b = correlate_spectral(seg, sdict)
         assert np.max(np.abs(a - b)) < 1e-12
     with pytest.raises(LengthTooSmall):
         kernel_spectra(d, 1024, signal_len=width)
@@ -196,14 +194,14 @@ def test_pruned_pick_equals_full_surface_pick(width, select, kind, seed):
         tau = int(rng.integers(-(width // 2), 1))
         x += rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0]) * shift_kernel(
             d.kernels[m], tau, width)
-    full = correlate_spectral(Segment(x), sdict)
-    pruned = correlate_spectral(Segment(x), sdict, prune=select)
+    full = correlate_spectral(x, sdict)
+    pruned = correlate_spectral(x, sdict, prune=select)
     a, b = select_code(full, select), select_code(pruned, select)
-    assert (a.m, a.tau) == (b.m, b.tau)
-    assert np.float64(a.s).tobytes() == np.float64(b.s).tobytes()
+    assert a[:2] == b[:2]
+    assert np.float64(a[2]).tobytes() == np.float64(b[2]).tobytes()
     # rows are transformed exactly as in the full surface or left zero
-    kept = np.any(pruned.values != 0, axis=1)
-    assert full.values[kept].tobytes() == pruned.values[kept].tobytes()
+    kept = np.any(pruned != 0, axis=1)
+    assert full[kept].tobytes() == pruned[kept].tobytes()
 
 
 def test_spectral_finds_shifted_kernel(small_dict, small_sdict):
@@ -211,8 +209,8 @@ def test_spectral_finds_shifted_kernel(small_dict, small_sdict):
     kernel = small_dict.kernels[7]  # highest center: shortest support
     shifted = shift_kernel(kernel, tau, 256)
     assert abs(np.linalg.norm(shifted) - 1.0) < 1e-9  # shift stayed in support
-    surface = correlate_spectral(Segment(shifted), small_sdict)
-    m, j = np.unravel_index(np.argmax(np.abs(surface.values)), surface.values.shape)
+    surface = correlate_spectral(shifted, small_sdict)
+    m, j = np.unravel_index(np.argmax(np.abs(surface)), surface.shape)
     assert (m, j - 128) == (7, tau)
 
 
@@ -222,8 +220,7 @@ def test_select_single_nonzero_entry():
     width = 256
     values = np.zeros((8, width + 1))
     values[7, width // 2 + 100] = 0.5
-    code = select_code(CorrelationSurface(values))
-    assert (code.m, code.tau, code.s) == (7, 100, 0.5)
+    assert select_code(values) == (7, 100, 0.5)
 
 
 def test_select_tie_breaks_to_smallest_kernel():
@@ -231,8 +228,7 @@ def test_select_tie_breaks_to_smallest_kernel():
     values = np.zeros((6, width + 1))
     values[2, width // 2] = 0.4
     values[5, width // 2] = -0.4
-    code = select_code(CorrelationSurface(values))
-    assert (code.m, code.tau, code.s) == (2, 0, 0.4)
+    assert select_code(values) == (2, 0, 0.4)
 
 
 def test_select_matches_exhaustive_scan():
@@ -240,29 +236,29 @@ def test_select_matches_exhaustive_scan():
     for _ in range(25):
         values = rng.standard_normal((4, 33))
         for mode in ("abs", "signed"):
-            code = select_code(CorrelationSurface(values), select=mode)
+            code = select_code(values, select=mode)
             best = None
             for m in range(4):
                 for j in range(33):
                     key = abs(values[m, j]) if mode == "abs" else values[m, j]
                     if best is None or key > best[0]:
                         best = (key, m, j - 16, values[m, j])
-            assert (code.m, code.tau, code.s) == best[1:]
+            assert code == best[1:]
 
 
 # ----- subtract_component -----
 
 def test_exact_cancellation(small_dict):
-    seg = Segment(2.0 * small_dict.kernels[5])
-    out = subtract_component(seg, Code(m=5, tau=0, s=2.0), small_dict)
-    assert np.linalg.norm(out.samples) < 1e-9
+    seg = 2.0 * small_dict.kernels[5]
+    out = subtract_component(seg, 5, 0, 2.0, small_dict)
+    assert np.linalg.norm(out) < 1e-9
 
 
 def test_zero_intensity_leaves_residual_bitwise(small_dict):
     rng = np.random.default_rng(6)
     samples = rng.standard_normal(256)
-    out = subtract_component(Segment(samples.copy()), Code(m=1, tau=9, s=0.0), small_dict)
-    assert np.array_equal(out.samples, samples)
+    out = subtract_component(samples.copy(), 1, 9, 0.0, small_dict)
+    assert np.array_equal(out, samples)
 
 
 def test_energy_bookkeeping_for_full_support_codes(small_dict):
@@ -271,14 +267,14 @@ def test_energy_bookkeeping_for_full_support_codes(small_dict):
     for m in range(4):
         samples = rng.standard_normal(256)
         s = float(np.dot(samples, small_dict.kernels[m]))
-        out = subtract_component(Segment(samples), Code(m=m, tau=0, s=s), small_dict)
+        out = subtract_component(samples, m, 0, s, small_dict)
         expected = np.sum(samples**2) - s**2
-        assert abs(np.sum(out.samples**2) - expected) < 1e-6 * expected
+        assert abs(np.sum(out**2) - expected) < 1e-6 * expected
 
 
 def test_kernel_index_out_of_range(small_dict):
     with pytest.raises(DimensionMismatch):
-        subtract_component(Segment(np.zeros(256)), Code(m=99, tau=0, s=1.0), small_dict)
+        subtract_component(np.zeros(256), 99, 0, 1.0, small_dict)
 
 
 # ----- encode_segment -----
@@ -286,7 +282,7 @@ def test_kernel_index_out_of_range(small_dict):
 def test_zero_segment_encodes_to_nothing(small_dict):
     cfg = EncoderConfig(max_codes=8, halt_threshold=1e-9, width=256)
     out = encode_segment(Segment(np.zeros(256)), small_dict, cfg=cfg)
-    assert len(out.codes) == 0
+    assert len(out) == 0
 
 
 @pytest.mark.parametrize("backend", ["direct", "spectral"])
@@ -299,15 +295,15 @@ def test_silent_segment_halts_at_threshold_zero(
     cfg = EncoderConfig(max_codes=8, width=256, backend=backend,
                         arithmetic=arithmetic)
     out = encode_segment(Segment(np.zeros(256)), small_dict, small_sdict, cfg)
-    assert len(out.codes) == 0
+    assert len(out) == 0
 
 
 def test_single_kernel_recovery_halts_after_one_code(full_dict):
     x = 3.0 * shift_kernel(full_dict.kernels[9], -40, 2048)
     cfg = EncoderConfig(max_codes=4, halt_threshold=1e-6, width=2048)
     out = encode_segment(Segment(x), full_dict, cfg=cfg)
-    assert len(out.codes) == 1
-    code = out.codes[0]
+    assert len(out) == 1
+    code = out[0]
     assert (code.m, code.tau) == (9, -40)
     assert abs(code.s - 3.0) < 1e-6 * 3.0
     residual = x - code.s * shift_kernel(full_dict.kernels[code.m], code.tau, 2048)
@@ -323,8 +319,8 @@ def test_every_code_is_argmax_of_recorrelated_residual():
     residual = rng.standard_normal(width)
     cfg = EncoderConfig(max_codes=16, halt_threshold=0.0, width=width)
     out = encode_segment(Segment(residual.copy()), d, cfg=cfg)
-    assert len(out.codes) == 16
-    for code in out.codes:
+    assert len(out) == 16
+    for code in out:
         oracle = brute_force_correlation(residual, d.kernels, width)
         flat = np.argmax(np.abs(oracle))
         m, j = np.unravel_index(flat, oracle.shape)
@@ -338,8 +334,8 @@ def test_halting_threshold_respected(small_dict):
     threshold = 2.0
     cfg = EncoderConfig(max_codes=32, halt_threshold=threshold, width=256)
     out = encode_segment(Segment(rng.standard_normal(256)), small_dict, cfg=cfg)
-    assert all(abs(c.s) >= threshold for c in out.codes)
-    assert 0 < len(out.codes) < 32  # halts once peaks drop below the threshold
+    assert all(abs(c.s) >= threshold for c in out)
+    assert 0 < len(out) < 32  # halts once peaks drop below the threshold
 
 
 @pytest.mark.parametrize("backend", ["direct", "spectral"])
@@ -357,10 +353,10 @@ def test_residual_energy_decreases_every_step(
         arithmetic=arithmetic,
     )
     out = encode_segment(Segment(x.copy()), small_dict, small_sdict, cfg)
-    assert len(out.codes) > 0
+    assert len(out) > 0
     residual = x.copy()
     energy = np.sum(residual**2)
-    for code in out.codes:
+    for code in out:
         residual = residual - code.s * shift_kernel(
             small_dict.kernels[code.m], code.tau, 256
         )
@@ -375,8 +371,8 @@ def test_backend_equivalence_on_random_segments(small_dict, small_sdict):
         x = rng.standard_normal(256)
         cfg_d = EncoderConfig(max_codes=8, width=256, backend="direct")
         cfg_s = EncoderConfig(max_codes=8, width=256, backend="spectral")
-        a = encode_segment(Segment(x.copy()), small_dict, cfg=cfg_d).codes
-        b = encode_segment(Segment(x.copy()), small_dict, small_sdict, cfg_s).codes
+        a = encode_segment(Segment(x.copy()), small_dict, cfg=cfg_d)
+        b = encode_segment(Segment(x.copy()), small_dict, small_sdict, cfg_s)
         assert [(c.m, c.tau) for c in a] == [(c.m, c.tau) for c in b]
         for ca, cb in zip(a, b):
             assert abs(abs(ca.s) - abs(cb.s)) <= 1e-6 * abs(ca.s)
@@ -391,7 +387,7 @@ def _encoder_digest(width, scale, cfg):
     digest = hashlib.sha256()
     x = scale * make_audio_clip(4 * width, seed=3)
     for seg in segment_stream(x, width):
-        for c in encode_segment(seg, d, sdict, cfg, stats).codes:
+        for c in encode_segment(seg, d, sdict, cfg, stats):
             digest.update(np.array([c.segment_index, c.m, c.tau]).tobytes())
             digest.update(np.float64(c.s).tobytes())
     digest.update(np.array([stats.saturations, stats.wraps]).tobytes())
@@ -440,7 +436,7 @@ def test_exact_recovery_across_in_support_shifts(full_dict):
         s = float(rng.uniform(0.5, 4.0)) * float(rng.choice([-1.0, 1.0]))
         x = s * shift_kernel(full_dict.kernels[m], tau, 2048)
         out = encode_segment(Segment(x), full_dict, cfg=cfg)
-        code = out.codes[0]
+        code = out[0]
         assert (code.m, code.tau) == (m, tau)
         assert abs(code.s - s) < 1e-6 * abs(s)
 
@@ -463,4 +459,4 @@ def test_odd_width_rejected(small_dict):
     with pytest.raises(InvalidConfig):
         EncoderConfig(width=255).validate()
     with pytest.raises(DimensionMismatch):
-        correlate_direct(Segment(np.zeros(255)), small_dict)
+        correlate_direct(np.zeros(255), small_dict)

@@ -18,12 +18,14 @@ from spikecodec.evaluate import (
     save_model,
     temporal_average,
 )
-from spikecodec.spikecoder import SpikeEvent, build_channel_table
+from spikecodec.spikecoder import build_channel_table
+
+from conftest import events as event_array
 
 
 def _event(t, channel, levels=3):
-    return SpikeEvent(t=t, m=channel // levels, level=channel % levels,
-                      channel=channel, magnitude_level_center=0.4115)
+    row = (t, channel, channel // levels, channel % levels, 0.4115, 0.0)
+    return event_array(row)[0]
 
 
 def test_no_events_give_zero_vector():

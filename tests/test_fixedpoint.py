@@ -228,8 +228,8 @@ def test_fixed_mode_encoding_matches_float_on_margin_separated_signal(small_dict
     cfg_float = EncoderConfig(max_codes=2, width=256)
     cfg_fixed = EncoderConfig(max_codes=2, width=256, arithmetic="fixed",
                               fixed_format=FMT)
-    a = encode_segment(Segment(x.copy()), small_dict, cfg=cfg_float).codes
-    b = encode_segment(Segment(x.copy()), small_dict, cfg=cfg_fixed).codes
+    a = encode_segment(Segment(x.copy()), small_dict, cfg=cfg_float)
+    b = encode_segment(Segment(x.copy()), small_dict, cfg=cfg_fixed)
     assert [(c.m, c.tau) for c in a] == [(c.m, c.tau) for c in b]
     for ca, cb in zip(a, b):
         assert abs(ca.s - cb.s) < 64 * 2.0**-24

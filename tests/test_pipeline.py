@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -8,6 +9,8 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikecodec import cli, pipeline
 from spikecodec.dictionary import (
@@ -34,7 +37,9 @@ from spikecodec.pipeline import (
     write_events_jsonl,
     write_waveform,
 )
-from spikecodec.spikecoder import SpikeEvent
+from spikecodec.spikecoder import EVENT_DTYPE, build_channel_table, emit_stream
+
+from conftest import codes
 
 
 def _write_wav(path, samples_i16, channels=1, rate=16000):
@@ -128,8 +133,8 @@ def test_empty_input_gives_no_segments():
 
 # ----- event files -----
 
-EV = SpikeEvent(t=984, m=9, level=1, channel=28,
-                magnitude_level_center=0.4115, raw_intensity=3.0)
+# t, channel, m, level, magnitude_level_center, raw_intensity
+EV = np.array([(984, 28, 9, 1, 0.4115, 3.0)], EVENT_DTYPE).view(np.recarray)
 
 
 def test_empty_stream_writes_header_only():
@@ -140,14 +145,14 @@ def test_empty_stream_writes_header_only():
 
 def test_event_line_format_is_frozen():
     buf = io.StringIO()
-    write_events_csv([EV], buf)
+    write_events_csv(EV, buf)
     assert buf.getvalue().splitlines()[1] == "984,28,9,1,0.411500"
 
 
 def test_csv_round_trip_preserves_fields(tmp_path):
     path = tmp_path / "ev.csv"
     with open(path, "w", newline="\n") as fh:
-        write_events_csv([EV], fh, with_raw=True)
+        write_events_csv(EV, fh, with_raw=True)
     back = parse_events(str(path))
     assert len(back) == 1
     ev = back[0]
@@ -159,7 +164,7 @@ def test_csv_round_trip_preserves_fields(tmp_path):
 def test_jsonl_round_trip_is_exact(tmp_path):
     path = tmp_path / "ev.jsonl"
     with open(path, "w", newline="\n") as fh:
-        write_events_jsonl([EV], fh, with_raw=True)
+        write_events_jsonl(EV, fh, with_raw=True)
     record = json.loads(path.read_text().splitlines()[0])
     assert record == {
         "t_samples": 984, "channel": 28, "kernel": 9, "level": 1,
@@ -183,12 +188,53 @@ def test_codes_from_events_inverts_emit(small_dict):
     events = emit_stream(codesets, table, 256)
     rebuilt = codes_from_events(events, 256)
     original = sorted(
-        (c.segment_index, c.m, c.tau, c.s) for cs in codesets for c in cs.codes
+        (c.segment_index, c.m, c.tau, c.s) for cs in codesets for c in cs
     )
     recovered = sorted(
-        (c.segment_index, c.m, c.tau, c.s) for cs in rebuilt for c in cs.codes
+        (c.segment_index, c.m, c.tau, c.s) for cs in rebuilt for c in cs
     )
     assert original == recovered
+
+
+@st.composite
+def _codesets(draw):
+    """(width, per-segment code arrays): m < 40, |tau| <= W/2, s finite and
+    nonzero, segments 0..n-1, some of them empty."""
+    width = draw(st.sampled_from([64, 256, 2048]))
+    s = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+    code = st.tuples(st.integers(0, 39), st.integers(-(width // 2), width // 2),
+                     s.filter(lambda v: v != 0.0))
+    segments = draw(st.lists(st.lists(code, max_size=8), max_size=6))
+    return width, [codes(*[(i, *c) for c in seg]) for i, seg in enumerate(segments)]
+
+
+@pytest.fixture(scope="module")
+def round_trip_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("round_trip") / "ev.csv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_codesets(), seed=st.integers(0, 2**32 - 1))
+def test_emit_write_parse_round_trip(round_trip_path, drawn, seed):
+    width, codesets = drawn
+    events = emit_stream(codesets, build_channel_table(40), width)
+    # written in any order: decode groups by segment, keeping file order
+    events = events[np.random.default_rng(seed).permutation(len(events))]
+    with open(round_trip_path, "w", newline="\n") as fh:
+        write_events_csv(events, fh, with_raw=True)
+    rebuilt = codes_from_events(parse_events(round_trip_path), width)
+    back = [c for cs in rebuilt for c in cs.tolist()]
+
+    def key(seg, m, tau, s):  # s as written: 6 significant digits
+        if tau == width // 2:  # shares its event time with the next segment
+            seg, tau = seg + 1, -(width // 2)
+        return seg, m, tau, float(format(s, ".6g"))
+
+    assert sorted(back) == sorted(key(*c) for cs in codesets for c in cs.tolist())
+    in_file_order = [key(t // width, m, t % width - width // 2, s)
+                     for t, _, m, _, _, s in events.tolist()]
+    assert back == sorted(in_file_order, key=lambda c: c[0])  # a stable sort
+    assert all(len(set(cs.segment_index)) == 1 for cs in rebuilt)
 
 
 # ----- synthetic corpus and bench -----
@@ -296,7 +342,8 @@ def test_encode_signal_equals_serial_loop(par_dict, force_cpus, backend, fixed,
               for seg in segment_stream(x, PAR_WIDTH)]
     assert sum(len(cs) for cs in serial) == 16  # 4 codes, silent one none
     started = force_cpus(workers)
-    assert encode_signal(x, par_dict, cfg) == serial
+    assert [cs.tolist() for cs in encode_signal(x, par_dict, cfg)] == [
+        cs.tolist() for cs in serial]
     assert len(started) == workers - 1  # the caller takes its own share
 
 
@@ -459,11 +506,26 @@ def _train_args(tmp_path, *extra):
     return _eval_args(tmp_path, "clip_a,x\nclip_b,y\n", "--epochs", "2", *extra)
 
 
+def _eval_channel_args(tmp_path, channel):
+    # clip_a holds one event on `channel`; 40 kernels x 3 levels = 120 channels
+    (tmp_path / "clip_a.csv").write_text(
+        f"{EVENT_HEADER}\n64,{channel},3,2,0.411500\n")
+    (tmp_path / "clip_b.csv").write_text(f"{EVENT_HEADER}\n64,10,3,1,0.411500\n")
+    return _eval_args(tmp_path, "clip_a,x\nclip_b,y\n", "--epochs", "2")
+
+
 def _decode_args(tmp_path, *extra):
     events = tmp_path / "ev.csv"
     events.write_text(EVENT_HEADER + "\n")
     return ["decode", str(events), "-o", str(tmp_path / "x.f32"), *extra,
             *SMALL_FLAGS]
+
+
+def _decode_args_with_rows(tmp_path, row):
+    # no raw column: the decoder takes the center as the intensity
+    events = tmp_path / "ev.csv"
+    events.write_text(f"{EVENT_HEADER}\n{row}\n")
+    return ["decode", str(events), "-o", str(tmp_path / "x.f32"), *SMALL_FLAGS]
 
 
 def _decode_row_args(tmp_path, row):
@@ -494,11 +556,19 @@ def _decode_row_args(tmp_path, row):
     (lambda tmp: _decode_row_args(tmp, "64,10,3,2,0.411500,inf"), 3),
     (lambda tmp: _decode_row_args(tmp, "64,10,3,2,nan,0.411500"), 3),
     (lambda tmp: _decode_row_args(tmp, "-10,10,3,2,0.411500,0.411500"), 3),
+    (lambda tmp: _eval_channel_args(tmp, 9999), 4),
+    (lambda tmp: _eval_channel_args(tmp, -1), 4),
+    (lambda tmp: _decode_row_args(tmp, "64,5,1,2,0.411500,0.000000"), 3),
+    (lambda tmp: _decode_args_with_rows(tmp, "64,5,1,2,0.000000"), 3),
+    (lambda tmp: _decode_args_with_rows(tmp, "64,5,1,2,-0.411500"), 3),
+    (lambda tmp: _decode_row_args(tmp, f"{10**20},10,3,1,0.411500,0.411500"), 3),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
         "length-negative", "length-zero", "bench-segments-zero", "bin-zero",
-        "bin-negative", "raw-intensity-inf", "center-nan", "time-negative"])
+        "bin-negative", "raw-intensity-inf", "center-nan", "time-negative",
+        "eval-channel-high", "eval-channel-negative", "raw-intensity-zero",
+        "center-zero", "center-negative", "time-beyond-int64"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     out = _cli(*make_argv(tmp_path))
     assert out.returncode == code, out.stderr
@@ -581,3 +651,31 @@ def test_cli_eval_trains_on_event_directory(tmp_path):
     header = model_path.read_text().splitlines()
     assert header[0] == "# mlp-weights v1"
     assert header[1] == "# layers: 30 256 64 2"
+
+
+@pytest.fixture(scope="module")
+def clip_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pinned") / "clip.csv"
+    write_waveform(make_audio_clip(5 * 128, seed=11), str(path))
+    return path
+
+
+JSONL_RAW = ("--with-raw-intensity", "--output-format", "jsonl")
+
+
+@pytest.mark.parametrize("backend, extra, digest", [
+    ("direct", (), "6057ccdddf3c44b2"),
+    ("direct", ("--with-raw-intensity",), "756aecf2b07b21dd"),
+    ("direct", JSONL_RAW, "9e4288af63b43064"),
+    ("spectral", (), "6057ccdddf3c44b2"),
+    ("spectral", ("--with-raw-intensity",), "756aecf2b07b21dd"),
+    ("spectral", JSONL_RAW, "7e85a5a66ecf077b"),
+], ids=["direct-csv", "direct-csv-raw", "direct-jsonl-raw", "spectral-csv",
+        "spectral-csv-raw", "spectral-jsonl-raw"])
+def test_cli_event_file_bytes_pinned(tmp_path, clip_csv, backend, extra, digest):
+    # the event file is the codec's output contract: a change of the code
+    # containers or of the writers must leave every byte as it is
+    events = tmp_path / "ev.out"
+    assert cli.main(["encode", str(clip_csv), "-o", str(events),
+                     "--backend", backend, *extra, *SMALL_FLAGS]) == 0
+    assert hashlib.sha256(events.read_bytes()).hexdigest()[:16] == digest

@@ -3,15 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from spikecodec.encoder import Code, CodeSet
 from spikecodec.errors import InvalidCenters, ZeroIntensity
 from spikecodec.spikecoder import (
     DEFAULT_CENTERS,
     build_channel_table,
     emit_stream,
-    map_code,
     nearest_level,
 )
+
+from conftest import codes
+
+
+def one_event(m, s, table, width):
+    """The event of a single code (segment 0, tau 0)."""
+    (event,) = emit_stream([codes((0, m, 0, s))], table, width)
+    return event
 
 
 def brute_nearest_log_center(intensity, centers):
@@ -39,8 +45,7 @@ def test_channel_ids_enumerate_kernel_major():
     seen = set()
     for m in range(3):
         for level in range(2):
-            event = map_code(Code(m=m, tau=0, s=0.1 if level == 0 else 10.0),
-                             table, width=64)
+            event = one_event(m, 0.1 if level == 0 else 10.0, table, width=64)
             assert event.channel == m * 2 + level
             seen.add(event.channel)
     assert seen == set(range(6))
@@ -56,15 +61,15 @@ def test_bad_centers_rejected(centers):
 
 def test_center_intensity_maps_to_its_level():
     table = build_channel_table(40)
-    event = map_code(Code(m=0, tau=0, s=0.4115), table, width=2048)
+    event = one_event(0, 0.4115, table, width=2048)
     assert (event.level, event.channel) == (1, 1)
-    assert map_code(Code(m=0, tau=0, s=0.0065), table, width=2048).level == 0
+    assert one_event(0, 0.0065, table, width=2048).level == 0
 
 
 def test_zero_intensity_raises():
     table = build_channel_table(4)
     with pytest.raises(ZeroIntensity):
-        map_code(Code(m=0, tau=0, s=0.0), table, width=64)
+        nearest_level(0.0, table)
 
 
 def test_log_sweep_matches_brute_force_scan():
@@ -92,14 +97,14 @@ def test_linear_metric_differs_where_expected():
 
 def test_empty_codesets_give_empty_stream():
     table = build_channel_table(40)
-    assert emit_stream([], table, width=2048) == []
-    assert emit_stream([CodeSet(codes=[])], table, width=2048) == []
+    assert len(emit_stream([], table, width=2048)) == 0
+    assert len(emit_stream([codes()], table, width=2048)) == 0
 
 
 def test_single_code_event_time_and_channel():
     table = build_channel_table(40)
     stream = emit_stream(
-        [CodeSet(codes=[Code(m=9, tau=-40, s=3.0, segment_index=0)])],
+        [codes((0, 9, -40, 3.0))],
         table,
         width=2048,
     )
@@ -112,11 +117,7 @@ def test_single_code_event_time_and_channel():
 
 def test_equal_times_ordered_by_channel():
     table = build_channel_table(40)
-    codes = [
-        Code(m=5, tau=0, s=1.0, segment_index=0),
-        Code(m=1, tau=0, s=1.0, segment_index=0),
-    ]
-    stream = emit_stream([CodeSet(codes=codes)], table, width=64)
+    stream = emit_stream([codes((0, 5, 0, 1.0), (0, 1, 0, 1.0))], table, width=64)
     assert [e.t for e in stream] == [32, 32]
     assert [e.channel for e in stream] == sorted(e.channel for e in stream)
 
@@ -127,13 +128,12 @@ def test_stream_sorted_and_conserves_nonzero_codes():
     codesets = []
     nonzero = 0
     for seg in range(4):
-        codes = []
+        rows = []
         for _ in range(10):
             s = float(rng.choice([0.0, rng.lognormal()]))
             nonzero += s != 0.0
-            codes.append(Code(m=int(rng.integers(8)), tau=int(rng.integers(-32, 33)),
-                              s=s, segment_index=seg))
-        codesets.append(CodeSet(codes=codes))
+            rows.append((seg, int(rng.integers(8)), int(rng.integers(-32, 33)), s))
+        codesets.append(codes(*rows))
     stream = emit_stream(codesets, table, width=64)
     assert len(stream) == nonzero
     keys = [(e.t, e.channel) for e in stream]
@@ -142,3 +142,25 @@ def test_stream_sorted_and_conserves_nonzero_codes():
     assert all(
         e.channel == e.m * table.levels + e.level for e in stream
     )
+
+
+def test_emit_stream_matches_per_code_reference():
+    # the per-code mapping emit_stream replaced: nearest log center by a
+    # scan, t = segment * W + W/2 + tau, then a stable sort on (t, channel)
+    rng = np.random.default_rng(1)
+    table = build_channel_table(8)
+    width = 64
+    codesets = [
+        codes(*[(seg, int(rng.integers(8)), int(rng.integers(-2, 3)),
+                 float(rng.choice([-1.0, 1.0]) * rng.lognormal(0.0, 3.0)))
+                for _ in range(12)])
+        for seg in range(3)
+    ]
+    reference = []
+    for cs in codesets:
+        for seg, m, tau, s in cs.tolist():
+            level = brute_nearest_log_center(s, DEFAULT_CENTERS)
+            reference.append((seg * width + width // 2 + tau, m * 3 + level, m,
+                              level, DEFAULT_CENTERS[level], s))
+    reference.sort(key=lambda ev: ev[:2])
+    assert emit_stream(codesets, table, width).tolist() == reference
