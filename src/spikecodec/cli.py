@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -26,7 +27,7 @@ from .errors import (
     IoError,
     SpikeCodecError,
 )
-from .fixedpoint import FixedFormat, parse_format
+from .fixedpoint import FixedFormat, SaturationStats, parse_format
 from .pipeline import (
     RunConfig,
     codes_from_events,
@@ -157,7 +158,8 @@ def _cmd_encode(args) -> int:
         cfg.dictionary = replace(cfg.dictionary, sample_rate=rate, freq_hi=freq_hi)
         cfg.dictionary.validate()
     dictionary = build_dictionary(cfg.dictionary)
-    codesets = encode_signal(samples, dictionary, cfg.encoder)
+    stats = SaturationStats()
+    codesets = encode_signal(samples, dictionary, cfg.encoder, stats=stats)
     table = build_channel_table(dictionary.num_kernels, DEFAULT_CENTERS)
     events = emit_stream(codesets, table, cfg.encoder.width, cfg.itp_metric)
     write_events(events, cfg)
@@ -168,6 +170,8 @@ def _cmd_encode(args) -> int:
           f"{len(codesets)} segments) to {cfg.output_path}")
     print(f"budget {sps} spikes/segment == {rate_hz:.1f} spikes/second "
           f"(derived as k*fs/W)")
+    if cfg.encoder.arithmetic == "fixed":
+        print(f"saturations {stats.saturations}, wraps {stats.wraps}")
     return 0
 
 
@@ -287,6 +291,7 @@ def _cmd_dict_dump(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args keeps no state on the parser: build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spikecodec",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dictionary import Dictionary
 from .encoder import shift_kernel
-from .errors import CodeOutOfBounds, InvalidConfig, LengthMismatch
+from .errors import CodeOutOfBounds, InvalidConfig, LengthMismatch, NumericError
 from .spikecoder import ChannelTable, nearest_level
 
 
@@ -70,7 +70,10 @@ def reconstruct(
 
     One code at a time, in segment order: `np.add.at` over all codes gives
     the same sums but is several times slower."""
-    out = np.zeros(total_len)
+    try:
+        out = np.zeros(total_len)
+    except MemoryError:
+        raise NumericError(f"cannot allocate {total_len} output samples") from None
     for seg, m, tau, s in _checked_codes(
         codesets, dictionary, width, total_len, quantized, table, metric
     ):

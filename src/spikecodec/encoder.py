@@ -19,7 +19,7 @@ fixed read window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -266,6 +266,7 @@ def _correlate_fixed_direct(
     supports: list[tuple[int, int, int, int]],
     fmt: FixedFormat,
     stats: SaturationStats | None,
+    screen: tuple[Dictionary, str] | None = None,
 ) -> np.ndarray:
     """Fixed-point correlation surface (raw int64), per-term round-to-even
     rescale, ascending-index accumulation, per-step overflow policy.
@@ -273,6 +274,9 @@ def _correlate_fixed_direct(
     Each kernel is multiplied over its nonzero support only (`supports`
     from `_kernel_supports`); terms outside it are exact zeros, which leave
     the accumulator and the overflow counts unchanged.
+
+    With `screen = (dictionary of the dequantized kernels, select rule)`,
+    rows that cannot overflow are exact only where that rule's pick can be.
     """
     w = len(resid_raw)
     windows = _residual_windows(resid_raw, kernels_raw.shape[1])
@@ -280,6 +284,7 @@ def _correlate_fixed_direct(
     surface = np.zeros((kernels_raw.shape[0], w + 1), dtype=np.int64)
     if rmax == 0:
         return surface
+    bounded = []  # rows whose running sums provably stay in range
     for m, (lo, hi, kmax, kabs) in enumerate(supports):
         if kmax == 0:
             continue
@@ -289,13 +294,13 @@ def _correlate_fixed_direct(
             # not enough int64 headroom: exact scalar path
             surface[m] = [fixed_dot(row, krow, fmt, stats) for row in rows]
             continue
-        terms = rescale_half_even_array(rows * krow, fmt.frac_bits)
         # |round(p / 2**f)| <= (|p| >> f) + 1 bounds every running sum of
         # this kernel by the left side below: within it nothing saturates
         # or wraps, and the order of the sum is free
         if ((rmax * kabs) >> fmt.frac_bits) + (hi - lo) <= fmt.raw_max:
-            surface[m] = terms.sum(axis=1)
+            bounded.append(m)
             continue
+        terms = rescale_half_even_array(rows * krow, fmt.frac_bits)
         running = np.cumsum(terms, axis=1)
         row = running[:, -1]
         over = (running.max(axis=1) > fmt.raw_max) | (
@@ -304,6 +309,30 @@ def _correlate_fixed_direct(
         for j in np.flatnonzero(over):
             row[j] = fixed_dot(rows[j], krow, fmt, stats)
         surface[m] = row
+    picks = [(m, slice(None)) for m in bounded]  # entries computed exactly
+    if screen is not None and bounded:
+        # Screen with c, the float correlation of the dequantized operands:
+        # an exact entry E of a bounded row has |E - 2^F c| <= slack, for
+        # hi - lo terms rounded by at most 1/2 each, the float error of c
+        # (under 1e-9 rmax kabs / 2^F) and 1 for this test's own rounding:
+        # an entry whose rank + slack is below a sure rank cannot win or tie.
+        screen_dict, select = screen
+        rank = np.abs if select == "abs" else np.positive
+        c = correlate_direct(dequantize_array(resid_raw, fmt), screen_dict)
+        upper = rank(c[bounded] * fmt.scale)
+        lo, hi, _, kabs = np.array([supports[m] for m in bounded], float).T
+        slack = ((hi - lo) / 2 + 1e-9 * rmax * kabs / fmt.scale + 1)[:, None]
+        exact = rank(np.delete(surface, bounded, axis=0))  # computed above
+        lower = max(np.max(upper - slack), np.max(exact, initial=fmt.raw_min))
+        keep = upper + slack >= lower
+        picks = [(m, np.flatnonzero(row)) for m, row in zip(bounded, keep) if row.any()]
+        # the rest rank below the pick: bounded entries exceed raw_min, and
+        # with abs a column is left out only below a pick >= lower > 0
+        surface[bounded] = 0 if select == "abs" else fmt.raw_min
+    for m, js in picks:
+        lo, hi = supports[m][:2]
+        products = windows[js, lo:hi] * kernels_raw[m, lo:hi]
+        surface[m, js] = rescale_half_even_array(products, fmt.frac_bits).sum(axis=1)
     return surface
 
 
@@ -312,11 +341,15 @@ def _fixed_datapath(segment, dictionary, sdict, cfg, stats):
     fmt = cfg.fixed_format
     kernels_raw = quantize_array(dictionary.kernels, fmt, stats)
     supports = _kernel_supports(kernels_raw)
+    if cfg.backend == "direct":
+        # kernels as the screen sees them; raw values below 2**53 are exact
+        screen_dict = replace(dictionary, kernels=dequantize_array(kernels_raw, fmt))
 
     def correlate(resid_raw: np.ndarray):
         if cfg.backend == "direct":
             surface_raw = _correlate_fixed_direct(
-                resid_raw, kernels_raw, supports, fmt, stats
+                resid_raw, kernels_raw, supports, fmt, stats,
+                (screen_dict, cfg.select),
             )
         else:
             # FFT stage runs in float; the stored surface is requantized to

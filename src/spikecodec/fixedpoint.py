@@ -30,8 +30,8 @@ class FixedFormat:
     def __post_init__(self):
         if not (0 < self.frac_bits < self.total_bits <= 64):
             raise InvalidConfig(
-                f"need 0 < frac_bits < total_bits <= 64, got "
-                f"{self.frac_bits}:{self.total_bits}"
+                f"need 0 < frac_bits < total_bits <= 64, got TOTAL:FRAC "
+                f"{self.total_bits}:{self.frac_bits}"
             )
         if self.overflow not in ("saturate", "wrap"):
             raise InvalidConfig(f"unknown overflow policy {self.overflow!r}")

@@ -41,6 +41,7 @@ from .errors import (
     NumericError,
     UnsupportedFormat,
 )
+from .fixedpoint import SaturationStats
 from .spikecoder import EVENT_DTYPE
 
 EVENT_HEADER = "t_samples,channel,kernel,level,intensity_center"
@@ -262,14 +263,17 @@ def encode_signal(
     dictionary: Dictionary,
     cfg: EncoderConfig,
     sdict: SpectralDictionary | None = None,
+    stats: SaturationStats | None = None,
 ) -> list[np.recarray]:
     """Segment and encode a whole signal, one thread per available CPU; the
-    codes do not depend on the thread count. Re-raises the first failure."""
+    codes do not depend on the thread count. Re-raises the first failure.
+    Overflow counts go to `stats`, counted per segment, summed in order."""
     if cfg.backend == "spectral" and sdict is None:
         fft_len = default_fft_len(cfg.width, dictionary.kernel_len)
         sdict = kernel_spectra(dictionary, fft_len, signal_len=cfg.width)
     segments = segment_stream(samples, cfg.width)
     codesets = [None] * len(segments)
+    counts = [SaturationStats() for _ in segments]
     failures: dict[int, BaseException] = {}
     pending, lock = iter(range(len(segments))), threading.Lock()
 
@@ -280,7 +284,8 @@ def encode_signal(
     def work():
         for i in iter(take, None):
             try:
-                codesets[i] = encode_segment(segments[i], dictionary, sdict, cfg)
+                codesets[i] = encode_segment(segments[i], dictionary, sdict, cfg,
+                                             counts[i])
             except BaseException as exc:
                 failures[i] = exc
 
@@ -293,6 +298,9 @@ def encode_signal(
         thread.join()
     if failures:
         raise failures[min(failures)]
+    if stats is not None:
+        stats.saturations += sum(c.saturations for c in counts)
+        stats.wraps += sum(c.wraps for c in counts)
     return codesets
 
 

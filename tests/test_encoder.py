@@ -415,9 +415,15 @@ FIXED_34_24 = FixedFormat(34, 24)
     # 48:36 leaves too little int64 headroom for the array subtract
     (64, 1.0, dict(backend="spectral", arithmetic="fixed",
                    fixed_format=FixedFormat(48, 36)), "28b654e495c55a11", 0),
+    # the direct fixed screen under the signed rule, and at W=512
+    (128, 1.0, dict(backend="direct", arithmetic="fixed",
+                    fixed_format=FIXED_34_24, select="signed"),
+     "bb35f747c53cc18d", 0),
+    (512, 1.0, dict(backend="direct", arithmetic="fixed",
+                    fixed_format=FIXED_34_24), "0ab9ab4b77762115", 0),
 ], ids=["direct-float", "spectral-float", "direct-34:24", "spectral-34:24",
         "direct-34:24-saturating", "direct-20:10-wrap", "spectral-34:24-signed",
-        "spectral-48:36"])
+        "spectral-48:36", "direct-34:24-signed", "direct-34:24-W512"])
 def test_encoder_output_pinned_per_mode(width, scale, cfg_kwargs, digest,
                                         overflows):
     # a refactor of the pursuit loop or a datapath must keep every mode's

@@ -1,9 +1,11 @@
+import functools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikecodec.dictionary import DictionaryConfig, build_dictionary
@@ -12,7 +14,10 @@ from spikecodec.encoder import (
     Segment,
     _correlate_fixed_direct,
     _kernel_supports,
+    correlate_direct,
     encode_segment,
+    select_code,
+    shift_kernel,
 )
 from spikecodec.errors import DimensionMismatch, InvalidConfig
 from spikecodec.fixedpoint import (
@@ -20,6 +25,7 @@ from spikecodec.fixedpoint import (
     FixedValue,
     SaturationStats,
     dequantize,
+    dequantize_array,
     fixed_dot,
     macc,
     parse_format,
@@ -219,6 +225,89 @@ def test_fixed_direct_surface_matches_scalar_oracle(
         )
 
 
+@functools.cache
+def _screen_setup(width):
+    return build_dictionary(DictionaryConfig(num_kernels=8, kernel_len=width))
+
+
+SCREEN_FORMATS = {
+    "34:24": FMT, "28:16": FixedFormat(28, 16), "20:10-wrap": FixedFormat(20, 10, "wrap")
+}
+
+
+def _screen_residual(d, fmt, kind, rng):
+    """A float residual of one stimulus `kind`, scaled to the format's range."""
+    w, full_scale = d.kernel_len, 2.0 ** (fmt.total_bits - fmt.frac_bits - 1)
+    if kind == "zero":
+        return np.zeros(w)
+    if kind == "noise":
+        return 10.0 ** rng.uniform(-4, 0) * full_scale * rng.standard_normal(w)
+    if kind == "saturating":
+        return 0.8 * full_scale * make_audio_clip(w, seed=int(rng.integers(1000)))
+    # negative shifts keep the whole kernel in the window (onset at W/2)
+    (m1, m2), (t1, t2) = rng.choice(8, 2, replace=False), rng.integers(-(w // 2), 1, 2)
+    a = 10.0 ** rng.uniform(-3, 0) * full_scale
+    u = shift_kernel(d.kernels[m1], t1, w)
+    if kind == "kernel":  # quantizes to one shifted kernel
+        return a * u
+    # near-tie: a second kernel whose peak correlation is the first one's
+    # give or take W/2 LSB, about the screen's slack
+    v = shift_kernel(d.kernels[m2], t2, w)
+    cu, cv = correlate_direct(u, d), correlate_direct(v, d)
+    j1, j2 = t1 + w // 2, t2 + w // 2
+    eps = rng.uniform(-1, 1) * (w // 2) * fmt.lsb
+    b = (a * (cu[m1, j1] - cu[m2, j2]) + eps) / (cv[m2, j2] - cv[m1, j1])
+    return a * u + b * v
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.sampled_from([64, 128]),
+       select=st.sampled_from(["abs", "signed"]),
+       fmt=st.sampled_from(list(SCREEN_FORMATS)),
+       kind=st.sampled_from(["kernel", "near-tie", "noise", "saturating", "zero"]),
+       seed=st.integers(0, 2**32 - 1))
+# without the (hi - lo) / 2 rounding term in the slack, the screen drops
+# the exact winner of this near-tie
+@example(width=64, select="abs", fmt="20:10-wrap", kind="near-tie", seed=33)
+def test_screened_pick_equals_full_surface_pick(width, select, fmt, kind, seed):
+    d, fmt = _screen_setup(width), SCREEN_FORMATS[fmt]
+    x = _screen_residual(d, fmt, kind, np.random.default_rng(seed))
+    _check_screened_pick(d, quantize_array(x, fmt), fmt, select)
+
+
+def test_screened_signed_pick_of_a_surface_without_positive_entries():
+    # non-negative kernels against a negative residual: the signed pick is a
+    # zero entry, and screened-out entries must not be filled with one
+    d = _screen_setup(64)
+    d = replace(d, kernels=np.abs(d.kernels))
+    x = -0.1 - np.abs(make_audio_clip(64, seed=2))
+    _check_screened_pick(d, quantize_array(x, FMT), FMT, "signed")
+
+
+def _check_screened_pick(d, resid_raw, fmt, select):
+    width = len(resid_raw)
+    kernels_raw = quantize_array(d.kernels, fmt)
+    screen = (replace(d, kernels=dequantize_array(kernels_raw, fmt)), select)
+    stats, oracle_stats = SaturationStats(), SaturationStats()
+    surface = _correlate_fixed_direct(
+        resid_raw, kernels_raw, _kernel_supports(kernels_raw), fmt, stats, screen
+    )
+    oracle = _fixed_surface_oracle(resid_raw, kernels_raw, fmt, oracle_stats)
+
+    def pick(values):  # (m, tau, raw s)
+        m, tau, _ = select_code(dequantize_array(values, fmt), select)
+        return m, tau, int(values[m, tau + width // 2])
+
+    assert pick(surface) == pick(oracle)
+    assert (stats.saturations, stats.wraps) == (
+        oracle_stats.saturations, oracle_stats.wraps
+    )
+    # an entry left inexact ranks below the pick
+    rank = np.abs if select == "abs" else np.positive
+    inexact = surface[surface != oracle]
+    assert np.all(rank(inexact) < rank(pick(oracle)[2]))
+
+
 def test_fixed_mode_encoding_matches_float_on_margin_separated_signal(small_dict):
     from spikecodec.encoder import shift_kernel
 
@@ -261,3 +350,6 @@ def test_format_validation_and_parsing():
         parse_format("34-24")
     with pytest.raises(InvalidConfig):
         parse_format("8:9")
+    # the message echoes the flag's own TOTAL:FRAC order
+    with pytest.raises(InvalidConfig, match="TOTAL:FRAC 34:40"):
+        parse_format("34:40")

@@ -21,7 +21,7 @@ from spikecodec.dictionary import (
 )
 from spikecodec.encoder import EncoderConfig, encode_segment
 from spikecodec.errors import CorruptFile, NumericError, UnsupportedFormat
-from spikecodec.fixedpoint import FixedFormat
+from spikecodec.fixedpoint import FixedFormat, SaturationStats
 from spikecodec.pipeline import (
     EVENT_HEADER,
     RunConfig,
@@ -386,6 +386,34 @@ def test_encode_signal_reraises_first_failing_segment(
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("scale, fmt, overflows", [
+    (400.0, FixedFormat(34, 24), 1698),
+    (300.0, FixedFormat(20, 10, "wrap"), 380),
+], ids=["34:24-saturating", "20:10-wrap"])
+def test_overflow_counts_do_not_depend_on_thread_count(
+        tmp_path, capsys, par_dict, force_cpus, scale, fmt, overflows):
+    # the inputs and totals of test_encoder_output_pinned_per_mode
+    cfg = _par_config("direct", fmt)
+    x = scale * make_audio_clip(4 * PAR_WIDTH, seed=3)
+    serial = SaturationStats()
+    for seg in segment_stream(x, PAR_WIDTH):
+        encode_segment(seg, par_dict, None, cfg, serial)
+    assert serial.saturations + serial.wraps == overflows
+    for workers in (1, 3):
+        force_cpus(workers)
+        stats = SaturationStats()
+        encode_signal(x, par_dict, cfg, stats=stats)
+        assert stats == serial
+    if fmt.overflow == "saturate":  # the only policy --fixed selects
+        signal = tmp_path / "loud.csv"
+        write_waveform(x, str(signal))
+        capsys.readouterr()
+        assert cli.main(["encode", str(signal), "-o", str(tmp_path / "ev.csv"),
+                         "--width", str(PAR_WIDTH), "--kernels", "8", "--k", "4",
+                         "--fixed", "34:24"]) == 0
+        assert f"saturations {serial.saturations}, wraps 0" in capsys.readouterr().out
+
+
 def _five_segment_wav(tmp_path):
     path = tmp_path / "five.wav"
     _write_wav(path, np.round(32767 * _five_segments()))
@@ -562,17 +590,45 @@ def _decode_row_args(tmp_path, row):
     (lambda tmp: _decode_args_with_rows(tmp, "64,5,1,2,0.000000"), 3),
     (lambda tmp: _decode_args_with_rows(tmp, "64,5,1,2,-0.411500"), 3),
     (lambda tmp: _decode_row_args(tmp, f"{10**20},10,3,1,0.411500,0.411500"), 3),
+    # an output of 10**18 samples fails to allocate at once
+    (lambda tmp: _decode_row_args(tmp, f"{10**18},10,3,1,0.411500,0.411500"), 4),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
         "length-negative", "length-zero", "bench-segments-zero", "bin-zero",
         "bin-negative", "raw-intensity-inf", "center-nan", "time-negative",
         "eval-channel-high", "eval-channel-negative", "raw-intensity-zero",
-        "center-zero", "center-negative", "time-beyond-int64"])
+        "center-zero", "center-negative", "time-beyond-int64", "time-huge"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     out = _cli(*make_argv(tmp_path))
     assert out.returncode == code, out.stderr
     assert "Traceback" not in out.stderr
+
+
+def _mixed_cli_steps(out_dir, signal_csv):
+    raw, plain = str(out_dir / "raw.csv"), str(out_dir / "plain.csv")
+    return [
+        ["encode", str(signal_csv), "-o", raw, "--with-raw-intensity", *SMALL_FLAGS],
+        ["encode", str(signal_csv), "-o", plain, *SMALL_FLAGS],
+        ["decode", raw, "-o", str(out_dir / "quantized.f32"), "--quantized",
+         *SMALL_FLAGS],
+        ["decode", raw, "-o", str(out_dir / "exact.f32"), *SMALL_FLAGS],
+    ]
+
+
+def test_cli_calls_in_one_process_match_separate_processes(tmp_path, signal_csv):
+    # main reuses one parser: no call may see the flags of the one before
+    for where in ("one", "separate"):
+        (tmp_path / where).mkdir()
+        for argv in _mixed_cli_steps(tmp_path / where, signal_csv):
+            code = cli.main(argv) if where == "one" else _cli(*argv).returncode
+            assert code == 0, (where, argv)
+    outputs = {}
+    for name in ("raw.csv", "plain.csv", "quantized.f32", "exact.f32"):
+        outputs[name] = (tmp_path / "one" / name).read_bytes()
+        assert outputs[name] == (tmp_path / "separate" / name).read_bytes(), name
+    assert outputs["raw.csv"] != outputs["plain.csv"]
+    assert outputs["quantized.f32"] != outputs["exact.f32"]
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path, signal_csv):
