@@ -108,26 +108,26 @@ def _build_configs(args: argparse.Namespace) -> RunConfig:
     args._config_file_values = (
         _load_config_file(args.config) if getattr(args, "config", None) else {}
     )
-    width = _merged(args, "width", int, 2048)
+    width = _merged(args, "width", int, EncoderConfig.width)
     fixed_text = _merged(args, "fixed", str, None)
     encoder = EncoderConfig(
-        max_codes=_merged(args, "k", int, 16),
-        halt_threshold=_merged(args, "threshold", float, 0.0),
-        backend=_merged(args, "backend", str, "direct"),
+        max_codes=_merged(args, "k", int, EncoderConfig.max_codes),
+        halt_threshold=_merged(args, "threshold", float, EncoderConfig.halt_threshold),
+        backend=_merged(args, "backend", str, EncoderConfig.backend),
         arithmetic="fixed" if fixed_text else "float",
         fixed_format=parse_format(fixed_text) if fixed_text else FixedFormat(),
-        select=_merged(args, "select", str, "abs"),
+        select=_merged(args, "select", str, EncoderConfig.select),
         width=width,
     )
     encoder.validate()
-    fs = _merged(args, "fs", float, 16000.0)
+    fs = _merged(args, "fs", float, DictionaryConfig.sample_rate)
     freq_hi = _merged(args, "freq-hi", float, None)
-    if freq_hi is None:
-        freq_hi = min(8000.0, fs / 2.0)  # default band adapts to the rate
+    if freq_hi is None:  # default band adapts to the rate
+        freq_hi = min(DictionaryConfig.freq_hi, fs / 2.0)
     dictionary = DictionaryConfig(
-        num_kernels=_merged(args, "kernels", int, 40),
+        num_kernels=_merged(args, "kernels", int, DictionaryConfig.num_kernels),
         sample_rate=fs,
-        freq_lo=_merged(args, "freq-lo", float, 20.0),
+        freq_lo=_merged(args, "freq-lo", float, DictionaryConfig.freq_lo),
         freq_hi=freq_hi,
         kernel_len=width,
     )
@@ -136,7 +136,7 @@ def _build_configs(args: argparse.Namespace) -> RunConfig:
         encoder=encoder,
         dictionary=dictionary,
         seed=getattr(args, "seed", 0),
-        itp_metric=_merged(args, "itp", str, "log"),
+        itp_metric=_merged(args, "itp", str, RunConfig.itp_metric),
     )
 
 
@@ -214,7 +214,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _build_configs(args)
-    table = build_channel_table(_merged(args, "kernels", int, 40), DEFAULT_CENTERS)
+    table = build_channel_table(cfg.dictionary.num_kernels, DEFAULT_CENTERS)
     width = cfg.encoder.width
     bin_width = width if args.bin is None else args.bin
     if bin_width < 1:  # before any file is read
@@ -273,8 +273,11 @@ def _cmd_eval(args) -> int:
           f"accuracy={accuracy:.4f}")
     print(f"forward-pass MACs (weight multiplies): {model.mac_count()}")
     if args.model_out:
-        with open(args.model_out, "w", newline="\n") as fh:
-            evaluate.save_model(model, fh)
+        try:
+            with open(args.model_out, "w", newline="\n") as fh:
+                evaluate.save_model(model, fh)
+        except OSError as exc:
+            raise IoError(f"cannot write {args.model_out!r}: {exc}")
         print(f"model saved to {args.model_out}")
     return 0
 

@@ -9,7 +9,7 @@ the sign), which exposes the information lost in the spike representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .spikecoder import ChannelTable, nearest_level
 class ReconstructionReport:
     l2_error: float
     snr_db: float
-    codes_used: int = 0
-    per_k_curve: list[tuple[int, float]] = field(default_factory=list)
 
 
 def _checked_codes(
@@ -132,23 +130,3 @@ def error_curve(
         curve.append((k + 1, float(np.linalg.norm(residual))))
     return curve
 
-
-def evaluate_reconstruction(
-    x: np.ndarray,
-    codesets: list[np.ndarray],
-    dictionary: Dictionary,
-    width: int,
-    quantized: bool = False,
-    table: ChannelTable | None = None,
-    metric: str = "log",
-) -> ReconstructionReport:
-    """Full report: final error, SNR, code count, and the per-k curve."""
-    x_hat = reconstruct(
-        codesets, dictionary, width, len(x), quantized, table, metric
-    )
-    report = reconstruction_error(x, x_hat)
-    report.codes_used = sum(len(cs) for cs in codesets)
-    report.per_k_curve = error_curve(
-        x, codesets, dictionary, width, quantized, table, metric
-    )
-    return report

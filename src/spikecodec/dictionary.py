@@ -151,11 +151,6 @@ def build_dictionary(config: DictionaryConfig = DictionaryConfig()) -> Dictionar
     return Dictionary(kernels=kernels, center_freqs=centers, config=config)
 
 
-def kernel_onset(config: DictionaryConfig) -> int:
-    """Sample index where the gammatone waveform starts within its buffer."""
-    return config.kernel_len // 2
-
-
 def kernel_spectra(
     dictionary: Dictionary, fft_len: int, signal_len: int | None = None
 ) -> SpectralDictionary:

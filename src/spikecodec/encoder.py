@@ -288,27 +288,16 @@ def _correlate_fixed_direct(
     for m, (lo, hi, kmax, kabs) in enumerate(supports):
         if kmax == 0:
             continue
-        rows = windows[:, lo:hi]
-        krow = kernels_raw[m, lo:hi]
-        if rmax * kmax >= (1 << 62) // (hi - lo):
-            # not enough int64 headroom: exact scalar path
-            surface[m] = [fixed_dot(row, krow, fmt, stats) for row in rows]
-            continue
-        # |round(p / 2**f)| <= (|p| >> f) + 1 bounds every running sum of
-        # this kernel by the left side below: within it nothing saturates
-        # or wraps, and the order of the sum is free
-        if ((rmax * kabs) >> fmt.frac_bits) + (hi - lo) <= fmt.raw_max:
+        # with int64 headroom, |round(p / 2**f)| <= (|p| >> f) + 1 bounds each
+        # running sum by the second test's left side: within it nothing
+        # saturates or wraps, and the order of the sum is free
+        if rmax * kmax < (1 << 62) // (hi - lo) and (
+            ((rmax * kabs) >> fmt.frac_bits) + (hi - lo) <= fmt.raw_max
+        ):
             bounded.append(m)
-            continue
-        terms = rescale_half_even_array(rows * krow, fmt.frac_bits)
-        running = np.cumsum(terms, axis=1)
-        row = running[:, -1]
-        over = (running.max(axis=1) > fmt.raw_max) | (
-            running.min(axis=1) < fmt.raw_min
-        )
-        for j in np.flatnonzero(over):
-            row[j] = fixed_dot(rows[j], krow, fmt, stats)
-        surface[m] = row
+        else:  # exact scalar path, entry by entry
+            krow = kernels_raw[m, lo:hi]
+            surface[m] = [fixed_dot(row, krow, fmt, stats) for row in windows[:, lo:hi]]
     picks = [(m, slice(None)) for m in bounded]  # entries computed exactly
     if screen is not None and bounded:
         # Screen with c, the float correlation of the dequantized operands:

@@ -33,7 +33,7 @@ from .dictionary import (
     default_fft_len,
     kernel_spectra,
 )
-from .encoder import CODE_DTYPE, EncoderConfig, Segment, encode_segment, shift_kernel
+from .encoder import CODE_DTYPE, EncoderConfig, Segment, encode_segment
 from .errors import (
     CorruptFile,
     InvalidConfig,
@@ -59,8 +59,6 @@ class RunConfig:
     seed: int = 0
     with_raw_intensity: bool = False
     itp_metric: str = "log"  # log | linear
-    quantized: bool = False
-    centers: tuple[float, ...] | None = None  # None = default channel table
 
 
 def detect_format(path: str) -> str:
@@ -127,18 +125,22 @@ def _read_wav16(path: str) -> tuple[np.ndarray, float]:
 def write_waveform(samples: np.ndarray, path: str, sample_rate: float = 16000.0):
     """Write samples in the format implied by the path extension."""
     fmt = detect_format(path)
-    if fmt == "raw-f32":
-        np.asarray(samples, dtype="<f4").tofile(path)
-    elif fmt == "csv":
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(repr(float(v)) for v in samples) + "\n")
-    else:
-        pcm = np.clip(np.round(np.asarray(samples) * 32768.0), -32768, 32767)
-        with wave.open(path, "wb") as wf:
-            wf.setnchannels(1)
-            wf.setsampwidth(2)
-            wf.setframerate(int(sample_rate))
-            wf.writeframes(pcm.astype("<i2").tobytes())
+    try:
+        if fmt == "raw-f32":
+            np.asarray(samples, dtype="<f4").tofile(path)
+        elif fmt == "csv":
+            with open(path, "w", newline="\n") as fh:
+                fh.write("\n".join(repr(float(v)) for v in samples) + "\n")
+        else:
+            pcm = np.clip(np.round(np.asarray(samples) * 32768.0), -32768, 32767)
+            # not wave.open(path): its writer's __del__ prints a traceback
+            with open(path, "wb") as fh, wave.open(fh, "wb") as wf:
+                wf.setnchannels(1)
+                wf.setsampwidth(2)
+                wf.setframerate(int(sample_rate))
+                wf.writeframes(pcm.astype("<i2").tobytes())
+    except OSError as exc:
+        raise IoError(f"cannot write {path!r}: {exc}")
 
 
 def segment_stream(samples: np.ndarray, width: int) -> list[Segment]:
@@ -225,7 +227,8 @@ def parse_events(path: str) -> np.recarray:
         return np.array(events, EVENT_DTYPE).view(np.recarray)
     except OSError as exc:
         raise IoError(f"cannot read {path!r}: {exc}")
-    except (ValueError, KeyError, IndexError, OverflowError) as exc:
+    # TypeError: a JSONL record that is not an object, or a null or list field
+    except (ValueError, KeyError, IndexError, OverflowError, TypeError) as exc:
         raise CorruptFile(f"bad event record in {path!r}: {exc}")
 
 
@@ -304,26 +307,7 @@ def encode_signal(
     return codesets
 
 
-# ----- synthetic corpus and benchmark -----
-
-def make_bench_corpus(
-    dictionary: Dictionary, n_segments: int, width: int, seed: int = 0
-) -> np.ndarray:
-    """Seeded noise plus kernel mixtures; shipped as a generator rather than
-    data files so runs stay reproducible without repository bloat."""
-    rng = np.random.default_rng(seed)
-    chunks = []
-    for i in range(n_segments):
-        x = 0.05 * rng.standard_normal(width)
-        for _ in range(3):
-            m = int(rng.integers(dictionary.num_kernels))
-            tau = int(rng.integers(-(width // 2), width // 2 + 1))
-            x += float(rng.uniform(0.2, 2.0)) * rng.choice([-1.0, 1.0]) * shift_kernel(
-                dictionary.kernels[m], tau, width
-            )
-        chunks.append(x)
-    return np.concatenate(chunks)
-
+# ----- synthetic clip and benchmark -----
 
 def make_audio_clip(
     n_samples: int, sample_rate: float = 16000.0, seed: int = 0
@@ -356,17 +340,16 @@ class BenchReport:
 
 
 def run_bench(cfg: RunConfig, n_segments: int = 10) -> list[BenchReport]:
-    """Encode the synthetic corpus under both backends and both arithmetic
-    modes; reports timings and cross-checks code sequences as a side effect.
+    """Encode `make_audio_clip` of `n_segments` segments under both backends
+    and both arithmetic modes; reports timings and cross-checks code
+    sequences as a side effect.
 
     Timings are wall-clock measurements on this host, reported for context
     only.
     """
     dictionary = build_dictionary(cfg.dictionary)
-    width = cfg.encoder.width
-    samples = make_bench_corpus(dictionary, n_segments, width, cfg.seed)
-    fft_len = default_fft_len(width, dictionary.kernel_len)
-    sdict = kernel_spectra(dictionary, fft_len, signal_len=width)
+    samples = make_audio_clip(n_segments * cfg.encoder.width,
+                              cfg.dictionary.sample_rate, cfg.seed)
 
     reports = []
     reference: dict[str, list[tuple[int, int]]] = {}
@@ -374,7 +357,7 @@ def run_bench(cfg: RunConfig, n_segments: int = 10) -> list[BenchReport]:
         for arithmetic in ("float", "fixed"):
             enc = replace(cfg.encoder, backend=backend, arithmetic=arithmetic)
             start = time.perf_counter()
-            codesets = encode_signal(samples, dictionary, enc, sdict)
+            codesets = encode_signal(samples, dictionary, enc)
             elapsed = time.perf_counter() - start
             n_codes = sum(len(cs) for cs in codesets)
             seq = [(c.m, c.tau) for cs in codesets for c in cs]

@@ -5,7 +5,6 @@ import pytest
 
 from spikecodec.decoder import (
     error_curve,
-    evaluate_reconstruction,
     reconstruct,
     reconstruction_error,
 )
@@ -105,15 +104,15 @@ def test_full_report_and_quantized_mode(small_dict):
     codesets = [encode_segment(Segment(x.copy()), small_dict, cfg=cfg)]
     table = build_channel_table(small_dict.num_kernels)
 
-    raw = evaluate_reconstruction(x, codesets, small_dict, 256)
-    assert raw.codes_used == 8
-    assert len(raw.per_k_curve) == 8
-    assert raw.l2_error == pytest.approx(raw.per_k_curve[-1][1], rel=1e-9)
+    raw = reconstruction_error(x, reconstruct(codesets, small_dict, 256, len(x)))
+    curve = error_curve(x, codesets, small_dict, 256)
+    assert sum(len(cs) for cs in codesets) == 8
+    assert len(curve) == 8
+    assert raw.l2_error == pytest.approx(curve[-1][1], rel=1e-9)
 
-    quant = evaluate_reconstruction(
-        x, codesets, small_dict, 256, quantized=True, table=table
-    )
-    assert quant.codes_used == 8
+    quant = reconstruction_error(x, reconstruct(
+        codesets, small_dict, 256, len(x), quantized=True, table=table
+    ))
     assert math.isfinite(quant.l2_error)
     # quantizing intensities cannot improve on the raw reconstruction here
     assert quant.l2_error >= raw.l2_error

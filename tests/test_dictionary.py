@@ -9,7 +9,6 @@ from spikecodec.dictionary import (
     build_dictionary,
     default_fft_len,
     dump_dictionary_csv,
-    kernel_onset,
     kernel_spectra,
 )
 from spikecodec.errors import InvalidConfig, LengthTooSmall
@@ -62,7 +61,7 @@ def test_center_freqs_match_independent_erb_rate_oracle():
 def test_waveform_onset_sits_at_buffer_midpoint(full_dict):
     # the lead-in of zeros is what makes every negative shift a pure
     # translation of the stored samples
-    onset = kernel_onset(full_dict.config)
+    onset = full_dict.config.kernel_len // 2
     assert onset == 1024
     assert not np.any(full_dict.kernels[:, :onset])
     assert np.all(np.any(full_dict.kernels[:, onset : onset + 16] != 0, axis=1))

@@ -28,7 +28,6 @@ from spikecodec.pipeline import (
     codes_from_events,
     encode_signal,
     make_audio_clip,
-    make_bench_corpus,
     parse_events,
     read_input,
     run_bench,
@@ -237,16 +236,7 @@ def test_emit_write_parse_round_trip(round_trip_path, drawn, seed):
     assert all(len(set(cs.segment_index)) == 1 for cs in rebuilt)
 
 
-# ----- synthetic corpus and bench -----
-
-def test_bench_corpus_is_seeded_and_sized(small_dict):
-    a = make_bench_corpus(small_dict, 4, 256, seed=5)
-    b = make_bench_corpus(small_dict, 4, 256, seed=5)
-    c = make_bench_corpus(small_dict, 4, 256, seed=6)
-    assert a.shape == (1024,)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-
+# ----- synthetic clip and bench -----
 
 def test_audio_clip_is_deterministic_and_bounded():
     a = make_audio_clip(4096, seed=7)
@@ -562,6 +552,25 @@ def _decode_row_args(tmp_path, row):
     return ["decode", str(events), "-o", str(tmp_path / "x.f32"), *SMALL_FLAGS]
 
 
+def _decode_to_missing_dir(name):
+    def make_argv(tmp_path):
+        argv = _decode_args(tmp_path)
+        argv[argv.index("-o") + 1] = str(tmp_path / "no-such-dir" / name)
+        return argv
+    return make_argv
+
+
+JSONL_RECORD = ('{"t_samples": 64, "channel": 10, "kernel": 3, "level": 1, '
+                '"intensity_center": 0.4115}')
+
+
+def _decode_jsonl_args(tmp_path, line):
+    # a valid first record makes the file JSONL; `line` follows it
+    events = tmp_path / "ev.jsonl"
+    events.write_text(f"{JSONL_RECORD}\n{line}\n")
+    return ["decode", str(events), "-o", str(tmp_path / "x.f32"), *SMALL_FLAGS]
+
+
 @pytest.mark.parametrize("make_argv, code", [
     (_cut_wav(64, 1), 3),  # ends mid-frame
     (lambda tmp: _eval_args(tmp, "clip_a\n"), 3),  # labels line without comma
@@ -592,17 +601,76 @@ def _decode_row_args(tmp_path, row):
     (lambda tmp: _decode_row_args(tmp, f"{10**20},10,3,1,0.411500,0.411500"), 3),
     # an output of 10**18 samples fails to allocate at once
     (lambda tmp: _decode_row_args(tmp, f"{10**18},10,3,1,0.411500,0.411500"), 4),
+    (_decode_to_missing_dir("x.wav"), 3),
+    (_decode_to_missing_dir("x.csv"), 3),
+    (_decode_to_missing_dir("x.f32"), 3),
+    (lambda tmp: _train_args(tmp, "--model-out", str(tmp / "no-such-dir" / "m.txt")),
+     3),
+    (lambda tmp: _decode_jsonl_args(tmp, "[1, 2]"), 3),
+    (lambda tmp: _decode_jsonl_args(tmp, "5"), 3),
+    (lambda tmp: _decode_jsonl_args(
+        tmp, JSONL_RECORD.replace('"t_samples": 64', '"t_samples": null')), 3),
+    (lambda tmp: _decode_jsonl_args(
+        tmp, JSONL_RECORD.replace('"kernel": 3', '"kernel": [3]')), 3),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
         "length-negative", "length-zero", "bench-segments-zero", "bin-zero",
         "bin-negative", "raw-intensity-inf", "center-nan", "time-negative",
         "eval-channel-high", "eval-channel-negative", "raw-intensity-zero",
-        "center-zero", "center-negative", "time-beyond-int64", "time-huge"])
+        "center-zero", "center-negative", "time-beyond-int64", "time-huge",
+        "decode-wav-unwritable", "decode-csv-unwritable", "decode-f32-unwritable",
+        "model-out-unwritable", "jsonl-array-record", "jsonl-number-record",
+        "jsonl-null-field", "jsonl-list-field"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     out = _cli(*make_argv(tmp_path))
     assert out.returncode == code, out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.fixture(scope="module")
+def encoded_lines(tmp_path_factory):
+    """A 512-sample clip encoded to csv with raw intensity and to jsonl:
+    (directory, {file name: its lines})."""
+    out_dir = tmp_path_factory.mktemp("mutate")
+    signal = out_dir / "clip.csv"
+    signal.write_text(",".join(repr(float(v)) for v in make_audio_clip(512, seed=3)))
+    lines = {}
+    for name, extra in (("ev.csv", "--with-raw-intensity"),
+                        ("ev.jsonl", "--output-format=jsonl")):
+        argv = ["encode", str(signal), "-o", str(out_dir / name), extra, *SMALL_FLAGS]
+        assert cli.main(argv) == 0
+        lines[name] = (out_dir / name).read_text().splitlines()
+    return out_dir, lines
+
+
+MUTATION_CHARS = '0123456789+-.,e{}[]":nulinf'
+# whole values spelled in MUTATION_CHARS; random text almost never forms one
+MUTATION_TOKENS = ["null", "[]", "{}", "[1]", '""', "inf", "-1", "0", "1e999"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(["ev.csv", "ev.jsonl"]), data=st.data())
+def test_mutated_event_line_never_escapes_cli(encoded_lines, name, data):
+    # one slice of one line replaced by random text: decode either succeeds
+    # or exits with a documented code, never with an uncaught exception;
+    # --length keeps a mutated mid-size time from sizing the output
+    out_dir, lines = encoded_lines[0], list(encoded_lines[1][name])
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    line = lines[i]
+    # slices start and end at the line's ends or at a field or value edge
+    cuts = sorted({0, len(line)} | {k + 1 for k, c in enumerate(line) if c in ",:"}
+                  | {k for k, c in enumerate(line) if c in ",}"})
+    j = data.draw(st.integers(0, len(cuts) - 1), label="start")
+    lo, hi = cuts[j], cuts[data.draw(st.integers(j, len(cuts) - 1), label="end")]
+    text = data.draw(st.one_of(st.text(MUTATION_CHARS, max_size=8),
+                               st.sampled_from(MUTATION_TOKENS)), label="text")
+    lines[i] = line[:lo] + text + line[hi:]
+    mutated = out_dir / f"mutated-{name}"
+    mutated.write_text("\n".join(lines) + "\n")
+    argv = ["decode", str(mutated), "-o", str(out_dir / "x.f32"),
+            "--length", "512", *SMALL_FLAGS]
+    assert cli.main(argv) in (0, 3, 4)
 
 
 def _mixed_cli_steps(out_dir, signal_csv):
