@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: encode, decode, bench, eval, dict-dump. Shared numeric flags
-can also come from a key=value config file (--config); explicit flags win.
+Subcommands: encode, decode, bench, eval, dict-dump. A --config file's
+key=value lines are shared flags placed before the command line's, which win.
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric failure.
 """
 
@@ -11,7 +11,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .pipeline import (
     write_events,
     write_waveform,
 )
-from .spikecoder import DEFAULT_CENTERS, build_channel_table, emit_stream
+from .spikecoder import build_channel_table, emit_stream
 
 # hardware reference timings, printed as context with bench output only
 HW_CONTEXT = (
@@ -46,32 +45,43 @@ HW_CONTEXT = (
     "area-optimized) and 0.5 ms (FFT, performance-optimized); not asserted here."
 )
 
-SHARED_KEYS = (
-    "kernels", "fs", "width", "k", "threshold", "backend",
-    "fixed", "select", "itp", "freq-lo", "freq-hi",
-)
+# the flags a --config file may set; their defaults are the library's, and
+# --fs, --freq-hi and --fixed stay None so that "not given" can be seen
+SHARED_FLAGS = {
+    "kernels": dict(type=int, default=DictionaryConfig.num_kernels,
+                    help="dictionary size (default %(default)s)"),
+    "fs": dict(type=float, help="sample rate in Hz (default: the wav's, else "
+                                f"{DictionaryConfig.sample_rate:g})"),
+    "width": dict(type=int, default=EncoderConfig.width,
+                  help="segment width W (default %(default)s)"),
+    "k": dict(type=int, default=EncoderConfig.max_codes,
+              help="max codes per segment (default %(default)s)"),
+    "threshold": dict(type=float, default=EncoderConfig.halt_threshold,
+                      help="halting threshold (default %(default)s)"),
+    "backend": dict(choices=["direct", "spectral"], default=EncoderConfig.backend,
+                    help="correlation backend (default %(default)s)"),
+    "fixed": dict(metavar="B:F", help="run the fixed-point datapath, e.g. 34:24"),
+    "select": dict(choices=["abs", "signed"], default=EncoderConfig.select,
+                   help="pick the largest |c| or the largest c (default %(default)s)"),
+    "itp": dict(choices=["log", "linear"], default=RunConfig.itp_metric,
+                help="intensity-to-place nearest-center metric (default %(default)s)"),
+    "freq-lo": dict(type=float, default=DictionaryConfig.freq_lo,
+                    help="lowest center frequency (default %(default)s)"),
+    "freq-hi": dict(type=float, help="top center frequency (default "
+                                     f"min({DictionaryConfig.freq_hi:g}, fs/2))"),
+}
 
 
 def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value config file; flags override it")
-    sub.add_argument("--kernels", type=int, help="dictionary size (default 40)")
-    sub.add_argument("--fs", type=float, help="sample rate in Hz (default 16000)")
-    sub.add_argument("--width", type=int, help="segment width W (default 2048)")
-    sub.add_argument("--k", type=int, help="max codes per segment (default 16)")
-    sub.add_argument("--threshold", type=float, help="halting threshold (default 0)")
-    sub.add_argument("--backend", choices=["direct", "spectral"])
-    sub.add_argument("--fixed", metavar="B:F",
-                     help="run the fixed-point datapath, e.g. 34:24")
-    sub.add_argument("--select", choices=["abs", "signed"])
-    sub.add_argument("--itp", choices=["log", "linear"],
-                     help="intensity-to-place nearest-center metric")
-    sub.add_argument("--freq-lo", type=float, help="lowest center frequency")
-    sub.add_argument("--freq-hi", type=float, help="highest center frequency")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--config", help="key=value lines of shared flags; flags win")
+    for key, spec in SHARED_FLAGS.items():
+        sub.add_argument(f"--{key}", **spec)
+    sub.add_argument("--seed", type=int, default=RunConfig.seed)
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    values = {}
+def _config_flags(path: str) -> list[str]:
+    """The key=value lines of a config file as --key=value flags."""
+    flags = []
     try:
         with open(path) as fh:
             for raw in fh:
@@ -82,85 +92,62 @@ def _load_config_file(path: str) -> dict[str, str]:
                     raise InvalidConfig(f"bad config line {raw.rstrip()!r}")
                 key, value = line.split("=", 1)
                 key = key.strip().replace("_", "-")
-                if key not in SHARED_KEYS:
+                if key not in SHARED_FLAGS:
                     raise InvalidConfig(f"unknown config key {key!r}")
-                values[key] = value.strip()
+                flags.append(f"--{key}={value.strip()}")
     except OSError as exc:
         raise IoError(f"cannot read config file {path!r}: {exc}")
-    return values
+    return flags
 
 
-def _merged(args: argparse.Namespace, key: str, cast, default):
-    """Precedence: explicit flag > config file > default."""
-    flag_val = getattr(args, key.replace("-", "_"), None)
-    if flag_val is not None:
-        return flag_val
-    file_vals = getattr(args, "_config_file_values", {})
-    if key in file_vals:
-        try:
-            return cast(file_vals[key])
-        except ValueError:
-            raise InvalidConfig(f"bad value for {key!r} in config file")
-    return default
-
-
-def _build_configs(args: argparse.Namespace) -> RunConfig:
-    args._config_file_values = (
-        _load_config_file(args.config) if getattr(args, "config", None) else {}
-    )
-    width = _merged(args, "width", int, EncoderConfig.width)
-    fixed_text = _merged(args, "fixed", str, None)
+def _build_configs(args: argparse.Namespace, rate: float | None = None) -> RunConfig:
+    """The run's settings from the parsed flags. The sample rate is --fs,
+    else the input's `rate`, else the library default; the band stops at
+    min(8000, fs/2) unless --freq-hi is given."""
     encoder = EncoderConfig(
-        max_codes=_merged(args, "k", int, EncoderConfig.max_codes),
-        halt_threshold=_merged(args, "threshold", float, EncoderConfig.halt_threshold),
-        backend=_merged(args, "backend", str, EncoderConfig.backend),
-        arithmetic="fixed" if fixed_text else "float",
-        fixed_format=parse_format(fixed_text) if fixed_text else FixedFormat(),
-        select=_merged(args, "select", str, EncoderConfig.select),
-        width=width,
+        max_codes=args.k,
+        halt_threshold=args.threshold,
+        backend=args.backend,
+        arithmetic="fixed" if args.fixed else "float",
+        fixed_format=parse_format(args.fixed) if args.fixed else FixedFormat(),
+        select=args.select,
+        width=args.width,
     )
     encoder.validate()
-    fs = _merged(args, "fs", float, DictionaryConfig.sample_rate)
-    freq_hi = _merged(args, "freq-hi", float, None)
-    if freq_hi is None:  # default band adapts to the rate
+    fs = args.fs
+    if fs is None:
+        fs = DictionaryConfig.sample_rate if rate is None else rate
+    freq_hi = args.freq_hi
+    if freq_hi is None:  # the default band adapts to the rate
         freq_hi = min(DictionaryConfig.freq_hi, fs / 2.0)
     dictionary = DictionaryConfig(
-        num_kernels=_merged(args, "kernels", int, DictionaryConfig.num_kernels),
+        num_kernels=args.kernels,
         sample_rate=fs,
-        freq_lo=_merged(args, "freq-lo", float, DictionaryConfig.freq_lo),
+        freq_lo=args.freq_lo,
         freq_hi=freq_hi,
-        kernel_len=width,
+        kernel_len=args.width,
     )
     dictionary.validate()
     return RunConfig(
         encoder=encoder,
         dictionary=dictionary,
-        seed=getattr(args, "seed", 0),
-        itp_metric=_merged(args, "itp", str, RunConfig.itp_metric),
+        seed=args.seed,
+        itp_metric=args.itp,
     )
 
 
 def _cmd_encode(args) -> int:
-    cfg = _build_configs(args)
-    cfg.input_path = args.input
-    cfg.input_format = args.format
+    _build_configs(args)  # a config error exits before any I/O
+    samples, rate = read_input(
+        RunConfig(input_path=args.input, input_format=args.format))
+    cfg = _build_configs(args, rate)
     cfg.output_path = args.output or args.input + ".events.csv"
     cfg.output_format = args.output_format
     cfg.with_raw_intensity = args.with_raw_intensity
-
-    samples, rate = read_input(cfg)
-    fs_given = args.fs is not None or "fs" in args._config_file_values
-    if rate is not None and not fs_given:
-        hi_given = args.freq_hi is not None or "freq-hi" in args._config_file_values
-        freq_hi = cfg.dictionary.freq_hi if hi_given else min(
-            cfg.dictionary.freq_hi, rate / 2.0
-        )
-        cfg.dictionary = replace(cfg.dictionary, sample_rate=rate, freq_hi=freq_hi)
-        cfg.dictionary.validate()
     dictionary = build_dictionary(cfg.dictionary)
     stats = SaturationStats()
     codesets = encode_signal(samples, dictionary, cfg.encoder, stats=stats)
-    table = build_channel_table(dictionary.num_kernels, DEFAULT_CENTERS)
+    table = build_channel_table(dictionary.num_kernels)
     events = emit_stream(codesets, table, cfg.encoder.width, cfg.itp_metric)
     write_events(events, cfg)
     n_codes = sum(len(cs) for cs in codesets)
@@ -181,7 +168,7 @@ def _cmd_decode(args) -> int:
         raise InvalidConfig(f"--length must be >= 1, got {args.length}")
     events = parse_events(args.events)
     dictionary = build_dictionary(cfg.dictionary)
-    table = build_channel_table(dictionary.num_kernels, DEFAULT_CENTERS)
+    table = build_channel_table(dictionary.num_kernels)
     width = cfg.encoder.width
     codesets = codes_from_events(events, width)
     n_segments = int(codesets[-1].segment_index[0]) + 1 if codesets else 0
@@ -214,7 +201,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _build_configs(args)
-    table = build_channel_table(cfg.dictionary.num_kernels, DEFAULT_CENTERS)
+    table = build_channel_table(cfg.dictionary.num_kernels)
     width = cfg.encoder.width
     bin_width = width if args.bin is None else args.bin
     if bin_width < 1:  # before any file is read
@@ -331,11 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--features-from", required=True,
                     help="directory of event files")
     ev.add_argument("--labels", required=True, help="csv of stem,label lines")
-    ev.add_argument("--epochs", type=int, default=400)
-    ev.add_argument("--batch", type=int, default=64)
-    ev.add_argument("--lr", type=float, default=1e-3)
-    ev.add_argument("--lr-decay", default="0.9@50", metavar="F@E",
-                    help="multiply lr by F every E epochs")
+    train = evaluate.MlpTrainConfig
+    ev.add_argument("--epochs", type=int, default=train.epochs)
+    ev.add_argument("--batch", type=int, default=train.batch_size)
+    ev.add_argument("--lr", type=float, default=train.learning_rate)
+    ev.add_argument("--lr-decay", default=f"{train.lr_decay}@{train.decay_every}",
+                    metavar="F@E", help="multiply lr by F every E epochs")
     ev.add_argument("--bin", type=int, help="temporal-average bin width")
     ev.add_argument("--model-out", help="save trained weights here")
     _add_shared_flags(ev)
@@ -350,8 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if args.config:  # the file's flags go first, so explicit flags win
+            args = parser.parse_args([argv[0], *_config_flags(args.config), *argv[1:]])
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

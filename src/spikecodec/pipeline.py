@@ -51,7 +51,6 @@ EVENT_HEADER = "t_samples,channel,kernel,level,intensity_center"
 class RunConfig:
     input_path: str = ""
     input_format: str | None = None  # wav16 | csv | raw-f32; None = by extension
-    sample_rate: float | None = None  # overrides/provides the rate
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     dictionary: DictionaryConfig = field(default_factory=DictionaryConfig)
     output_path: str = ""
@@ -78,7 +77,7 @@ def read_input(cfg: RunConfig) -> tuple[np.ndarray, float | None]:
     Raises NumericError when a sample is NaN or infinite.
     """
     fmt = cfg.input_format or detect_format(cfg.input_path)
-    rate = cfg.sample_rate
+    rate = None
     try:
         if fmt == "wav16":
             samples, rate = _read_wav16(cfg.input_path)
@@ -207,11 +206,11 @@ def parse_events(path: str) -> np.recarray:
                     if not line.strip():
                         continue
                     rec = json.loads(line)
+                    # each value's JSON text takes the csv checks: 70.9, true, "1" fail
+                    fields = [json.dumps(rec[k]) for k in EVENT_HEADER.split(",")]
+                    raw = rec.get("raw_intensity")
                     events.append(_event_from_fields(
-                        rec["t_samples"], rec["channel"], rec["kernel"],
-                        rec["level"], rec["intensity_center"],
-                        rec.get("raw_intensity"),
-                    ))
+                        *fields, None if raw is None else json.dumps(raw)))
             elif first:
                 if not first.startswith(EVENT_HEADER):
                     raise CorruptFile(f"unexpected event header in {path!r}")

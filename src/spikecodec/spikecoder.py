@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import CODE_DTYPE
-from .errors import InvalidCenters, ZeroIntensity
+from .errors import InvalidCenters, InvalidConfig, ZeroIntensity
 
 # three logarithmically distributed per-kernel center intensities
 DEFAULT_CENTERS = (0.0065, 0.4115, 25.8744)
@@ -65,8 +65,11 @@ def nearest_level(intensity, table: ChannelTable, metric: str = "log"):
 
     `metric="log"` measures distance between log-magnitudes (the natural
     choice for logarithmically spaced centers); `metric="linear"` compares
-    plain differences for low-precision hardware mimicry.
+    plain differences for low-precision hardware mimicry; any other metric
+    raises InvalidConfig.
     """
+    if metric not in ("log", "linear"):
+        raise InvalidConfig(f"unknown itp metric {metric!r}")
     mag = np.abs(np.asarray(intensity, dtype=np.float64))
     if np.any(mag == 0.0):
         raise ZeroIntensity("zero intensity maps to no spike")

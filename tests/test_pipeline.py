@@ -571,6 +571,12 @@ def _decode_jsonl_args(tmp_path, line):
     return ["decode", str(events), "-o", str(tmp_path / "x.f32"), *SMALL_FLAGS]
 
 
+def _config_args(tmp_path, text):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    return _encode_args(tmp_path, "s.csv", b"0.1,0.2", "--config", str(config))
+
+
 @pytest.mark.parametrize("make_argv, code", [
     (_cut_wav(64, 1), 3),  # ends mid-frame
     (lambda tmp: _eval_args(tmp, "clip_a\n"), 3),  # labels line without comma
@@ -612,6 +618,13 @@ def _decode_jsonl_args(tmp_path, line):
         tmp, JSONL_RECORD.replace('"t_samples": 64', '"t_samples": null')), 3),
     (lambda tmp: _decode_jsonl_args(
         tmp, JSONL_RECORD.replace('"kernel": 3', '"kernel": [3]')), 3),
+    (lambda tmp: _decode_jsonl_args(
+        tmp, JSONL_RECORD.replace('"t_samples": 64', '"t_samples": 70.9')), 3),
+    (lambda tmp: _decode_jsonl_args(
+        tmp, JSONL_RECORD.replace('"kernel": 3', '"kernel": true')), 3),
+    # a file value meets the same type and choices checks as a flag
+    (lambda tmp: _config_args(tmp, "itp=lgo\n"), 2),
+    (lambda tmp: _config_args(tmp, "k=abc\n"), 2),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
@@ -621,7 +634,8 @@ def _decode_jsonl_args(tmp_path, line):
         "center-zero", "center-negative", "time-beyond-int64", "time-huge",
         "decode-wav-unwritable", "decode-csv-unwritable", "decode-f32-unwritable",
         "model-out-unwritable", "jsonl-array-record", "jsonl-number-record",
-        "jsonl-null-field", "jsonl-list-field"])
+        "jsonl-null-field", "jsonl-list-field", "jsonl-fractional-time",
+        "jsonl-bool-kernel", "config-itp-invalid", "config-k-not-int"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     out = _cli(*make_argv(tmp_path))
     assert out.returncode == code, out.stderr
@@ -711,6 +725,32 @@ def test_cli_config_file_and_flag_precedence(tmp_path, signal_csv):
     assert out.returncode == 0, out.stderr
     # --k 1 must override k=4 from the file: fewer events
     assert len(a.read_text().splitlines()) > len(b.read_text().splitlines())
+
+
+def test_cli_sample_rate_precedence(tmp_path):
+    # --fs, then a config file, then the wav header's rate, then 16000; the
+    # default band stops at half the rate
+    wav = tmp_path / "in.wav"
+    clip = make_audio_clip(512, sample_rate=8000.0, seed=5)
+    _write_wav(wav, np.round(clip * 32767), rate=8000)
+
+    def encode(name, *extra, config=None):
+        out = tmp_path / name
+        if config is not None:
+            (tmp_path / f"{name}.cfg").write_text(config)
+            extra += ("--config", str(tmp_path / f"{name}.cfg"))
+        assert cli.main(["encode", str(wav), "-o", str(out), *extra,
+                         *SMALL_FLAGS]) == 0
+        return out.read_bytes()
+
+    header = encode("header.csv")
+    assert header == encode("fs8k.csv", "--fs", "8000", "--freq-hi", "4000")
+    low = encode("low.csv", "--freq-hi", "3000")
+    assert low == encode("fs8k-low.csv", "--fs", "8000", "--freq-hi", "3000")
+    fs16k = encode("fs16k.csv", "--fs", "16000")
+    assert fs16k == encode("file16k.csv", config="fs=16000\n")
+    assert fs16k == encode("flag-wins.csv", "--fs", "16000", config="fs=8000\n")
+    assert len({header, low, fs16k}) == 3
 
 
 def test_cli_dict_dump(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spikecodec.errors import InvalidCenters, ZeroIntensity
+from spikecodec.errors import InvalidCenters, InvalidConfig, ZeroIntensity
 from spikecodec.spikecoder import (
     DEFAULT_CENTERS,
     build_channel_table,
@@ -93,6 +93,16 @@ def test_linear_metric_differs_where_expected():
         lin = nearest_level(s, table, metric="linear")
         expected = int(np.argmin([abs(s - c) for c in DEFAULT_CENTERS]))
         assert lin == expected
+
+
+def test_unknown_metric_raises():
+    # any metric but "log" used to mean linear without a word
+    table = build_channel_table(40)
+    for call in (lambda: nearest_level(0.4, table, metric="lgo"),
+                 lambda: emit_stream([codes((0, 1, 0, 0.4))], table, 64, "lgo"),
+                 lambda: emit_stream([], table, 64, "Log")):
+        with pytest.raises(InvalidConfig, match="unknown itp metric"):
+            call()
 
 
 def test_empty_codesets_give_empty_stream():
