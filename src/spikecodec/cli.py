@@ -72,29 +72,36 @@ SHARED_FLAGS = {
 }
 
 
-def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value lines of shared flags; flags win")
+@functools.cache  # the subcommands' parent; alone, it checks config-file lines
+def _shared_flags_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    parser.add_argument("--config", help="key=value lines of shared flags; flags win")
     for key, spec in SHARED_FLAGS.items():
-        sub.add_argument(f"--{key}", **spec)
-    sub.add_argument("--seed", type=int, default=RunConfig.seed)
+        parser.add_argument(f"--{key}", **spec)
+    parser.add_argument("--seed", type=int, default=RunConfig.seed)
+    return parser
 
 
 def _config_flags(path: str) -> list[str]:
-    """The key=value lines of a config file as --key=value flags."""
+    """The key=value lines of a config file as --key=value flags, each
+    checked as that flag is; an error names the file and the line."""
     flags = []
     try:
         with open(path) as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
-                    raise InvalidConfig(f"bad config line {raw.rstrip()!r}")
-                key, value = line.split("=", 1)
+                key, sep, value = line.partition("=")
                 key = key.strip().replace("_", "-")
-                if key not in SHARED_FLAGS:
-                    raise InvalidConfig(f"unknown config key {key!r}")
+                if not sep or key not in SHARED_FLAGS:
+                    raise InvalidConfig(f"{path} line {lineno}: want key=value with "
+                                        f"a shared flag's key, got {raw.rstrip()!r}")
                 flags.append(f"--{key}={value.strip()}")
+                try:
+                    _shared_flags_parser().parse_args(flags[-1:])
+                except argparse.ArgumentError as exc:
+                    raise InvalidConfig(f"{path} line {lineno}: {exc}")
     except OSError as exc:
         raise IoError(f"cannot read config file {path!r}: {exc}")
     return flags
@@ -103,7 +110,8 @@ def _config_flags(path: str) -> list[str]:
 def _build_configs(args: argparse.Namespace, rate: float | None = None) -> RunConfig:
     """The run's settings from the parsed flags. The sample rate is --fs,
     else the input's `rate`, else the library default; the band stops at
-    min(8000, fs/2) unless --freq-hi is given."""
+    min(8000, fs/2) unless --freq-hi is given. The encoder config is
+    checked here, the dictionary config by `build_dictionary`."""
     encoder = EncoderConfig(
         max_codes=args.k,
         halt_threshold=args.threshold,
@@ -127,7 +135,6 @@ def _build_configs(args: argparse.Namespace, rate: float | None = None) -> RunCo
         freq_hi=freq_hi,
         kernel_len=args.width,
     )
-    dictionary.validate()
     return RunConfig(
         encoder=encoder,
         dictionary=dictionary,
@@ -137,7 +144,7 @@ def _build_configs(args: argparse.Namespace, rate: float | None = None) -> RunCo
 
 
 def _cmd_encode(args) -> int:
-    _build_configs(args)  # a config error exits before any I/O
+    _build_configs(args)  # an encoder config error exits before any I/O
     samples, rate = read_input(
         RunConfig(input_path=args.input, input_format=args.format))
     cfg = _build_configs(args, rate)
@@ -289,32 +296,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    enc = subs.add_parser("encode", help="signal file -> spike event file")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        sub = subs.add_parser(name, help=summary, parents=[_shared_flags_parser()])
+        sub.set_defaults(func=func)
+        return sub
+
+    enc = command("encode", _cmd_encode, "signal file -> spike event file")
     enc.add_argument("input")
     enc.add_argument("-o", "--output")
     enc.add_argument("--format", choices=["wav16", "csv", "raw-f32"])
     enc.add_argument("--output-format", choices=["csv", "jsonl"], default="csv")
     enc.add_argument("--with-raw-intensity", action="store_true",
                      help="append the signed code intensity column")
-    _add_shared_flags(enc)
-    enc.set_defaults(func=_cmd_encode)
 
-    dec = subs.add_parser("decode", help="spike event file -> waveform")
+    dec = command("decode", _cmd_decode, "spike event file -> waveform")
     dec.add_argument("events")
     dec.add_argument("-o", "--output", required=True,
                      help="output waveform (.wav, .csv or .f32)")
     dec.add_argument("--length", type=int, help="output length in samples")
     dec.add_argument("--quantized", action="store_true",
                      help="reconstruct from channel centers instead of raw s")
-    _add_shared_flags(dec)
-    dec.set_defaults(func=_cmd_decode)
 
-    ben = subs.add_parser("bench", help="time both backends on synthetic data")
+    ben = command("bench", _cmd_bench, "time both backends on synthetic data")
     ben.add_argument("--segments", type=int, default=10)
-    _add_shared_flags(ben)
-    ben.set_defaults(func=_cmd_bench)
 
-    ev = subs.add_parser("eval", help="train/evaluate the MLP on event files")
+    ev = command("eval", _cmd_eval, "train/evaluate the MLP on event files")
     ev.add_argument("--features-from", required=True,
                     help="directory of event files")
     ev.add_argument("--labels", required=True, help="csv of stem,label lines")
@@ -326,13 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="F@E", help="multiply lr by F every E epochs")
     ev.add_argument("--bin", type=int, help="temporal-average bin width")
     ev.add_argument("--model-out", help="save trained weights here")
-    _add_shared_flags(ev)
-    ev.set_defaults(func=_cmd_eval)
 
-    dd = subs.add_parser("dict-dump", help="write the kernel bank as csv")
+    dd = command("dict-dump", _cmd_dict_dump, "write the kernel bank as csv")
     dd.add_argument("-o", "--output", required=True)
-    _add_shared_flags(dd)
-    dd.set_defaults(func=_cmd_dict_dump)
     return parser
 
 

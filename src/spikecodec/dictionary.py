@@ -99,6 +99,11 @@ class Dictionary:
     def kernel_len(self) -> int:
         return self.kernels.shape[1]
 
+    @cached_property
+    def support(self) -> tuple[int, int]:  # columns [lo, hi) where a kernel is nonzero
+        cols = np.flatnonzero(np.any(self.kernels, axis=0))
+        return (int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 0)
+
 
 @dataclass(frozen=True)
 class SpectralDictionary:
@@ -106,11 +111,7 @@ class SpectralDictionary:
 
     spectra: np.ndarray  # (num_kernels, fft_len), complex
     fft_len: int
-    support: tuple[int, int]  # columns [lo, hi) where some kernel is nonzero
-
-    @property
-    def num_kernels(self) -> int:
-        return self.spectra.shape[0]
+    support: tuple[int, int]  # the Dictionary's support
 
     @cached_property
     def magnitudes(self) -> np.ndarray:  # |spectra| on the rfft bins, on first use
@@ -159,9 +160,7 @@ def kernel_spectra(
     segment width `signal_len` (default: the kernel length)."""
     if signal_len is None:
         signal_len = dictionary.kernel_len
-    cols = np.flatnonzero(np.any(dictionary.kernels, axis=0))
-    support = (int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 0)
-    bound = _lag_window_bound(signal_len, *support)
+    bound = _lag_window_bound(signal_len, *dictionary.support)
     if fft_len < bound:
         raise LengthTooSmall(f"fft_len {fft_len} below lag-window bound {bound}")
     base = fft_len // 3 if fft_len % 3 == 0 else fft_len
@@ -170,7 +169,7 @@ def kernel_spectra(
 
     spectra = np.fft.fft(dictionary.kernels, n=fft_len, axis=1)
     spectra.flags.writeable = False
-    return SpectralDictionary(spectra, fft_len, support)
+    return SpectralDictionary(spectra, fft_len, dictionary.support)
 
 
 def _lag_window_bound(width: int, lo: int, hi: int) -> int:

@@ -93,25 +93,26 @@ class EncoderConfig:
             raise InvalidConfig(f"width must be even and >= 2, got {self.width}")
 
 
-def _residual_windows(samples: np.ndarray, kernel_len: int) -> np.ndarray:
-    """Rows j = residual slice [tau_j, tau_j + kernel_len), zero outside,
-    for tau_j = j - W//2, j = 0..W. Zero-copy strided view."""
+def _residual_windows(samples: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows j = residual slice [tau_j + lo, tau_j + hi), zero outside, for
+    tau_j = j - W//2, j = 0..W: the samples that meet kernel columns
+    [lo, hi) at shift tau_j. Zero-copy strided view of a padded copy."""
     w = len(samples)
     if w % 2:
         raise DimensionMismatch(f"correlation needs an even width, got {w}")
     half = w // 2
-    padded = np.concatenate(
-        [np.zeros(half, samples.dtype), samples, np.zeros(kernel_len, samples.dtype)]
-    )
-    return sliding_window_view(padded, kernel_len)[: w + 1]
+    padded = np.concatenate([np.zeros(max(0, half - lo), samples.dtype), samples,
+                             np.zeros(max(0, hi - half), samples.dtype)])
+    return sliding_window_view(padded[max(0, lo - half):], hi - lo)[: w + 1]
 
 
 def correlate_direct(residual: np.ndarray, dictionary: Dictionary) -> np.ndarray:
     """Time-domain correlation of the residual against all shifted kernels:
     values[m, j] = correlation with kernel m at shift tau = j - W/2, shape
-    (num_kernels, W + 1)."""
-    windows = _residual_windows(residual, dictionary.kernel_len)
-    values = windows @ dictionary.kernels.T  # (W+1, num_kernels)
+    (num_kernels, W + 1). Only the kernels' support columns are multiplied."""
+    lo, hi = dictionary.support
+    windows = _residual_windows(residual, lo, hi)
+    values = windows @ dictionary.kernels[:, lo:hi].T  # (W+1, num_kernels)
     return np.ascontiguousarray(values.T)
 
 
@@ -146,7 +147,7 @@ def correlate_spectral(
         top = np.fft.irfft(spectrum * kernels[np.argmax(bounds)], n)[w::-1]
         best = np.max(np.abs(top) if prune == "abs" else top)
         rows = np.flatnonzero(bounds >= best)
-    values = np.zeros((sdict.num_kernels, w + 1))
+    values = np.zeros((len(sdict.spectra), w + 1))
     values[rows] = np.fft.irfft(spectrum * kernels[rows], n, axis=1)[:, w::-1]
     return values
 
@@ -279,7 +280,7 @@ def _correlate_fixed_direct(
     rows that cannot overflow are exact only where that rule's pick can be.
     """
     w = len(resid_raw)
-    windows = _residual_windows(resid_raw, kernels_raw.shape[1])
+    windows = _residual_windows(resid_raw, 0, kernels_raw.shape[1])
     rmax = int(np.max(np.abs(resid_raw)))
     surface = np.zeros((kernels_raw.shape[0], w + 1), dtype=np.int64)
     if rmax == 0:

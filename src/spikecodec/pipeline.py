@@ -333,7 +333,6 @@ class BenchReport:
     wall_time_per_segment: float
     codes_per_second: float
     segments_per_second: float
-    config: EncoderConfig
     # spectral run matches the direct run of the same arithmetic mode
     sequences_match_direct: bool = True
 
@@ -369,7 +368,6 @@ def run_bench(cfg: RunConfig, n_segments: int = 10) -> list[BenchReport]:
                     wall_time_per_segment=elapsed / max(n_segments, 1),
                     codes_per_second=n_codes / elapsed if elapsed > 0 else 0.0,
                     segments_per_second=n_segments / elapsed if elapsed > 0 else 0.0,
-                    config=enc,
                     sequences_match_direct=(seq == reference[arithmetic]),
                 )
             )

@@ -120,6 +120,17 @@ def test_spectra_match_naive_dft_oracle(full_dict):
     assert np.max(np.abs(sd.spectra - naive)) / scale < 1e-9
 
 
+@pytest.mark.parametrize("width", [256, 2048])
+def test_support_is_the_nonzero_column_range(width):
+    # the gammatone buffer opens with W/2 zeros; the delta sits at column 0
+    gammatone = build_dictionary(DictionaryConfig(num_kernels=6, kernel_len=width))
+    for d, expected in ((gammatone, (width // 2, width)),
+                        (_delta_dictionary(width), (0, 1))):
+        nonzero = [i for i in range(width) if any(d.kernels[:, i])]
+        assert d.support == (nonzero[0], nonzero[-1] + 1) == expected
+        assert kernel_spectra(d, default_fft_len(width, width)).support == d.support
+
+
 def test_fft_len_bounds():
     d = _delta_dictionary(length=256)
     with pytest.raises(LengthTooSmall):

@@ -1,12 +1,15 @@
 import functools
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from spikecodec.dictionary import (
+    Dictionary,
     DictionaryConfig,
     build_dictionary,
     default_fft_len,
@@ -28,7 +31,12 @@ from spikecodec.errors import (
     LengthTooSmall,
     ShiftOutOfRange,
 )
-from spikecodec.fixedpoint import FixedFormat, SaturationStats
+from spikecodec.fixedpoint import (
+    FixedFormat,
+    SaturationStats,
+    dequantize_array,
+    quantize_array,
+)
 from spikecodec.pipeline import make_audio_clip, segment_stream
 
 from conftest import max_in_support_shift
@@ -117,6 +125,63 @@ def test_direct_matches_triple_loop_oracle():
     oracle = brute_force_correlation(residual, d.kernels, width)
     assert surface.shape == (4, width + 1)
     assert np.max(np.abs(surface - oracle)) < 1e-9
+
+
+def _untrimmed_correlation(residual, kernels):
+    """Every kernel column multiplied, zeros included: row j of the residual
+    padded with W/2 zeros in front and L behind, times each kernel."""
+    w, length = len(residual), kernels.shape[1]
+    padded = np.concatenate([np.zeros(w // 2), residual, np.zeros(length)])
+    return (sliding_window_view(padded, length)[: w + 1] @ kernels.T).T
+
+
+@functools.cache
+def _dequantized_20_10():
+    """Gammatones above 1 kHz through 20:10: quantization zeroes the tails,
+    so the support ends before the buffer does."""
+    d = build_dictionary(DictionaryConfig(num_kernels=8, freq_lo=1000.0,
+                                          kernel_len=512))
+    fmt = FixedFormat(20, 10, "wrap")
+    return replace(d, kernels=dequantize_array(quantize_array(d.kernels, fmt), fmt))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(["dequantized-20:10", "random"]), data=st.data())
+def test_support_trimmed_correlation_matches_untrimmed(case, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if case == "random":  # any support, kernels shorter or longer than W
+        width = 2 * data.draw(st.integers(1, 40), label="half width")
+        length = data.draw(st.integers(1, 2 * width), label="kernel length")
+        lo = data.draw(st.integers(0, length - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, length), label="hi")
+        kernels = np.zeros((3, length))
+        kernels[:, lo:hi] = rng.standard_normal((3, hi - lo))
+        d = Dictionary(kernels, np.array([100.0, 200.0, 300.0]),
+                       DictionaryConfig(num_kernels=3, kernel_len=length))
+        assert d.support == (lo, hi)
+    else:
+        d = _dequantized_20_10()
+        width = d.kernel_len
+        assert d.support[0] == width // 2 and d.support[1] < width
+    residual = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(width)
+    trimmed = correlate_direct(residual, d)
+    full = _untrimmed_correlation(residual, d.kernels)
+    assert np.max(np.abs(trimmed - full)) <= 1e-12 * np.max(np.abs(full))
+    assert np.argmax(np.abs(trimmed)) == np.argmax(np.abs(full))
+
+
+def test_direct_float_matches_spectral_at_reference_width(full_dict, full_sdict):
+    # the trimmed product has a shorter inner dimension at W=2048, which
+    # BLAS blocks differently: s may move in its last bits, never the pick
+    x = make_audio_clip(2048, seed=0)
+    direct, spectral = (
+        encode_segment(Segment(x), full_dict, full_sdict, EncoderConfig(backend=b))
+        for b in ("direct", "spectral")
+    )
+    assert len(direct) == 16
+    assert np.array_equal(direct.m, spectral.m)
+    assert np.array_equal(direct.tau, spectral.tau)
+    assert np.all(np.abs(direct.s - spectral.s) <= 1e-12 * np.abs(spectral.s))
 
 
 def test_spectral_matches_direct(small_dict, small_sdict):

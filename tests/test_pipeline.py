@@ -504,6 +504,15 @@ def _cut_wav(frames, cut_bytes):
     return make_argv
 
 
+def _wav_at_rate(rate, *extra):
+    def make_argv(tmp_path):
+        path = tmp_path / "in.wav"
+        clip = make_audio_clip(512, sample_rate=float(rate), seed=5)
+        _write_wav(path, np.round(clip * 32767), rate=rate)
+        return ["encode", str(path), *extra, *SMALL_FLAGS]
+    return make_argv
+
+
 def _encode_args(tmp_path, name, data, *extra):
     path = tmp_path / name
     path.write_bytes(data)
@@ -625,6 +634,9 @@ def _config_args(tmp_path, text):
     # a file value meets the same type and choices checks as a flag
     (lambda tmp: _config_args(tmp, "itp=lgo\n"), 2),
     (lambda tmp: _config_args(tmp, "k=abc\n"), 2),
+    # the band is checked against the wav's rate, not the 16 kHz default
+    (_wav_at_rate(22050, "--freq-hi", "10000"), 0),
+    (_wav_at_rate(22050, "--freq-hi", "12000"), 2),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
@@ -635,7 +647,8 @@ def _config_args(tmp_path, text):
         "decode-wav-unwritable", "decode-csv-unwritable", "decode-f32-unwritable",
         "model-out-unwritable", "jsonl-array-record", "jsonl-number-record",
         "jsonl-null-field", "jsonl-list-field", "jsonl-fractional-time",
-        "jsonl-bool-kernel", "config-itp-invalid", "config-k-not-int"])
+        "jsonl-bool-kernel", "config-itp-invalid", "config-k-not-int",
+        "wav-22050-band-below-nyquist", "wav-22050-band-above-nyquist"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     out = _cli(*make_argv(tmp_path))
     assert out.returncode == code, out.stderr
@@ -725,6 +738,19 @@ def test_cli_config_file_and_flag_precedence(tmp_path, signal_csv):
     assert out.returncode == 0, out.stderr
     # --k 1 must override k=4 from the file: fewer events
     assert len(a.read_text().splitlines()) > len(b.read_text().splitlines())
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("k=4\n# comment\nbackend=\n", 3, "argument --backend: invalid choice: ''"),
+    ("k=abc\n", 1, "argument --k: invalid int value: 'abc'"),
+    ("\nwidth=128\nseed=3\n", 3, "want key=value with a shared flag's key"),
+    ("kernels 6\n", 1, "want key=value with a shared flag's key"),
+], ids=["backend-empty", "k-not-int", "seed-not-shared", "no-equals"])
+def test_cli_config_file_error_names_file_and_line(tmp_path, text, line, message):
+    out = _cli(*_config_args(tmp_path, text))
+    assert out.returncode == 2
+    assert f"config error: {tmp_path / 'run.cfg'} line {line}: {message}" in out.stderr
+    assert "usage:" not in out.stderr
 
 
 def test_cli_sample_rate_precedence(tmp_path):
