@@ -117,15 +117,21 @@ def correlate_direct(residual: np.ndarray, dictionary: Dictionary) -> np.ndarray
 
 
 def correlate_spectral(
-    residual: np.ndarray, sdict: SpectralDictionary, prune: str | None = None
-) -> np.ndarray:
+    residual: np.ndarray, sdict: SpectralDictionary, prune: str | None = None,
+    fmt: FixedFormat | None = None, stats: SaturationStats | None = None,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """FFT backend; identical contract to `correlate_direct`.
 
-    With `prune` set to a select rule, rows that can neither hold nor tie
-    that rule's pick are left zero, so `select_code` returns the same code:
-    |row m| <= B_m = sum_k w_k |K_m[k]| |R[k]| with irfft's weights w (1/n
-    at DC and Nyquist, 2/n elsewhere; 1 + 1e-9 covers rounding), the row of
-    largest B_m sets the best value, and rows with B_m >= best are kept."""
+    With `prune` set to a select rule, returns `(rows, values)`: the
+    ascending indices of the rows that can hold or tie that rule's pick,
+    and those rows alone. |row m| <= B_m = sum_k w_k |K_m[k]| |R[k]| with
+    irfft's weights w (1/n at DC and Nyquist, 2/n elsewhere; 1 + 1e-9
+    covers rounding); the row of largest B_m, transformed once, sets the
+    bar, and rows with B_m >= bar are kept. With `fmt`, every kept row is
+    requantized to raw int64 (overflow tallied in `stats`) and rows with
+    qb_m = 2^F B_m + 1/2 >= the raw bar are kept: a dropped row's integers
+    can neither win nor tie, nor overflow, since the bar is at most
+    raw_max + 1 = |raw_min|."""
     w, n = len(residual), sdict.fft_len
     if w % 2:
         raise DimensionMismatch(f"correlation needs an even width, got {w}")
@@ -138,31 +144,46 @@ def correlate_spectral(
     )
     spectrum = np.conj(np.fft.rfft(rotated))
     kernels = sdict.spectra[:, : n // 2 + 1]
-    rows = slice(None)
-    if prune is not None:
-        weights = np.full(n // 2 + 1, 2.0 / n)
-        # DC and Nyquist; for odd n there is no Nyquist bin and both are bin 0
-        weights[0] = weights[n // 2 * (1 - n % 2)] = 1.0 / n
-        bounds = (1 + 1e-9) * (sdict.magnitudes @ (weights * np.abs(spectrum)))
-        top = np.fft.irfft(spectrum * kernels[np.argmax(bounds)], n)[w::-1]
-        best = np.max(np.abs(top) if prune == "abs" else top)
-        rows = np.flatnonzero(bounds >= best)
-    values = np.zeros((len(sdict.spectra), w + 1))
-    values[rows] = np.fft.irfft(spectrum * kernels[rows], n, axis=1)[:, w::-1]
-    return values
+    if prune is None:
+        return np.fft.irfft(spectrum * kernels, n, axis=1)[:, w::-1].copy()
+
+    def transform(rows):  # the rows' W + 1 lags, requantized under `fmt`
+        values = np.fft.irfft(spectrum * kernels[rows], n, axis=-1)[..., w::-1]
+        return values if fmt is None else quantize_array(values, fmt, stats)
+
+    weights = np.full(n // 2 + 1, 2.0 / n)
+    # DC and Nyquist; for odd n there is no Nyquist bin and both are bin 0
+    weights[0] = weights[n // 2 * (1 - n % 2)] = 1.0 / n
+    bounds = (1 + 1e-9) * (sdict.magnitudes @ (weights * np.abs(spectrum)))
+    top = int(np.argmax(bounds))
+    top_values = transform(top)
+    bar = np.max(np.abs(top_values) if prune == "abs" else top_values)
+    if fmt is not None:
+        bounds = fmt.scale * bounds + 0.5  # qb_m, bounding |rint(2^F c)|
+    keep = bounds >= bar
+    keep[top] = True  # bar <= B_top: kept, and not transformed again
+    rows = np.flatnonzero(keep)
+    at = int(np.searchsorted(rows, top))
+    rest = transform(rows[rows != top])
+    return rows, np.concatenate([rest[:at], top_values[None], rest[at:]])
 
 
-def select_code(values: np.ndarray, select: str = "abs") -> tuple[int, int, float]:
+def select_code(
+    values: np.ndarray, select: str = "abs", rows: np.ndarray | None = None
+) -> tuple[int, int, float]:
     """Pick the dominant entry of a correlation surface as (m, tau, s).
 
     Ties break to the smallest kernel index, then the most negative shift
     (argmax scans in C order), mirroring a sequential comparator that only
     updates on strict improvement. `select="abs"` ranks by magnitude and
-    keeps the sign in `s`; `select="signed"` ranks by raw value.
+    keeps the sign in `s`; `select="signed"` ranks by raw value. With
+    `rows`, `values` holds only those ascending kernel rows (the pruned
+    spectral surface) and the pick's row is mapped back through them.
     """
     ranked = np.abs(values) if select == "abs" else values
-    m, j = np.unravel_index(int(np.argmax(ranked)), ranked.shape)
-    return int(m), int(j) - (values.shape[1] - 1) // 2, float(values[m, j])
+    k, j = np.unravel_index(int(np.argmax(ranked)), ranked.shape)
+    m = k if rows is None else rows[k]
+    return int(m), int(j) - (values.shape[1] - 1) // 2, float(values[k, j])
 
 
 def shift_kernel(kernel: np.ndarray, tau: int, width: int) -> np.ndarray:
@@ -218,8 +239,9 @@ def encode_segment(
     residual, correlate, subtract = datapath(segment, dictionary, sdict, cfg, stats)
     rows = []
     for _ in range(cfg.max_codes):
-        native, values = correlate(residual)
-        m, tau, s = select_code(values, cfg.select)
+        # kept: the rows `values` holds (None: all); native: what subtract reads
+        native, kept, values = correlate(residual)
+        m, tau, s = select_code(values, cfg.select, kept)
         if s == 0 or abs(s) < cfg.halt_threshold:
             break
         rows.append((segment.segment_index, m, tau, s))
@@ -233,12 +255,10 @@ def _float_datapath(segment, dictionary, sdict, cfg, stats):
 
     def correlate(residual: np.ndarray):
         if cfg.backend == "direct":
-            values = correlate_direct(residual, dictionary)
-        else:
-            values = correlate_spectral(residual, sdict, cfg.select)
-        return values, values
+            return None, None, correlate_direct(residual, dictionary)
+        return None, *correlate_spectral(residual, sdict, cfg.select)
 
-    def subtract(residual: np.ndarray, m: int, tau: int, s: float, _values):
+    def subtract(residual: np.ndarray, m: int, tau: int, s: float, _native):
         return subtract_component(residual, m, tau, s, dictionary)
 
     return segment.samples, correlate, subtract
@@ -337,20 +357,22 @@ def _fixed_datapath(segment, dictionary, sdict, cfg, stats):
 
     def correlate(resid_raw: np.ndarray):
         if cfg.backend == "direct":
+            rows = np.arange(len(kernels_raw))
             surface_raw = _correlate_fixed_direct(
                 resid_raw, kernels_raw, supports, fmt, stats,
                 (screen_dict, cfg.select),
             )
         else:
-            # FFT stage runs in float; the stored surface is requantized to
-            # the datapath width, as a wide-word FFT core would deliver it
-            float_values = correlate_spectral(dequantize_array(resid_raw, fmt), sdict)
-            surface_raw = quantize_array(float_values, fmt, stats)
-        return surface_raw, dequantize_array(surface_raw, fmt)
+            # FFT stage runs in float; the kept rows are requantized to the
+            # datapath width, as a wide-word FFT core would deliver them
+            rows, surface_raw = correlate_spectral(
+                dequantize_array(resid_raw, fmt), sdict, cfg.select, fmt, stats)
+        return (rows, surface_raw), rows, dequantize_array(surface_raw, fmt)
 
-    def subtract(resid_raw: np.ndarray, m: int, tau: int, _s, surface_raw):
+    def subtract(resid_raw: np.ndarray, m: int, tau: int, _s, native):
         # the raw pick, not s requantized: inexact past 53 bits
-        s_raw = int(surface_raw[m, tau + segment.width // 2])
+        rows, surface_raw = native
+        s_raw = int(surface_raw[np.searchsorted(rows, m), tau + segment.width // 2])
         shifted = shift_kernel(kernels_raw[m], tau, segment.width)
         kmax = int(np.max(np.abs(shifted)))
         if abs(s_raw) * max(kmax, 1) >= (1 << 62):

@@ -149,10 +149,9 @@ def quantize_array(
         flat = np.array([quantize(v, fmt, stats).raw for v in x.ravel()])
         return flat.reshape(x.shape)
     scaled = np.rint(x * fmt.scale)
-    scaled = np.nan_to_num(
-        scaled, nan=0.0, posinf=float(fmt.raw_max + 1), neginf=float(fmt.raw_min - 1)
-    )
-    # keep values within int64 before the cast; counting happens on the ints
+    scaled = np.where(np.isnan(scaled), 0.0, scaled)
+    # keep values (infinities too) within int64 before the cast; counting
+    # happens on the ints
     clipped = np.clip(scaled, float(fmt.raw_min - 1), float(fmt.raw_max + 1))
     return apply_overflow_array(clipped.astype(np.int64), fmt, stats)
 

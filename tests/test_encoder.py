@@ -235,20 +235,34 @@ def _prune_setup(width):
     return d, kernel_spectra(d, default_fft_len(width, width), signal_len=width)
 
 
-@settings(max_examples=200, deadline=None)
+# arithmetic of the requantized surface, and the stimulus scale that makes
+# it overflow: ±512 is the range of both fixed formats
+PRUNE_MODES = {
+    "float": (None, 1.0),
+    "34:24": (FixedFormat(34, 24), 1.0),
+    "34:24-saturating": (FixedFormat(34, 24), 400.0),
+    "20:10-wrap": (FixedFormat(20, 10, "wrap"), 300.0),
+}
+
+
+@settings(max_examples=400, deadline=None)
 @given(width=st.sampled_from([64, 128, 256]),
        select=st.sampled_from(["abs", "signed"]),
        kind=st.sampled_from(["kernel", "mixture", "noise", "zero"]),
+       mode=st.sampled_from(sorted(PRUNE_MODES)),
        seed=st.integers(0, 2**32 - 1))
 # an unclipped shifted kernel attains the row bound at its own (m, tau);
 # without the 1 + 1e-9 margin, rounding prunes the pick's row in these
-@example(width=64, select="abs", kind="kernel", seed=8)
-@example(width=128, select="abs", kind="kernel", seed=4)
-@example(width=256, select="signed", kind="kernel", seed=27)
-@example(width=128, select="abs", kind="zero", seed=0)
-@example(width=128, select="signed", kind="zero", seed=0)
-def test_pruned_pick_equals_full_surface_pick(width, select, kind, seed):
+@example(width=64, select="abs", kind="kernel", mode="float", seed=8)
+@example(width=128, select="abs", kind="kernel", mode="float", seed=4)
+@example(width=256, select="signed", kind="kernel", mode="float", seed=27)
+@example(width=128, select="abs", kind="zero", mode="float", seed=0)
+@example(width=128, select="signed", kind="zero", mode="float", seed=0)
+@example(width=128, select="abs", kind="mixture", mode="34:24-saturating", seed=1)
+@example(width=128, select="signed", kind="mixture", mode="20:10-wrap", seed=1)
+def test_pruned_pick_equals_full_surface_pick(width, select, kind, mode, seed):
     d, sdict = _prune_setup(width)
+    fmt, scale = PRUNE_MODES[mode]
     rng = np.random.default_rng(seed)
     x = np.zeros(width)
     if kind == "noise":
@@ -259,14 +273,27 @@ def test_pruned_pick_equals_full_surface_pick(width, select, kind, seed):
         tau = int(rng.integers(-(width // 2), 1))
         x += rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0]) * shift_kernel(
             d.kernels[m], tau, width)
-    full = correlate_spectral(x, sdict)
-    pruned = correlate_spectral(x, sdict, prune=select)
-    a, b = select_code(full, select), select_code(pruned, select)
-    assert a[:2] == b[:2]
-    assert np.float64(a[2]).tobytes() == np.float64(b[2]).tobytes()
-    # rows are transformed exactly as in the full surface or left zero
-    kept = np.any(pruned != 0, axis=1)
-    assert full[kept].tobytes() == pruned[kept].tobytes()
+    full, stats, full_stats = correlate_spectral(x, sdict), None, None
+    if fmt is not None:  # a residual as the fixed datapath holds it
+        x = dequantize_array(quantize_array(scale * x, fmt), fmt)
+        stats, full_stats = SaturationStats(), SaturationStats()
+        full = quantize_array(correlate_spectral(x, sdict), fmt, full_stats)
+    rows, kept = correlate_spectral(x, sdict, select, fmt, stats)
+    assert np.all(np.diff(rows) > 0)
+
+    def pick(values, rows=None):  # (m, tau, s bytes: raw int64 under fmt)
+        ranked = values if fmt is None else dequantize_array(values, fmt)
+        m, tau, _ = select_code(ranked, select, rows)
+        k = m if rows is None else int(np.searchsorted(rows, m))
+        return m, tau, values[k, tau + width // 2].tobytes()
+
+    assert pick(kept, rows) == pick(full)
+    # kept rows are transformed (and requantized) exactly as in the full
+    # surface, and pruning changes no overflow count
+    assert full[rows].tobytes() == kept.tobytes()
+    if fmt is not None:
+        assert (stats.saturations, stats.wraps) == (
+            full_stats.saturations, full_stats.wraps)
 
 
 def test_spectral_finds_shifted_kernel(small_dict, small_sdict):
@@ -309,6 +336,74 @@ def test_select_matches_exhaustive_scan():
                     if best is None or key > best[0]:
                         best = (key, m, j - 16, values[m, j])
             assert code == best[1:]
+
+
+def test_select_over_kept_rows_keeps_the_tie_rule():
+    # kept rows 1, 3, 7 (row 5 pruned): rows 3 and 7 tie at |0.8|, and row 3
+    # holds it twice; the pick is row 3 at its most negative shift
+    width = 64
+    values = np.zeros((3, width + 1))
+    values[0, 0] = 0.5
+    values[1, width // 2 + 5] = 0.8
+    values[1, width // 2 - 20] = -0.8
+    values[2, 0] = 0.8
+    assert select_code(values, "abs", np.array([1, 3, 7])) == (3, -20, -0.8)
+    assert select_code(values, "signed", np.array([1, 3, 7])) == (3, 5, 0.8)
+
+
+@pytest.mark.parametrize("fmt", [None, FixedFormat(34, 24)])
+def test_pruned_surface_keeps_tied_rows_and_drops_small_ones(fmt):
+    # kernels 3 and 7 are equal, so their rows are equal to the bit; kernel 5
+    # is too small to reach the bar and is pruned
+    width = 128
+    d, _ = _prune_setup(width)
+    kernels = d.kernels.copy()
+    kernels[7] = kernels[3]
+    kernels[5] *= 1e-3
+    d = replace(d, kernels=kernels)
+    sdict = kernel_spectra(d, default_fft_len(width, width), signal_len=width)
+    x = 2.0 * shift_kernel(kernels[3], -10, width)
+    rows, values = correlate_spectral(x, sdict, "abs", fmt, SaturationStats())
+    assert 3 in rows and 7 in rows and 5 not in rows
+    k3, k7 = np.searchsorted(rows, [3, 7])
+    assert values[k3].tobytes() == values[k7].tobytes()
+    ranked = values if fmt is None else dequantize_array(values, fmt)
+    assert select_code(ranked, "abs", rows)[:2] == (3, -10)
+
+
+def test_fixed_pruning_keeps_a_row_that_rounds_up_to_the_bar():
+    # kernel 7 is kernel 3 scaled up by 1e-12, so row 7 sets the bar; the
+    # residual is kernel 3 at 2^-4 + 0.7 LSB, so row 3 attains its bound,
+    # 0.3 LSB below the bar, and rounds up to tie it: only the + 1/2 in qb_m
+    # keeps row 3, the full surface's pick
+    width, fmt = 128, FixedFormat(34, 24)
+    d, _ = _prune_setup(width)
+    kernels = d.kernels.copy()
+    kernels[7] = kernels[3] * (1 + 1e-12)
+    d = replace(d, kernels=kernels)
+    sdict = kernel_spectra(d, default_fft_len(width, width), signal_len=width)
+    x = (2**20 + 0.7) / fmt.scale * shift_kernel(kernels[3], -10, width)
+    full = quantize_array(correlate_spectral(x, sdict), fmt)
+    rows, values = correlate_spectral(x, sdict, "abs", fmt)
+    assert full[3, width // 2 - 10] == full[7, width // 2 - 10] == 2**20 + 1
+    assert select_code(dequantize_array(values, fmt), "abs", rows)[:2] == (3, -10)
+
+
+@pytest.mark.parametrize("fmt", [None, FixedFormat(34, 24)])
+def test_signed_pruning_keeps_every_row_when_all_values_are_negative(fmt):
+    # positive kernels over the whole window and a negative residual: every
+    # entry is negative, so the signed bar is too and no bound falls below it
+    width = 64
+    rng = np.random.default_rng(0)
+    kernels = 0.1 + rng.uniform(size=(6, width))
+    d = Dictionary(kernels, np.arange(1.0, 7.0), DictionaryConfig(
+        num_kernels=6, kernel_len=width))
+    sdict = kernel_spectra(d, default_fft_len(width, width), signal_len=width)
+    x = -0.1 - rng.uniform(size=width)
+    assert np.all(correlate_spectral(x, sdict) < 0)
+    rows, values = correlate_spectral(x, sdict, "signed", fmt, SaturationStats())
+    assert rows.tolist() == list(range(6))
+    assert np.all(values < 0)
 
 
 # ----- subtract_component -----
@@ -486,9 +581,21 @@ FIXED_34_24 = FixedFormat(34, 24)
      "bb35f747c53cc18d", 0),
     (512, 1.0, dict(backend="direct", arithmetic="fixed",
                     fixed_format=FIXED_34_24), "0ab9ab4b77762115", 0),
+    # the spectral requantize under overflow: a pruned row must not change
+    # a count
+    (128, 400.0, dict(backend="spectral", arithmetic="fixed",
+                      fixed_format=FIXED_34_24), "ec990f89c183b4a5", 340),
+    (128, 300.0, dict(backend="spectral", arithmetic="fixed",
+                      fixed_format=FixedFormat(20, 10, "wrap")),
+     "d5035290502c24f4", 945),
+    (512, 400.0, dict(backend="spectral", arithmetic="fixed",
+                      fixed_format=FIXED_34_24, select="signed"),
+     "27344727ba48b090", 851),
 ], ids=["direct-float", "spectral-float", "direct-34:24", "spectral-34:24",
         "direct-34:24-saturating", "direct-20:10-wrap", "spectral-34:24-signed",
-        "spectral-48:36", "direct-34:24-signed", "direct-34:24-W512"])
+        "spectral-48:36", "direct-34:24-signed", "direct-34:24-W512",
+        "spectral-34:24-saturating", "spectral-20:10-wrap",
+        "spectral-34:24-signed-saturating"])
 def test_encoder_output_pinned_per_mode(width, scale, cfg_kwargs, digest,
                                         overflows):
     # a refactor of the pursuit loop or a datapath must keep every mode's

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import json
@@ -207,6 +208,14 @@ def _codesets(draw):
     return width, [codes(*[(i, *c) for c in seg]) for i, seg in enumerate(segments)]
 
 
+def _as_written(width, seg, m, tau, s):
+    """A code as an event file gives it back: s to 6 significant digits,
+    and a shift of +W/2 as the next segment's -W/2 (one event time)."""
+    if tau == width // 2:
+        seg, tau = seg + 1, -(width // 2)
+    return seg, m, tau, float(format(s, ".6g"))
+
+
 @pytest.fixture(scope="module")
 def round_trip_path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("round_trip") / "ev.csv")
@@ -223,17 +232,32 @@ def test_emit_write_parse_round_trip(round_trip_path, drawn, seed):
         write_events_csv(events, fh, with_raw=True)
     rebuilt = codes_from_events(parse_events(round_trip_path), width)
     back = [c for cs in rebuilt for c in cs.tolist()]
-
-    def key(seg, m, tau, s):  # s as written: 6 significant digits
-        if tau == width // 2:  # shares its event time with the next segment
-            seg, tau = seg + 1, -(width // 2)
-        return seg, m, tau, float(format(s, ".6g"))
-
+    key = functools.partial(_as_written, width)
     assert sorted(back) == sorted(key(*c) for cs in codesets for c in cs.tolist())
     in_file_order = [key(t // width, m, t % width - width // 2, s)
                      for t, _, m, _, _, s in events.tolist()]
     assert back == sorted(in_file_order, key=lambda c: c[0])  # a stable sort
     assert all(len(set(cs.segment_index)) == 1 for cs in rebuilt)
+
+
+@settings(max_examples=20, deadline=None)
+@given(backend=st.sampled_from(["direct", "spectral"]),
+       width=st.sampled_from([128, 256]),
+       seed=st.integers(0, 2**32 - 1))
+def test_encoded_clip_round_trips_through_event_file(round_trip_path, backend,
+                                                     width, seed):
+    # real codes, not drawn ones: encode -> emit -> write -> parse -> codes
+    d = build_dictionary(DictionaryConfig(num_kernels=8, kernel_len=width))
+    cfg = EncoderConfig(max_codes=8, width=width, backend=backend)
+    x = make_audio_clip(3 * width + width // 3, seed=seed)
+    codesets = encode_signal(x, d, cfg)
+    events = emit_stream(codesets, build_channel_table(d.num_kernels), width)
+    with open(round_trip_path, "w", newline="\n") as fh:
+        write_events_csv(events, fh, with_raw=True)
+    rebuilt = codes_from_events(parse_events(round_trip_path), width)
+    back = sorted(tuple(c) for cs in rebuilt for c in cs.tolist())
+    assert back == sorted(_as_written(width, *c) for cs in codesets
+                          for c in cs.tolist())
 
 
 # ----- synthetic clip and bench -----
