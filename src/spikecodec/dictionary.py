@@ -179,12 +179,16 @@ def _lag_window_bound(width: int, lo: int, hi: int) -> int:
     return max(hi + width // 2, 3 * width // 2 - lo, hi)
 
 
+def _fft_len(bound: int) -> int:
+    """Smallest 2^a or 3*2^a at or above `bound`."""
+    pow2 = 1 << (bound - 1).bit_length()
+    return 3 * pow2 // 4 if 3 * pow2 // 4 >= bound else pow2
+
+
 def default_fft_len(width: int, kernel_len: int) -> int:
     """Smallest 2^a or 3*2^a meeting `_lag_window_bound` for the kernels of
     `build_dictionary`, which are nonzero on [kernel_len/2, kernel_len)."""
-    bound = _lag_window_bound(width, kernel_len // 2, kernel_len)
-    pow2 = 1 << (bound - 1).bit_length()
-    return 3 * pow2 // 4 if 3 * pow2 // 4 >= bound else pow2
+    return _fft_len(_lag_window_bound(width, kernel_len // 2, kernel_len))
 
 
 def dump_dictionary_csv(dictionary: Dictionary, fh) -> None:

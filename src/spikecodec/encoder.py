@@ -20,11 +20,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dictionary import Dictionary, SpectralDictionary, _lag_window_bound
+from .dictionary import (
+    Dictionary,
+    SpectralDictionary,
+    _fft_len,
+    _lag_window_bound,
+    kernel_spectra,
+)
 from .errors import DimensionMismatch, InvalidConfig, ShiftOutOfRange
 from .fixedpoint import (
     FixedFormat,
@@ -116,6 +123,39 @@ def correlate_direct(residual: np.ndarray, dictionary: Dictionary) -> np.ndarray
     return np.ascontiguousarray(values.T)
 
 
+def _lag_transform(residual: np.ndarray, sdict: SpectralDictionary):
+    """The conjugate rfft of the residual, rotated to start at bin n - W/2
+    so that lag tau lands in bin W/2 - tau, and `transform(rows)`: those
+    kernel rows' W + 1 lags, as an irfft of the spectra products."""
+    w, n = len(residual), sdict.fft_len
+    if w % 2:
+        raise DimensionMismatch(f"correlation needs an even width, got {w}")
+    bound = _lag_window_bound(w, *sdict.support)
+    if n < bound:
+        raise DimensionMismatch(f"fft_len {n} below lag-window bound {bound}")
+    rotated = np.concatenate(
+        [residual[w // 2 :], np.zeros(n - w), residual[: w // 2]]
+    )
+    spectrum = np.conj(np.fft.rfft(rotated))
+    kernels = sdict.spectra[:, : n // 2 + 1]
+
+    def transform(rows):
+        return np.fft.irfft(spectrum * kernels[rows], n, axis=-1)[..., w::-1]
+
+    return spectrum, transform
+
+
+def _row_bounds(spectrum: np.ndarray, sdict: SpectralDictionary) -> np.ndarray:
+    """B_m >= |every lag of row m| = sum_k w_k |K_m[k]| |R[k]| with irfft's
+    weights w (1/n at DC and Nyquist, 2/n elsewhere); 1 + 1e-9 covers
+    rounding."""
+    n = sdict.fft_len
+    weights = np.full(n // 2 + 1, 2.0 / n)
+    # DC and Nyquist; for odd n there is no Nyquist bin and both are bin 0
+    weights[0] = weights[n // 2 * (1 - n % 2)] = 1.0 / n
+    return (1 + 1e-9) * (sdict.magnitudes @ (weights * np.abs(spectrum)))
+
+
 def correlate_spectral(
     residual: np.ndarray, sdict: SpectralDictionary, prune: str | None = None,
     fmt: FixedFormat | None = None, stats: SaturationStats | None = None,
@@ -124,48 +164,38 @@ def correlate_spectral(
 
     With `prune` set to a select rule, returns `(rows, values)`: the
     ascending indices of the rows that can hold or tie that rule's pick,
-    and those rows alone. |row m| <= B_m = sum_k w_k |K_m[k]| |R[k]| with
-    irfft's weights w (1/n at DC and Nyquist, 2/n elsewhere; 1 + 1e-9
-    covers rounding); the row of largest B_m, transformed once, sets the
-    bar, and rows with B_m >= bar are kept. With `fmt`, every kept row is
-    requantized to raw int64 (overflow tallied in `stats`) and rows with
-    qb_m = 2^F B_m + 1/2 >= the raw bar are kept: a dropped row's integers
-    can neither win nor tie, nor overflow, since the bar is at most
-    raw_max + 1 = |raw_min|."""
-    w, n = len(residual), sdict.fft_len
-    if w % 2:
-        raise DimensionMismatch(f"correlation needs an even width, got {w}")
-    bound = _lag_window_bound(w, *sdict.support)
-    if n < bound:
-        raise DimensionMismatch(f"fft_len {n} below lag-window bound {bound}")
-    # residual rotated to start at bin n - W/2: lag tau lands in bin W/2 - tau
-    rotated = np.concatenate(
-        [residual[w // 2 :], np.zeros(n - w), residual[: w // 2]]
-    )
-    spectrum = np.conj(np.fft.rfft(rotated))
-    kernels = sdict.spectra[:, : n // 2 + 1]
+    and those rows alone. |row m| <= B_m (`_row_bounds`); the row of
+    largest B_m, transformed once, sets the bar, and rows with B_m >= bar
+    are kept. With `fmt`, every kept row is requantized to raw int64
+    (overflow tallied in `stats`) and rows with qb_m = 2^F B_m + 1/2 >= the
+    raw bar are kept: a dropped row's integers can neither win nor tie,
+    nor overflow, since the bar is at most raw_max + 1 = |raw_min|."""
+    spectrum, transform = _lag_transform(residual, sdict)
     if prune is None:
-        return np.fft.irfft(spectrum * kernels, n, axis=1)[:, w::-1].copy()
+        return transform(slice(None)).copy()
 
-    def transform(rows):  # the rows' W + 1 lags, requantized under `fmt`
-        values = np.fft.irfft(spectrum * kernels[rows], n, axis=-1)[..., w::-1]
+    def requantized(rows):  # the rows' lags, requantized under `fmt`
+        values = transform(rows)
         return values if fmt is None else quantize_array(values, fmt, stats)
 
-    weights = np.full(n // 2 + 1, 2.0 / n)
-    # DC and Nyquist; for odd n there is no Nyquist bin and both are bin 0
-    weights[0] = weights[n // 2 * (1 - n % 2)] = 1.0 / n
-    bounds = (1 + 1e-9) * (sdict.magnitudes @ (weights * np.abs(spectrum)))
+    bounds = _row_bounds(spectrum, sdict)
     top = int(np.argmax(bounds))
-    top_values = transform(top)
+    top_values = requantized(top)
     bar = np.max(np.abs(top_values) if prune == "abs" else top_values)
     if fmt is not None:
         bounds = fmt.scale * bounds + 0.5  # qb_m, bounding |rint(2^F c)|
     keep = bounds >= bar
     keep[top] = True  # bar <= B_top: kept, and not transformed again
     rows = np.flatnonzero(keep)
+    return rows, _splice(requantized, rows, top, top_values)
+
+
+def _splice(transform, rows, top, top_values):
+    """`transform(rows)` for ascending `rows` that hold `top`, whose values
+    are already known: the other rows are transformed once."""
     at = int(np.searchsorted(rows, top))
     rest = transform(rows[rows != top])
-    return rows, np.concatenate([rest[:at], top_values[None], rest[at:]])
+    return np.concatenate([rest[:at], top_values[None], rest[at:]])
 
 
 def select_code(
@@ -266,102 +296,173 @@ def _float_datapath(segment, dictionary, sdict, cfg, stats):
 
 # ----- fixed-point datapath -----
 
-def _kernel_supports(kernels_raw: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """Per kernel: its nonzero support [lo, hi), max |k| and sum |k|, as
-    Python ints; (0, 0, 0, 0) for an all-zero kernel."""
-    supports = []
-    for krow in kernels_raw:
-        nonzero = np.flatnonzero(krow)
-        if len(nonzero) == 0:
-            supports.append((0, 0, 0, 0))
-            continue
-        lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
-        mag = np.abs(krow[lo:hi])
-        supports.append((lo, hi, int(mag.max()), int(mag.sum())))
-    return supports
+class _Supports(NamedTuple):
+    """Per raw kernel row, as int64: nonzero support [lo, hi), max |k|,
+    sum |k|, and the largest max |r| for which no running sum of the row
+    can leave the word (`_rmax_limit`)."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    kmax: np.ndarray
+    kabs: np.ndarray
+    rmax_limit: np.ndarray
+
+
+def _rmax_limit(n: int, kmax: int, kabs: int, fmt: FixedFormat) -> int:
+    """Largest max |r| that passes both no-overflow tests of a kernel row
+    with n support columns, in exact ints; -1 for an all-zero row. The
+    tests: rmax * kmax < 2**62 // n, so int64 holds each product and their
+    sum; and ((rmax * kabs) >> F) + n <= raw_max, which bounds every running
+    sum since |round(p / 2**F)| <= (|p| >> F) + 1."""
+    if kmax == 0:
+        return -1
+    headroom = ((1 << 62) // n - 1) // kmax
+    word = (((fmt.raw_max - n + 1) << fmt.frac_bits) - 1) // kabs
+    return min(headroom, word)
+
+
+def _kernel_supports(kernels_raw: np.ndarray, fmt: FixedFormat) -> _Supports:
+    """`_Supports` of the raw kernels; (0, 0, 0, 0, -1) for an all-zero row."""
+    mag = np.abs(kernels_raw)
+    nonzero = mag > 0
+    lo = np.argmax(nonzero, axis=1)
+    last = mag.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
+    hi = np.where(nonzero.any(axis=1), last, 0)
+    kmax, kabs = mag.max(axis=1, initial=0), mag.sum(axis=1)
+    limit = [_rmax_limit(int(b - a), int(k), int(s), fmt)
+             for a, b, k, s in zip(lo, hi, kmax, kabs)]
+    return _Supports(lo, hi, kmax, kabs, np.array(limit, np.int64))
+
+
+def _summed_entries(windows, kernels_raw, supports, ms, js, frac_bits):
+    """Exact entries (ms[i], js[i]) of rows whose running sums cannot leave
+    the word, so that their terms sum in any order: one gather over the
+    rows' common support, in chunks of at most 2**20 products."""
+    out = np.empty(len(ms), np.int64)
+    if len(ms) == 0:
+        return out
+    lo, hi = int(np.min(supports.lo[ms])), int(np.max(supports.hi[ms]))
+    step = (1 << 20) // (hi - lo) + 1
+    for i in range(0, len(ms), step):
+        chunk = slice(i, i + step)
+        products = windows[js[chunk], lo:hi] * kernels_raw[ms[chunk], lo:hi]
+        out[chunk] = rescale_half_even_array(products, frac_bits).sum(axis=1)
+    return out
+
+
+def _screen_spectra(
+    dictionary: Dictionary, kernels_raw: np.ndarray, fmt: FixedFormat, width: int
+) -> SpectralDictionary:
+    """Spectra of the kernels as the screen sees them, dequantized (raw
+    values below 2**53 are exact), at the smallest 2^a or 3*2^a that fits
+    their own support: `default_fft_len` assumes the gammatone layout."""
+    kernels = replace(dictionary, kernels=dequantize_array(kernels_raw, fmt))
+    fft_len = _fft_len(_lag_window_bound(width, *kernels.support))
+    return kernel_spectra(kernels, fft_len, width)
 
 
 def _correlate_fixed_direct(
     resid_raw: np.ndarray,
     kernels_raw: np.ndarray,
-    supports: list[tuple[int, int, int, int]],
+    supports: _Supports,
     fmt: FixedFormat,
     stats: SaturationStats | None,
-    screen: tuple[Dictionary, str] | None = None,
-) -> np.ndarray:
+    screen: tuple[SpectralDictionary, str] | None = None,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Fixed-point correlation surface (raw int64), per-term round-to-even
     rescale, ascending-index accumulation, per-step overflow policy.
 
     Each kernel is multiplied over its nonzero support only (`supports`
     from `_kernel_supports`); terms outside it are exact zeros, which leave
-    the accumulator and the overflow counts unchanged.
+    the accumulator and the overflow counts unchanged. A row is bounded
+    when max |r| <= its `rmax_limit`: none of its running sums can leave
+    the word, so its entries are plain sums. Every other (loose) row is
+    computed in full with the overflow policy applied at every step.
 
-    With `screen = (dictionary of the dequantized kernels, select rule)`,
-    rows that cannot overflow are exact only where that rule's pick can be.
+    Without `screen` returns the full (num_kernels, W + 1) surface. With
+    `screen = (spectra of the dequantized kernels, select rule)` returns
+    `(rows, values)` like `correlate_spectral(prune=...)`: the ascending
+    rows that can hold or tie the pick (the loose rows among them), and
+    those rows, exact wherever the pick can be.
     """
-    w = len(resid_raw)
-    windows = _residual_windows(resid_raw, 0, kernels_raw.shape[1])
+    w, num = len(resid_raw), len(kernels_raw)
     rmax = int(np.max(np.abs(resid_raw)))
-    surface = np.zeros((kernels_raw.shape[0], w + 1), dtype=np.int64)
     if rmax == 0:
+        surface = np.zeros((num, w + 1), np.int64)
+        return surface if screen is None else (np.arange(num), surface)
+    windows = _residual_windows(resid_raw, 0, kernels_raw.shape[1])
+    bounded = np.flatnonzero(rmax <= supports.rmax_limit)
+    loose = np.flatnonzero(rmax > supports.rmax_limit)
+    loose_values = np.zeros((len(loose), w + 1), np.int64)
+    for i, m in enumerate(loose):
+        span = slice(supports.lo[m], supports.hi[m])
+        cols, krow = windows[:, span], kernels_raw[m, span]
+        if fmt.total_bits <= 62 and rmax * int(supports.kmax[m]) < (1 << 62):
+            # a column scan, all shifts at once: |acc| <= 2**61 and
+            # |term| <= 2**61 + 1, so acc + term fits int64
+            for term in rescale_half_even_array(cols * krow, fmt.frac_bits).T:
+                loose_values[i] = apply_overflow_array(
+                    loose_values[i] + term, fmt, stats)
+        else:  # int64 headroom exhausted: the scalar MAC chain, entry by entry
+            loose_values[i] = [fixed_dot(row, krow, fmt, stats) for row in cols]
+    if screen is None:
+        surface = np.empty((num, w + 1), np.int64)
+        surface[loose] = loose_values
+        ms, js = np.repeat(bounded, w + 1), np.tile(np.arange(w + 1), len(bounded))
+        surface[ms, js] = _summed_entries(
+            windows, kernels_raw, supports, ms, js, fmt.frac_bits)
         return surface
-    bounded = []  # rows whose running sums provably stay in range
-    for m, (lo, hi, kmax, kabs) in enumerate(supports):
-        if kmax == 0:
-            continue
-        # with int64 headroom, |round(p / 2**f)| <= (|p| >> f) + 1 bounds each
-        # running sum by the second test's left side: within it nothing
-        # saturates or wraps, and the order of the sum is free
-        if rmax * kmax < (1 << 62) // (hi - lo) and (
-            ((rmax * kabs) >> fmt.frac_bits) + (hi - lo) <= fmt.raw_max
-        ):
-            bounded.append(m)
-        else:  # exact scalar path, entry by entry
-            krow = kernels_raw[m, lo:hi]
-            surface[m] = [fixed_dot(row, krow, fmt, stats) for row in windows[:, lo:hi]]
-    picks = [(m, slice(None)) for m in bounded]  # entries computed exactly
-    if screen is not None and bounded:
-        # Screen with c, the float correlation of the dequantized operands:
-        # an exact entry E of a bounded row has |E - 2^F c| <= slack, for
-        # hi - lo terms rounded by at most 1/2 each, the float error of c
-        # (under 1e-9 rmax kabs / 2^F) and 1 for this test's own rounding:
-        # an entry whose rank + slack is below a sure rank cannot win or tie.
-        screen_dict, select = screen
-        rank = np.abs if select == "abs" else np.positive
-        c = correlate_direct(dequantize_array(resid_raw, fmt), screen_dict)
-        upper = rank(c[bounded] * fmt.scale)
-        lo, hi, _, kabs = np.array([supports[m] for m in bounded], float).T
-        slack = ((hi - lo) / 2 + 1e-9 * rmax * kabs / fmt.scale + 1)[:, None]
-        exact = rank(np.delete(surface, bounded, axis=0))  # computed above
-        lower = max(np.max(upper - slack), np.max(exact, initial=fmt.raw_min))
-        keep = upper + slack >= lower
-        picks = [(m, np.flatnonzero(row)) for m, row in zip(bounded, keep) if row.any()]
-        # the rest rank below the pick: bounded entries exceed raw_min, and
-        # with abs a column is left out only below a pick >= lower > 0
-        surface[bounded] = 0 if select == "abs" else fmt.raw_min
-    for m, js in picks:
-        lo, hi = supports[m][:2]
-        products = windows[js, lo:hi] * kernels_raw[m, lo:hi]
-        surface[m, js] = rescale_half_even_array(products, fmt.frac_bits).sum(axis=1)
-    return surface
+    if len(bounded) == 0:
+        return loose, loose_values
+    # Screen with c, the float correlation of the dequantized operands
+    # (exact below 2**53), from the FFT: an exact entry E of a bounded row
+    # has |E - 2^F c| <= slack, for hi - lo terms rounded by at most 1/2
+    # each, the float error of c (under 1e-9 rmax kabs / 2^F, FFT included)
+    # and 1 for this test's own rounding. `sure` is a rank the pick reaches;
+    # a row with 2^F B_m + slack below it is not transformed, and an entry
+    # whose rank + slack is below it cannot win or tie.
+    sdict, select = screen
+    rank = np.abs if select == "abs" else np.positive
+    spectrum, transform = _lag_transform(dequantize_array(resid_raw, fmt), sdict)
+    slack = ((supports.hi - supports.lo) / 2
+             + 1e-9 * rmax * supports.kabs / fmt.scale + 1)
+    reach = fmt.scale * _row_bounds(spectrum, sdict) + slack
+    top = bounded[np.argmax(reach[bounded])]
+    top_values = transform(top)
+    sure = max(fmt.scale * np.max(rank(top_values)) - slack[top],
+               np.max(rank(loose_values), initial=fmt.raw_min))
+    screened = bounded[(reach[bounded] >= sure) | (bounded == top)]
+    upper = rank(_splice(transform, screened, top, top_values))  # of c, not 2^F c
+    margin = slack[screened]
+    sure = max(sure, np.max(fmt.scale * np.max(upper, axis=1) - margin))
+    at, js = np.nonzero(upper >= ((sure - margin) / fmt.scale)[:, None])
+    ms = screened[at]
+    held = np.zeros(num, bool)
+    held[ms] = held[loose] = True
+    rows = np.flatnonzero(held)
+    # the rest rank below the pick: bounded entries exceed raw_min, and
+    # with abs an entry is left out only below a pick >= sure > 0
+    values = np.full((len(rows), w + 1), 0 if select == "abs" else fmt.raw_min,
+                     np.int64)
+    values[np.searchsorted(rows, loose)] = loose_values
+    values[np.searchsorted(rows, ms), js] = _summed_entries(
+        windows, kernels_raw, supports, ms, js, fmt.frac_bits)
+    return rows, values
 
 
 def _fixed_datapath(segment, dictionary, sdict, cfg, stats):
     """Raw int64 residual and surface; select_code ranks the dequantized copy."""
     fmt = cfg.fixed_format
     kernels_raw = quantize_array(dictionary.kernels, fmt, stats)
-    supports = _kernel_supports(kernels_raw)
+    supports = _kernel_supports(kernels_raw, fmt)
     if cfg.backend == "direct":
-        # kernels as the screen sees them; raw values below 2**53 are exact
-        screen_dict = replace(dictionary, kernels=dequantize_array(kernels_raw, fmt))
+        screen = (_screen_spectra(dictionary, kernels_raw, fmt, segment.width),
+                  cfg.select)
 
     def correlate(resid_raw: np.ndarray):
         if cfg.backend == "direct":
-            rows = np.arange(len(kernels_raw))
-            surface_raw = _correlate_fixed_direct(
-                resid_raw, kernels_raw, supports, fmt, stats,
-                (screen_dict, cfg.select),
-            )
+            rows, surface_raw = _correlate_fixed_direct(
+                resid_raw, kernels_raw, supports, fmt, stats, screen)
         else:
             # FFT stage runs in float; the kept rows are requantized to the
             # datapath width, as a wide-word FFT core would deliver them

@@ -8,18 +8,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spikecodec.dictionary import DictionaryConfig, build_dictionary
+from spikecodec import encoder, fixedpoint
+from spikecodec.dictionary import (
+    Dictionary,
+    DictionaryConfig,
+    build_dictionary,
+    default_fft_len,
+    kernel_spectra,
+)
 from spikecodec.encoder import (
     EncoderConfig,
     Segment,
     _correlate_fixed_direct,
     _kernel_supports,
+    _rmax_limit,
+    _screen_spectra,
     correlate_direct,
+    correlate_spectral,
     encode_segment,
     select_code,
     shift_kernel,
 )
-from spikecodec.errors import DimensionMismatch, InvalidConfig
+from spikecodec.errors import DimensionMismatch, InvalidConfig, LengthTooSmall
 from spikecodec.fixedpoint import (
     FixedFormat,
     FixedValue,
@@ -199,7 +209,7 @@ def _fixed_surface_oracle(resid_raw, kernels_raw, fmt, stats):
     ],
 )
 def test_fixed_direct_surface_matches_scalar_oracle(
-    width, fmt, scale, overflow_counted
+    width, fmt, scale, overflow_counted, monkeypatch
 ):
     d = build_dictionary(DictionaryConfig(num_kernels=8, kernel_len=width))
     x = scale * make_audio_clip(width, seed=5)
@@ -208,21 +218,71 @@ def test_fixed_direct_surface_matches_scalar_oracle(
         [quantize_array(d.kernels, fmt), np.zeros((1, width), np.int64)]
     )
     resid_raw = quantize_array(x, fmt)
-    supports = _kernel_supports(kernels_raw)
+    supports = _kernel_supports(kernels_raw, fmt)
     stats, oracle_stats = SaturationStats(), SaturationStats()
-    surface = _correlate_fixed_direct(resid_raw, kernels_raw, supports, fmt, stats)
+    macc_calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(fixedpoint, "macc", lambda *a: macc_calls.append(1) or macc(*a))
+        surface = _correlate_fixed_direct(resid_raw, kernels_raw, supports, fmt, stats)
     oracle = _fixed_surface_oracle(resid_raw, kernels_raw, fmt, oracle_stats)
     assert np.array_equal(surface, oracle)
     assert (stats.saturations, stats.wraps) == (
         oracle_stats.saturations, oracle_stats.wraps
     )
     assert (stats.saturations + stats.wraps > 0) == overflow_counted
+    if overflow_counted:  # overflowing rows take the column scan, not the scalar chain
+        assert not macc_calls
     if fmt.total_bits == 48:
         rmax = int(np.max(np.abs(resid_raw)))
         assert any(
-            rmax * kmax >= (1 << 62) // (hi - lo)
-            for lo, hi, kmax, _ in supports if kmax
+            rmax * int(kmax) >= (1 << 62) // int(hi - lo)
+            for lo, hi, kmax in zip(supports.lo, supports.hi, supports.kmax) if kmax
         )
+
+
+def _two_part_test(rmax, lo, hi, kmax, kabs, fmt):
+    """The no-overflow test of a kernel row as one expression: int64 holds
+    the products, and the bound on every running sum fits the word."""
+    return kmax > 0 and (rmax * kmax < (1 << 62) // (hi - lo)) and (
+        ((rmax * kabs) >> fmt.frac_bits) + (hi - lo) <= fmt.raw_max
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(total_bits=st.integers(8, 62), data=st.data())
+def test_rmax_limit_selects_the_rows_the_two_part_test_selects(total_bits, data):
+    fmt = FixedFormat(total_bits, data.draw(st.integers(1, total_bits - 1)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    length = data.draw(st.integers(1, 300))
+    kernels_raw = np.zeros((6, length), np.int64)
+    for krow in kernels_raw[1:]:  # row 0 stays all zero
+        lo = int(rng.integers(length))
+        hi = int(rng.integers(lo + 1, length + 1))
+        krow[lo:hi] = rng.integers(-(1 << 40), 1 << 40, hi - lo) >> rng.integers(41)
+        krow[lo] = krow[hi - 1] = 1  # the support's ends are nonzero
+    supports = _kernel_supports(kernels_raw, fmt)
+    reference = []  # (lo, hi, kmax, kabs) as exact ints, row by row
+    for krow in kernels_raw:
+        nonzero = np.flatnonzero(krow)
+        lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if len(nonzero) else (0, 0)
+        mags = [abs(int(k)) for k in krow[lo:hi]]
+        reference.append((lo, hi, max(mags, default=0), sum(mags)))
+    assert [tuple(map(int, row)) for row in zip(*supports[:4])] == reference
+    limits = supports.rmax_limit.tolist()
+    rmaxes = {0, 1, data.draw(st.integers(0, 1 << 62))}
+    rmaxes |= {r + d for r in limits for d in (0, 1) if r + d >= 0}
+    for rmax in rmaxes:
+        assert (rmax <= supports.rmax_limit).tolist() == [
+            _two_part_test(rmax, *row, fmt) for row in reference
+        ]
+    # one row of exact ints, drawn directly
+    n = data.draw(st.integers(1, 1 << 20))
+    kmax = data.draw(st.integers(1, 1 << 62))
+    kabs = data.draw(st.integers(kmax, n * kmax))
+    limit = _rmax_limit(n, kmax, kabs, fmt)
+    for rmax in (0, limit, limit + 1, data.draw(st.integers(0, 1 << 62))):
+        if rmax >= 0:
+            assert (rmax <= limit) == _two_part_test(rmax, 0, n, kmax, kabs, fmt)
 
 
 @functools.cache
@@ -287,25 +347,89 @@ def test_screened_signed_pick_of_a_surface_without_positive_entries():
 def _check_screened_pick(d, resid_raw, fmt, select):
     width = len(resid_raw)
     kernels_raw = quantize_array(d.kernels, fmt)
-    screen = (replace(d, kernels=dequantize_array(kernels_raw, fmt)), select)
+    supports = _kernel_supports(kernels_raw, fmt)
+    screen = (_screen_spectra(d, kernels_raw, fmt, width), select)
     stats, oracle_stats = SaturationStats(), SaturationStats()
-    surface = _correlate_fixed_direct(
-        resid_raw, kernels_raw, _kernel_supports(kernels_raw), fmt, stats, screen
+    rows, values = _correlate_fixed_direct(
+        resid_raw, kernels_raw, supports, fmt, stats, screen
     )
     oracle = _fixed_surface_oracle(resid_raw, kernels_raw, fmt, oracle_stats)
+    assert np.all(np.diff(rows) > 0)
+    # every row that may overflow is computed and returned in full
+    loose = np.flatnonzero(int(np.max(np.abs(resid_raw))) > supports.rmax_limit)
+    assert np.all(np.isin(loose, rows))
+    assert np.array_equal(values[np.searchsorted(rows, loose)], oracle[loose])
 
-    def pick(values):  # (m, tau, raw s)
-        m, tau, _ = select_code(dequantize_array(values, fmt), select)
-        return m, tau, int(values[m, tau + width // 2])
+    def pick(values, rows=None):  # (m, tau, raw s)
+        m, tau, _ = select_code(dequantize_array(values, fmt), select, rows)
+        k = m if rows is None else int(np.searchsorted(rows, m))
+        return m, tau, int(values[k, tau + width // 2])
 
-    assert pick(surface) == pick(oracle)
+    assert pick(values, rows) == pick(oracle)
     assert (stats.saturations, stats.wraps) == (
         oracle_stats.saturations, oracle_stats.wraps
     )
-    # an entry left inexact ranks below the pick
+    # an entry left inexact ranks below the pick, and so does every entry
+    # of a row left out
     rank = np.abs if select == "abs" else np.positive
-    inexact = surface[surface != oracle]
+    inexact = values[values != oracle[rows]]
     assert np.all(rank(inexact) < rank(pick(oracle)[2]))
+    assert np.all(rank(np.delete(oracle, rows, axis=0)) < rank(pick(oracle)[2]))
+
+
+@pytest.mark.parametrize("width", [64, 512])
+@pytest.mark.parametrize("kind", ["noise", "kernel", "saturating"])
+def test_fft_screen_error_is_far_inside_the_slack(width, kind):
+    # the slack's float term 1e-9 rmax sum|k| / 2^F was set for the gemm;
+    # the FFT's rounding (about u log2 n |r|_2 |k|_1) must fit in it too
+    d = _screen_setup(width)
+    for fmt in SCREEN_FORMATS.values():
+        kernels_raw = quantize_array(d.kernels, fmt)
+        supports = _kernel_supports(kernels_raw, fmt)
+        nonzero = supports.kmax > 0
+        dequantized = replace(d, kernels=dequantize_array(kernels_raw, fmt))
+        sdict = _screen_spectra(d, kernels_raw, fmt, width)
+        rng = np.random.default_rng(width)
+        for _ in range(3):
+            resid_raw = quantize_array(_screen_residual(d, fmt, kind, rng), fmt)
+            r = dequantize_array(resid_raw, fmt)
+            c_gemm, c_fft = correlate_direct(r, dequantized), correlate_spectral(r, sdict)
+            error = fmt.scale * np.max(np.abs(c_fft - c_gemm), axis=1)
+            rmax = int(np.max(np.abs(resid_raw)))
+            float_term = 1e-9 * rmax * supports.kabs / fmt.scale
+            assert np.all(error[nonzero] < 1e-3 * float_term[nonzero])
+
+
+def test_screen_fits_kernels_nonzero_from_column_zero(monkeypatch):
+    # `default_fft_len` assumes kernels nonzero on [L/2, L): at W=100 it
+    # gives 128 points for L=60, but these kernels need 150 (192)
+    width, length = 100, 60
+    rng = np.random.default_rng(60)
+    kernels = rng.standard_normal((5, length)) * np.exp(-np.arange(length) / 15)
+    kernels /= np.linalg.norm(kernels, axis=1)[:, None]
+    d = Dictionary(kernels, np.arange(1.0, 6.0), DictionaryConfig(
+        num_kernels=5, kernel_len=length))
+    assert d.support == (0, length)
+    with pytest.raises(LengthTooSmall):
+        kernel_spectra(d, default_fft_len(width, length), width)
+    x = make_audio_clip(2 * width, seed=60)
+
+    def encode():
+        stats, codes = SaturationStats(), []
+        for i in range(2):
+            seg = Segment(x[i * width : (i + 1) * width], i)
+            cfg = EncoderConfig(max_codes=8, width=width, arithmetic="fixed",
+                                fixed_format=FMT)
+            codes.append(encode_segment(seg, d, None, cfg, stats).tobytes())
+        return codes, (stats.saturations, stats.wraps)
+
+    screened = encode()
+    full = encoder._correlate_fixed_direct
+    monkeypatch.setattr(  # the full exact surface, every row
+        encoder, "_correlate_fixed_direct",
+        lambda *a: (np.arange(5), full(*a[:5])),
+    )
+    assert encode() == screened
 
 
 def test_fixed_mode_encoding_matches_float_on_margin_separated_signal(small_dict):
