@@ -20,6 +20,7 @@ Waveforms are truncated at the buffer end and L2-normalized afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,6 +65,10 @@ class DictionaryConfig:
     phase: float = 0.0
 
     def validate(self) -> None:
+        # first: a bad rate would fail the band checks with their message
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise InvalidConfig(
+                f"sample_rate must be finite and > 0, got {self.sample_rate}")
         if self.num_kernels < 1:
             raise InvalidConfig(f"num_kernels must be >= 1, got {self.num_kernels}")
         if self.kernel_len < 1:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .dictionary import (
     Dictionary,
@@ -101,26 +101,26 @@ class EncoderConfig:
 
 
 def _residual_windows(samples: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows j = residual slice [tau_j + lo, tau_j + hi), zero outside, for
-    tau_j = j - W//2, j = 0..W: the samples that meet kernel columns
-    [lo, hi) at shift tau_j. Zero-copy strided view of a padded copy."""
+    """Row j: the residual over [j - W/2 + lo, j - W/2 + hi), zero outside, for
+    j = 0..W; a read-only as_strided view of a padded copy, unchecked: row W ends
+    at W + hi - lo, and the base is (W/2-lo)+ + W + (hi-W/2)+ - (lo-W/2)+ long,
+    exactly that if lo >= W/2 or lo < W/2 <= hi, and more if hi < W/2."""
     w = len(samples)
     if w % 2:
         raise DimensionMismatch(f"correlation needs an even width, got {w}")
-    half = w // 2
-    padded = np.concatenate([np.zeros(max(0, half - lo), samples.dtype), samples,
-                             np.zeros(max(0, hi - half), samples.dtype)])
-    return sliding_window_view(padded[max(0, lo - half):], hi - lo)[: w + 1]
+    padded = np.concatenate([np.zeros(max(0, w // 2 - lo), samples.dtype), samples,
+                             np.zeros(max(0, hi - w // 2), samples.dtype)])
+    return as_strided(padded[max(0, lo - w // 2):], (w + 1, hi - lo),
+                      padded.strides * 2, writeable=False)
 
 
 def correlate_direct(residual: np.ndarray, dictionary: Dictionary) -> np.ndarray:
     """Time-domain correlation of the residual against all shifted kernels:
     values[m, j] = correlation with kernel m at shift tau = j - W/2, shape
-    (num_kernels, W + 1). Only the kernels' support columns are multiplied."""
+    (num_kernels, W + 1), by one kernel-major GEMM on the support columns."""
     lo, hi = dictionary.support
-    windows = _residual_windows(residual, lo, hi)
-    values = windows @ dictionary.kernels[:, lo:hi].T  # (W+1, num_kernels)
-    return np.ascontiguousarray(values.T)
+    windows = np.ascontiguousarray(_residual_windows(residual, lo, hi))
+    return dictionary.kernels[:, lo:hi] @ windows.T
 
 
 def _lag_transform(residual: np.ndarray, sdict: SpectralDictionary):

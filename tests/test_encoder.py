@@ -18,6 +18,7 @@ from spikecodec.dictionary import (
 from spikecodec.encoder import (
     EncoderConfig,
     Segment,
+    _residual_windows,
     correlate_direct,
     correlate_spectral,
     encode_segment,
@@ -125,6 +126,67 @@ def test_direct_matches_triple_loop_oracle():
     oracle = brute_force_correlation(residual, d.kernels, width)
     assert surface.shape == (4, width + 1)
     assert np.max(np.abs(surface - oracle)) < 1e-9
+
+
+def _naive_windows(samples, lo, hi):
+    """Row j, column c - lo: samples[j - W/2 + c] for c in [lo, hi), zero
+    where that index leaves the window."""
+    w = len(samples)
+    t = np.arange(w + 1)[:, None] - w // 2 + np.arange(lo, hi)[None, :]
+    inside = (0 <= t) & (t < w)
+    out = np.zeros(t.shape, samples.dtype)
+    out[inside] = samples[t[inside]]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+@pytest.mark.parametrize("lo, hi", [
+    (32, 64), (32, 100), (40, 40),  # lo >= W/2: the gammatone layout
+    (5, 32), (0, 64), (10, 57), (0, 128),  # lo < W/2 <= hi
+    (3, 20), (0, 32), (7, 7), (0, 0),  # hi <= W/2, and lo == hi
+])
+def test_residual_windows_match_zero_padded_slices(lo, hi, dtype):
+    w = 64
+    samples = np.random.default_rng(lo * 131 + hi).integers(-99, 99, w).astype(dtype)
+    windows = _residual_windows(samples, lo, hi)
+    assert windows.shape == (w + 1, hi - lo) and windows.dtype == dtype
+    assert np.array_equal(windows, _naive_windows(samples, lo, hi))
+    # a strided view whose rows share memory: writing through it must fail
+    assert not windows.flags.writeable
+    with pytest.raises(ValueError):
+        windows[0, ...] = 1
+
+
+@pytest.mark.parametrize("width, kernel_len", [
+    (256, 512), (256, 256), (256, 128), (2048, 4096), (64, 32),
+])
+def test_correlate_direct_equals_per_entry_dot(width, kernel_len):
+    # library kernels longer and shorter than W: the support sits at or past
+    # W/2 (lo >= W/2) or ends by it (hi <= W/2)
+    d = build_dictionary(DictionaryConfig(num_kernels=6, kernel_len=kernel_len))
+    rng = np.random.default_rng(width + kernel_len)
+    _check_direct_against_dot(rng.standard_normal(width), d)
+
+
+def test_correlate_direct_equals_per_entry_dot_across_w_half():
+    # random kernels nonzero from column 0: lo < W/2 <= hi
+    rng = np.random.default_rng(8)
+    kernels = rng.standard_normal((5, 100))
+    kernels[:, 90:] = 0.0
+    d = Dictionary(kernels, np.arange(1.0, 6.0), DictionaryConfig(num_kernels=5))
+    assert d.support == (0, 90)
+    _check_direct_against_dot(rng.standard_normal(128), d)
+
+
+def _check_direct_against_dot(residual, d):
+    surface = correlate_direct(residual, d)
+    w = len(residual)
+    assert surface.shape == (d.num_kernels, w + 1)
+    assert surface.dtype == np.float64 and surface.flags.c_contiguous
+    windows = _naive_windows(residual, 0, d.kernel_len)
+    reference = np.array([[np.dot(row, k) for row in windows] for k in d.kernels])
+    scale = np.linalg.norm(residual) * np.linalg.norm(d.kernels, axis=1)[:, None]
+    assert np.all(np.abs(surface - reference) <= 1e-12 * scale)
 
 
 def _untrimmed_correlation(residual, kernels):
@@ -559,6 +621,9 @@ FIXED_34_24 = FixedFormat(34, 24)
 
 @pytest.mark.parametrize("width, scale, cfg_kwargs, digest, overflows", [
     (128, 1.0, dict(backend="direct"), "75e3a18503a272fa", 0),
+    # the direct float GEMM at the stream-dense width and under signed
+    (256, 1.0, dict(backend="direct"), "3b0dd70407766792", 0),
+    (128, 1.0, dict(backend="direct", select="signed"), "1d3edefd1d623940", 0),
     (128, 1.0, dict(backend="spectral"), "438e8437669143a2", 0),
     (128, 1.0, dict(backend="direct", arithmetic="fixed",
                     fixed_format=FIXED_34_24), "73ac9f87b8bb8eeb", 0),
@@ -591,7 +656,8 @@ FIXED_34_24 = FixedFormat(34, 24)
     (512, 400.0, dict(backend="spectral", arithmetic="fixed",
                       fixed_format=FIXED_34_24, select="signed"),
      "27344727ba48b090", 851),
-], ids=["direct-float", "spectral-float", "direct-34:24", "spectral-34:24",
+], ids=["direct-float", "direct-float-W256", "direct-float-signed",
+        "spectral-float", "direct-34:24", "spectral-34:24",
         "direct-34:24-saturating", "direct-20:10-wrap", "spectral-34:24-signed",
         "spectral-48:36", "direct-34:24-signed", "direct-34:24-W512",
         "spectral-34:24-saturating", "spectral-20:10-wrap",

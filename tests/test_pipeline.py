@@ -661,6 +661,9 @@ def _config_args(tmp_path, text):
     # the band is checked against the wav's rate, not the 16 kHz default
     (_wav_at_rate(22050, "--freq-hi", "10000"), 0),
     (_wav_at_rate(22050, "--freq-hi", "12000"), 2),
+    (lambda tmp: _encode_args(tmp, "s.csv", b"0.1,0.2", "--fs", "nan"), 2),
+    (lambda tmp: _encode_args(tmp, "s.csv", b"0.1,0.2", "--fs", "inf"), 2),
+    (lambda tmp: _encode_args(tmp, "s.csv", b"0.1,0.2", "--fs", "0"), 2),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
@@ -672,11 +675,22 @@ def _config_args(tmp_path, text):
         "model-out-unwritable", "jsonl-array-record", "jsonl-number-record",
         "jsonl-null-field", "jsonl-list-field", "jsonl-fractional-time",
         "jsonl-bool-kernel", "config-itp-invalid", "config-k-not-int",
-        "wav-22050-band-below-nyquist", "wav-22050-band-above-nyquist"])
+        "wav-22050-band-below-nyquist", "wav-22050-band-above-nyquist",
+        "fs-nan", "fs-inf", "fs-zero"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     out = _cli(*make_argv(tmp_path))
     assert out.returncode == code, out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("fs", ["nan", "inf", "0", "-16000"])
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_cli_bad_sample_rate_is_named(tmp_path, capsys, command, fs):
+    # checked before the band, whose checks would otherwise fail on it
+    make_argv = _decode_args if command == "decode" else (
+        lambda tmp, *extra: _encode_args(tmp, "s.csv", b"0.1,0.2", *extra))
+    assert cli.main(make_argv(tmp_path, f"--fs={fs}")) == 2
+    assert "sample_rate must be finite and > 0" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
