@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -90,7 +90,12 @@ class DictionaryConfig:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Immutable bank of unit-norm kernels; safe to share across encoders."""
+    """Immutable bank of unit-norm kernels; safe to share across encoders.
+
+    What depends only on the kernels is computed on first use and kept with
+    the dictionary (`support`, and the encoder's tables through `table`), so
+    the kernels of a hand-built Dictionary must not be written after its
+    first use; `build_dictionary` makes them read-only."""
 
     kernels: np.ndarray  # (num_kernels, kernel_len)
     center_freqs: np.ndarray  # (num_kernels,), Hz, strictly increasing
@@ -109,6 +114,20 @@ class Dictionary:
         cols = np.flatnonzero(np.any(self.kernels, axis=0))
         return (int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 0)
 
+    @cached_property
+    def _tables(self) -> dict:
+        return {}
+
+    def table(self, key, build):
+        """The value `build()` gives for `key`, built on the first call with
+        that key and kept as long as the dictionary. Two threads that race
+        on the first use may both build it; each gets an equal value and one
+        is kept, so results do not depend on the race."""
+        value = self._tables.get(key)
+        if value is None:
+            value = self._tables.setdefault(key, build())
+        return value
+
 
 @dataclass(frozen=True)
 class SpectralDictionary:
@@ -122,9 +141,20 @@ class SpectralDictionary:
     def magnitudes(self) -> np.ndarray:  # |spectra| on the rfft bins, on first use
         return np.abs(self.spectra[:, : self.fft_len // 2 + 1])
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """irfft's weight per rfft bin: 1/n at DC and Nyquist, 2/n elsewhere."""
+        n = self.fft_len
+        weights = np.full(n // 2 + 1, 2.0 / n)
+        # DC and Nyquist; for odd n there is no Nyquist bin and both are bin 0
+        weights[0] = weights[n // 2 * (1 - n % 2)] = 1.0 / n
+        return weights
 
+
+@lru_cache(maxsize=8)
 def build_dictionary(config: DictionaryConfig = DictionaryConfig()) -> Dictionary:
-    """Construct the kernel bank for `config`.
+    """Construct the kernel bank for `config`, once per config: equal
+    configs give the same read-only Dictionary (the 8 most recent are kept).
 
     Deterministic: equal configs produce bitwise-identical dictionaries.
 
@@ -140,12 +170,12 @@ def build_dictionary(config: DictionaryConfig = DictionaryConfig()) -> Dictionar
     n_active = config.kernel_len - onset
     t = (np.arange(n_active) + 1.0) / config.sample_rate
 
+    # one row per kernel; each element is computed as a per-kernel loop would
+    fc = centers[:, np.newaxis]
+    decay = 2.0 * np.pi * config.bandwidth_scale * erb_bandwidth(fc)
+    env = t ** (config.gammatone_order - 1) * np.exp(-decay * t)
     kernels = np.zeros((config.num_kernels, config.kernel_len))
-    order = config.gammatone_order
-    for i, fc in enumerate(centers):
-        decay = 2.0 * np.pi * config.bandwidth_scale * erb_bandwidth(fc)
-        env = t ** (order - 1) * np.exp(-decay * t)
-        kernels[i, onset:] = env * np.cos(2.0 * np.pi * fc * t + config.phase)
+    kernels[:, onset:] = env * np.cos(2.0 * np.pi * fc * t + config.phase)
 
     norms = np.linalg.norm(kernels, axis=1)
     if np.any(norms == 0.0):

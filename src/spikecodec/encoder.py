@@ -147,13 +147,8 @@ def _lag_transform(residual: np.ndarray, sdict: SpectralDictionary):
 
 def _row_bounds(spectrum: np.ndarray, sdict: SpectralDictionary) -> np.ndarray:
     """B_m >= |every lag of row m| = sum_k w_k |K_m[k]| |R[k]| with irfft's
-    weights w (1/n at DC and Nyquist, 2/n elsewhere); 1 + 1e-9 covers
-    rounding."""
-    n = sdict.fft_len
-    weights = np.full(n // 2 + 1, 2.0 / n)
-    # DC and Nyquist; for odd n there is no Nyquist bin and both are bin 0
-    weights[0] = weights[n // 2 * (1 - n % 2)] = 1.0 / n
-    return (1 + 1e-9) * (sdict.magnitudes @ (weights * np.abs(spectrum)))
+    weights w (`SpectralDictionary.weights`); 1 + 1e-9 covers rounding."""
+    return (1 + 1e-9) * (sdict.magnitudes @ (sdict.weights * np.abs(spectrum)))
 
 
 def correlate_spectral(
@@ -299,13 +294,15 @@ def _float_datapath(segment, dictionary, sdict, cfg, stats):
 class _Supports(NamedTuple):
     """Per raw kernel row, as int64: nonzero support [lo, hi), max |k|,
     sum |k|, and the largest max |r| for which no running sum of the row
-    can leave the word (`_rmax_limit`)."""
+    can leave the word (`_rmax_limit`); and, as float64, (hi - lo) / 2,
+    the screen slack's rounding term."""
 
     lo: np.ndarray
     hi: np.ndarray
     kmax: np.ndarray
     kabs: np.ndarray
     rmax_limit: np.ndarray
+    half_span: np.ndarray
 
 
 def _rmax_limit(n: int, kmax: int, kabs: int, fmt: FixedFormat) -> int:
@@ -331,7 +328,7 @@ def _kernel_supports(kernels_raw: np.ndarray, fmt: FixedFormat) -> _Supports:
     kmax, kabs = mag.max(axis=1, initial=0), mag.sum(axis=1)
     limit = [_rmax_limit(int(b - a), int(k), int(s), fmt)
              for a, b, k, s in zip(lo, hi, kmax, kabs)]
-    return _Supports(lo, hi, kmax, kabs, np.array(limit, np.int64))
+    return _Supports(lo, hi, kmax, kabs, np.array(limit, np.int64), (hi - lo) / 2)
 
 
 def _summed_entries(windows, kernels_raw, supports, ms, js, frac_bits):
@@ -424,8 +421,7 @@ def _correlate_fixed_direct(
     sdict, select = screen
     rank = np.abs if select == "abs" else np.positive
     spectrum, transform = _lag_transform(dequantize_array(resid_raw, fmt), sdict)
-    slack = ((supports.hi - supports.lo) / 2
-             + 1e-9 * rmax * supports.kabs / fmt.scale + 1)
+    slack = supports.half_span + 1e-9 * rmax * supports.kabs / fmt.scale + 1
     reach = fmt.scale * _row_bounds(spectrum, sdict) + slack
     top = bounded[np.argmax(reach[bounded])]
     top_values = transform(top)
@@ -450,14 +446,34 @@ def _correlate_fixed_direct(
     return rows, values
 
 
+def _fixed_tables(dictionary: Dictionary, fmt: FixedFormat, width: int,
+                  backend: str) -> tuple:
+    """What the fixed datapath reads of a dictionary under one format, width
+    and backend: the raw kernels, the (saturations, wraps) of quantizing
+    them and, for the direct backend only, their `_Supports` and the
+    screen's spectra (`_screen_spectra`)."""
+    counts = SaturationStats()
+    kernels_raw = quantize_array(dictionary.kernels, fmt, counts)
+    kernels_raw.flags.writeable = False
+    overflows = (counts.saturations, counts.wraps)
+    if backend != "direct":
+        return kernels_raw, overflows, None, None
+    return (kernels_raw, overflows, _kernel_supports(kernels_raw, fmt),
+            _screen_spectra(dictionary, kernels_raw, fmt, width))
+
+
 def _fixed_datapath(segment, dictionary, sdict, cfg, stats):
-    """Raw int64 residual and surface; select_code ranks the dequantized copy."""
+    """Raw int64 residual and surface; select_code ranks the dequantized copy.
+    The kernel tables are built once per dictionary (`Dictionary.table`);
+    their quantization overflows count once per segment, as if requantized."""
     fmt = cfg.fixed_format
-    kernels_raw = quantize_array(dictionary.kernels, fmt, stats)
-    supports = _kernel_supports(kernels_raw, fmt)
-    if cfg.backend == "direct":
-        screen = (_screen_spectra(dictionary, kernels_raw, fmt, segment.width),
-                  cfg.select)
+    kernels_raw, overflows, supports, screen_spectra = dictionary.table(
+        ("fixed", fmt, cfg.width, cfg.backend),
+        lambda: _fixed_tables(dictionary, fmt, cfg.width, cfg.backend))
+    if stats is not None:
+        stats.saturations += overflows[0]
+        stats.wraps += overflows[1]
+    screen = (screen_spectra, cfg.select)
 
     def correlate(resid_raw: np.ndarray):
         if cfg.backend == "direct":

@@ -270,9 +270,10 @@ def encode_signal(
     """Segment and encode a whole signal, one thread per available CPU; the
     codes do not depend on the thread count. Re-raises the first failure.
     Overflow counts go to `stats`, counted per segment, summed in order."""
-    if cfg.backend == "spectral" and sdict is None:
-        fft_len = default_fft_len(cfg.width, dictionary.kernel_len)
-        sdict = kernel_spectra(dictionary, fft_len, signal_len=cfg.width)
+    if cfg.backend == "spectral" and sdict is None:  # built once per dictionary
+        sdict = dictionary.table(("spectra", cfg.width), lambda: kernel_spectra(
+            dictionary, default_fft_len(cfg.width, dictionary.kernel_len),
+            signal_len=cfg.width))
     segments = segment_stream(samples, cfg.width)
     codesets = [None] * len(segments)
     counts = [SaturationStats() for _ in segments]

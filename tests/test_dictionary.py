@@ -1,4 +1,6 @@
+import hashlib
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,12 +69,40 @@ def test_waveform_onset_sits_at_buffer_midpoint(full_dict):
     assert np.all(np.any(full_dict.kernels[:, onset : onset + 16] != 0, axis=1))
 
 
+@pytest.mark.parametrize("cfg, digest", [
+    (DictionaryConfig(), "e316858c10ac17b0"),
+    (DictionaryConfig(num_kernels=8, kernel_len=256), "80b7c1a9c95a2cb4"),
+    (DictionaryConfig(num_kernels=12, sample_rate=22050.0, freq_lo=50.0,
+                      freq_hi=11025.0, kernel_len=1000, gammatone_order=2,
+                      phase=0.3), "4bb693d93d63a945"),
+], ids=["reference", "W256-M8", "22k-order2-phase"])
+def test_kernel_bytes_pinned(cfg, digest):
+    # every code and event byte rests on these samples: a faster build must
+    # leave each one as it is
+    d = build_dictionary(cfg)
+    assert hashlib.sha256(d.kernels.tobytes()).hexdigest()[:16] == digest
+
+
 def test_build_is_deterministic():
     cfg = DictionaryConfig(num_kernels=12, kernel_len=512)
     a = build_dictionary(cfg)
-    b = build_dictionary(cfg)
+    build_dictionary.cache_clear()
+    b = build_dictionary(cfg)  # built again, not the memoized object
+    assert a is not b
     assert a.kernels.tobytes() == b.kernels.tobytes()
     assert a.center_freqs.tobytes() == b.center_freqs.tobytes()
+
+
+def test_build_is_memoized_per_config():
+    cfg = DictionaryConfig(num_kernels=12, kernel_len=512)
+    d = build_dictionary(cfg)
+    assert build_dictionary(DictionaryConfig(num_kernels=12, kernel_len=512)) is d
+    assert build_dictionary(DictionaryConfig(num_kernels=13, kernel_len=512)) is not d
+    assert build_dictionary(replace(cfg, phase=0.5)) is not d
+    for array in (d.kernels, d.center_freqs):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 @pytest.mark.parametrize(

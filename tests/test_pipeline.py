@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikecodec import cli, pipeline
+from spikecodec import cli, encoder, pipeline
 from spikecodec.dictionary import (
+    Dictionary,
     DictionaryConfig,
     build_dictionary,
     default_fft_len,
@@ -426,6 +427,109 @@ def test_overflow_counts_do_not_depend_on_thread_count(
                          "--width", str(PAR_WIDTH), "--kernels", "8", "--k", "4",
                          "--fixed", "34:24"]) == 0
         assert f"saturations {serial.saturations}, wraps 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("backend", ["direct", "spectral"])
+def test_kernel_overflow_is_counted_once_per_segment(backend):
+    # +1.0 saturates in 8:7 (raw_max is 127/128) and -1.0 fits: quantizing
+    # the kernels overflows once, and every segment reports that once, also
+    # when the quantized kernels are built once for the whole signal
+    kernels = np.zeros((2, 16))
+    kernels[0, 8], kernels[1, 9] = 1.0, -1.0
+    d = Dictionary(kernels=kernels, center_freqs=np.array([100.0, 200.0]),
+                   config=DictionaryConfig(num_kernels=2, kernel_len=16))
+    cfg = EncoderConfig(max_codes=2, width=16, backend=backend,
+                        arithmetic="fixed", fixed_format=FixedFormat(8, 7))
+    for segments in (1, 2, 4):
+        stats = SaturationStats()
+        x = 0.1 * np.sin(0.7 * np.arange(16 * segments))
+        codesets = encode_signal(x, d, cfg, stats=stats)
+        assert [len(cs) for cs in codesets] == [2] * segments
+        assert stats == SaturationStats(saturations=segments, wraps=0)
+
+
+def _count_calls(monkeypatch, calls, module, name, label=None, when=None):
+    """Count calls of `module.name` under `label`, only those whose first
+    argument satisfies `when`."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        if when is None or when(args[0]):
+            calls[label or name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_dictionary_tables_are_built_once(tmp_path, monkeypatch, force_cpus):
+    # one worker: two threads that race on a table's first use may each
+    # build it once (`Dictionary.table`), which changes no result
+    force_cpus(1)
+    d = build_dictionary.__wrapped__(
+        DictionaryConfig(num_kernels=8, kernel_len=PAR_WIDTH))
+    calls = {"_kernel_supports": 0, "kernel_spectra": 0, "kernel quantize": 0}
+    _count_calls(monkeypatch, calls, encoder, "_kernel_supports")
+    _count_calls(monkeypatch, calls, encoder, "kernel_spectra")
+    _count_calls(monkeypatch, calls, pipeline, "kernel_spectra")
+    _count_calls(monkeypatch, calls, encoder, "quantize_array", "kernel quantize",
+                 lambda x: x is d.kernels)
+    x = make_audio_clip(6 * PAR_WIDTH, seed=4)
+    for _ in range(2):
+        encode_signal(x, d, _par_config("direct", FixedFormat(34, 24)))
+    assert calls == {"_kernel_supports": 1, "kernel_spectra": 1, "kernel quantize": 1}
+    # fixed spectral: the spectra and the raw kernels, never the supports
+    for _ in range(2):
+        encode_signal(x, d, _par_config("spectral", FixedFormat(34, 24)))
+    assert calls == {"_kernel_supports": 1, "kernel_spectra": 2, "kernel quantize": 2}
+
+    signal = tmp_path / "clip.csv"
+    write_waveform(x, str(signal))
+    build_dictionary.cache_clear()
+    for _ in range(2):
+        assert cli.main(["encode", str(signal), "-o", str(tmp_path / "ev.csv"),
+                         *SMALL_FLAGS, "--fixed", "34:24"]) == 0
+    info = build_dictionary.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert calls["_kernel_supports"] == 2  # once for the CLI's dictionary
+
+
+def test_cached_tables_do_not_leak_across_keys(tmp_path):
+    # one process, alternating width, format, backend and arithmetic: each
+    # result must equal the same encode on freshly built dictionaries
+    signal = tmp_path / "clip.csv"
+    x = make_audio_clip(1024, seed=21)
+    write_waveform(x, str(signal))
+
+    def encode(width, backend, fixed):
+        out = tmp_path / "ev.csv"
+        flags = ["--fixed", fixed] if fixed else []
+        assert cli.main(["encode", str(signal), "-o", str(out), "--width", str(width),
+                         "--kernels", "8", "--k", "4", "--backend", backend,
+                         "--with-raw-intensity", *flags]) == 0
+        # at this width, on the W=256 CLI encodes' dictionary: 20:10 with
+        # wrapping overflow, which no CLI flag selects, and 34:24
+        d, results = build_dictionary(DictionaryConfig(8, kernel_len=256)), []
+        for fmt, scale in ((FixedFormat(20, 10, "wrap"), 1000.0),
+                           (FixedFormat(34, 24), 1.0)):
+            stats = SaturationStats()
+            cfg = EncoderConfig(max_codes=4, width=width, backend=backend,
+                                arithmetic="fixed", fixed_format=fmt)
+            codesets = encode_signal(scale * x, d, cfg, stats=stats)
+            results.append(([cs.tobytes() for cs in codesets], stats))
+        return out.read_bytes(), results
+
+    build_dictionary.cache_clear()
+    # each step changes the width, the backend or the format; a table built
+    # for W=256 or the spectral backend is too short for W=512 or direct
+    runs = [(fixed, backend, width) for fixed in (None, "34:24", "20:10")
+            for backend, width in (("direct", 256), ("spectral", 256),
+                                   ("spectral", 512), ("direct", 512))]
+    interleaved = [encode(width, backend, fixed) for fixed, backend, width in runs]
+    assert build_dictionary.cache_info().currsize == 2
+    assert all(results[0][1].wraps > 0 for _, results in interleaved)
+    for (fixed, backend, width), result in zip(runs, interleaved):
+        build_dictionary.cache_clear()
+        assert encode(width, backend, fixed) == result
 
 
 def _five_segment_wav(tmp_path):
