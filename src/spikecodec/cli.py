@@ -355,6 +355,9 @@ def main(argv=None) -> int:
     except SpikeCodecError as exc:  # NumericError and the rest
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print(f"numeric error: out of memory in {args.command}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ Waveforms are truncated at the buffer end and L2-normalized afterwards.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -114,18 +115,20 @@ class Dictionary:
         cols = np.flatnonzero(np.any(self.kernels, axis=0))
         return (int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 0)
 
-    @cached_property
-    def _tables(self) -> dict:
-        return {}
+    def __post_init__(self):  # the tables, and the lock their builds take
+        object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_build_lock", threading.Lock())
 
     def table(self, key, build):
         """The value `build()` gives for `key`, built on the first call with
-        that key and kept as long as the dictionary. Two threads that race
-        on the first use may both build it; each gets an equal value and one
-        is kept, so results do not depend on the race."""
+        that key and kept as long as the dictionary. Threads that race on
+        the first use wait for one build; `build` must not call `table`."""
         value = self._tables.get(key)
         if value is None:
-            value = self._tables.setdefault(key, build())
+            with self._build_lock:
+                value = self._tables.get(key)
+                if value is None:
+                    value = self._tables[key] = build()
         return value
 
 

@@ -32,7 +32,7 @@ from .dictionary import (
     _lag_window_bound,
     kernel_spectra,
 )
-from .errors import DimensionMismatch, InvalidConfig, ShiftOutOfRange
+from .errors import DimensionMismatch, InvalidConfig, NumericError, ShiftOutOfRange
 from .fixedpoint import (
     FixedFormat,
     SaturationStats,
@@ -237,6 +237,13 @@ def subtract_component(
     return residual - s * shift_kernel(dictionary.kernels[m], tau, len(residual))
 
 
+def _spectra(dictionary: Dictionary, width: int) -> SpectralDictionary:
+    """The kernels' spectra at the smallest 2^a or 3*2^a that fits their own
+    support (`_lag_window_bound`) for segments of `width`."""
+    fft_len = _fft_len(_lag_window_bound(width, *dictionary.support))
+    return kernel_spectra(dictionary, fft_len, width)
+
+
 def encode_segment(
     segment: Segment,
     dictionary: Dictionary,
@@ -251,7 +258,9 @@ def encode_segment(
     intensity magnitude drops below `cfg.halt_threshold` or is zero: a zero
     code leaves the residual unchanged, so every later pick would repeat it.
     Pure function of its inputs; distinct segments can be encoded
-    concurrently.
+    concurrently. The spectral backend reads `sdict`, by default the kernels'
+    own spectra (`_spectra`, built once per dictionary and width). Raises
+    NumericError, naming the segment, when a pick is not finite.
     """
     cfg.validate()
     if segment.width != cfg.width:
@@ -259,7 +268,8 @@ def encode_segment(
             f"segment width {segment.width} != config width {cfg.width}"
         )
     if cfg.backend == "spectral" and sdict is None:
-        raise InvalidConfig("spectral backend requires a SpectralDictionary")
+        sdict = dictionary.table(("spectra", cfg.width),
+                                 lambda: _spectra(dictionary, cfg.width))
     datapath = _fixed_datapath if cfg.arithmetic == "fixed" else _float_datapath
     residual, correlate, subtract = datapath(segment, dictionary, sdict, cfg, stats)
     rows = []
@@ -267,6 +277,9 @@ def encode_segment(
         # kept: the rows `values` holds (None: all); native: what subtract reads
         native, kept, values = correlate(residual)
         m, tau, s = select_code(values, cfg.select, kept)
+        if not math.isfinite(s):
+            raise NumericError(f"segment {segment.segment_index}: picked intensity "
+                               f"{s} at kernel {m}, shift {tau} is not finite")
         if s == 0 or abs(s) < cfg.halt_threshold:
             break
         rows.append((segment.segment_index, m, tau, s))
@@ -345,17 +358,6 @@ def _summed_entries(windows, kernels_raw, supports, ms, js, frac_bits):
         products = windows[js[chunk], lo:hi] * kernels_raw[ms[chunk], lo:hi]
         out[chunk] = rescale_half_even_array(products, frac_bits).sum(axis=1)
     return out
-
-
-def _screen_spectra(
-    dictionary: Dictionary, kernels_raw: np.ndarray, fmt: FixedFormat, width: int
-) -> SpectralDictionary:
-    """Spectra of the kernels as the screen sees them, dequantized (raw
-    values below 2**53 are exact), at the smallest 2^a or 3*2^a that fits
-    their own support: `default_fft_len` assumes the gammatone layout."""
-    kernels = replace(dictionary, kernels=dequantize_array(kernels_raw, fmt))
-    fft_len = _fft_len(_lag_window_bound(width, *kernels.support))
-    return kernel_spectra(kernels, fft_len, width)
 
 
 def _correlate_fixed_direct(
@@ -450,16 +452,17 @@ def _fixed_tables(dictionary: Dictionary, fmt: FixedFormat, width: int,
                   backend: str) -> tuple:
     """What the fixed datapath reads of a dictionary under one format, width
     and backend: the raw kernels, the (saturations, wraps) of quantizing
-    them and, for the direct backend only, their `_Supports` and the
-    screen's spectra (`_screen_spectra`)."""
+    them and, for the direct backend only, their `_Supports` and, for the
+    screen, the spectra of the dequantized kernels (exact below 2**53)."""
     counts = SaturationStats()
     kernels_raw = quantize_array(dictionary.kernels, fmt, counts)
     kernels_raw.flags.writeable = False
     overflows = (counts.saturations, counts.wraps)
     if backend != "direct":
         return kernels_raw, overflows, None, None
+    dequantized = replace(dictionary, kernels=dequantize_array(kernels_raw, fmt))
     return (kernels_raw, overflows, _kernel_supports(kernels_raw, fmt),
-            _screen_spectra(dictionary, kernels_raw, fmt, width))
+            _spectra(dequantized, width))
 
 
 def _fixed_datapath(segment, dictionary, sdict, cfg, stats):

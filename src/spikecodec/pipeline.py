@@ -25,14 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dictionary import (
-    Dictionary,
-    DictionaryConfig,
-    SpectralDictionary,
-    build_dictionary,
-    default_fft_len,
-    kernel_spectra,
-)
+from .dictionary import Dictionary, DictionaryConfig, build_dictionary
 from .encoder import CODE_DTYPE, EncoderConfig, Segment, encode_segment
 from .errors import (
     CorruptFile,
@@ -194,9 +187,9 @@ def write_events(events: np.ndarray, cfg: RunConfig) -> None:
 
 def parse_events(path: str) -> np.recarray:
     """Read an event file (csv or jsonl) back into an EVENT_DTYPE record
-    array. Raises CorruptFile on a malformed record, a negative time, a
-    non-finite intensity, a zero raw intensity or a center that is not
-    positive."""
+    array. Raises CorruptFile on a csv header or field count that
+    `write_events_csv` does not write, a malformed record, a negative time,
+    a non-finite intensity, a zero raw intensity or a nonpositive center."""
     events = []
     try:
         with open(path) as fh:
@@ -212,26 +205,26 @@ def parse_events(path: str) -> np.recarray:
                     events.append(_event_from_fields(
                         *fields, None if raw is None else json.dumps(raw)))
             elif first:
-                if not first.startswith(EVENT_HEADER):
+                header = first.rstrip("\r\n")
+                if header not in (EVENT_HEADER, EVENT_HEADER + ",raw_intensity"):
                     raise CorruptFile(f"unexpected event header in {path!r}")
-                has_raw = "raw_intensity" in first
+                columns = header.count(",") + 1
                 for line in fh:
                     if not line.strip():
                         continue
                     parts = line.split(",")
-                    events.append(_event_from_fields(
-                        parts[0], parts[1], parts[2], parts[3], parts[4],
-                        parts[5] if has_raw else None,
-                    ))
+                    if len(parts) != columns:
+                        raise ValueError(f"{len(parts)} fields in {line.strip()!r}")
+                    events.append(_event_from_fields(*parts))
         return np.array(events, EVENT_DTYPE).view(np.recarray)
     except OSError as exc:
         raise IoError(f"cannot read {path!r}: {exc}")
     # TypeError: a JSONL record that is not an object, or a null or list field
-    except (ValueError, KeyError, IndexError, OverflowError, TypeError) as exc:
+    except (ValueError, KeyError, OverflowError, TypeError) as exc:
         raise CorruptFile(f"bad event record in {path!r}: {exc}")
 
 
-def _event_from_fields(t, channel, kernel, level, center, raw) -> tuple:
+def _event_from_fields(t, channel, kernel, level, center, raw=None) -> tuple:
     t, center = int(t), float(center)
     # sign information only survives in the raw column
     raw = float(raw) if raw is not None else center
@@ -264,16 +257,11 @@ def encode_signal(
     samples: np.ndarray,
     dictionary: Dictionary,
     cfg: EncoderConfig,
-    sdict: SpectralDictionary | None = None,
     stats: SaturationStats | None = None,
 ) -> list[np.recarray]:
     """Segment and encode a whole signal, one thread per available CPU; the
     codes do not depend on the thread count. Re-raises the first failure.
     Overflow counts go to `stats`, counted per segment, summed in order."""
-    if cfg.backend == "spectral" and sdict is None:  # built once per dictionary
-        sdict = dictionary.table(("spectra", cfg.width), lambda: kernel_spectra(
-            dictionary, default_fft_len(cfg.width, dictionary.kernel_len),
-            signal_len=cfg.width))
     segments = segment_stream(samples, cfg.width)
     codesets = [None] * len(segments)
     counts = [SaturationStats() for _ in segments]
@@ -287,7 +275,7 @@ def encode_signal(
     def work():
         for i in iter(take, None):
             try:
-                codesets[i] = encode_segment(segments[i], dictionary, sdict, cfg,
+                codesets[i] = encode_segment(segments[i], dictionary, None, cfg,
                                              counts[i])
             except BaseException as exc:
                 failures[i] = exc

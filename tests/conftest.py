@@ -5,6 +5,7 @@ import pytest
 
 import spikecodec
 from spikecodec.dictionary import (
+    Dictionary,
     DictionaryConfig,
     build_dictionary,
     default_fft_len,
@@ -17,6 +18,17 @@ from spikecodec.spikecoder import EVENT_DTYPE
 def codes(*rows):
     """One segment's code array from (segment_index, m, tau, s) rows."""
     return np.array(list(rows), CODE_DTYPE).view(np.recarray)
+
+
+def column_zero_dictionary():
+    """5 seeded unit-norm kernels of length 60, nonzero from column 0 on: at
+    W=100 they need 150 FFT points, where `default_fft_len` gives the
+    gammatone layout's 128."""
+    length, rng = 60, np.random.default_rng(60)
+    kernels = rng.standard_normal((5, length)) * np.exp(-np.arange(length) / 15)
+    kernels /= np.linalg.norm(kernels, axis=1)[:, None]
+    return Dictionary(kernels, np.arange(1.0, 6.0), DictionaryConfig(
+        num_kernels=5, kernel_len=length))
 
 
 def events(*rows):

@@ -1,5 +1,8 @@
 import hashlib
 import io
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -103,6 +106,37 @@ def test_build_is_memoized_per_config():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_racing_threads_build_a_table_once():
+    # more threads than CPUs, switching every microsecond, all asking for
+    # two tables at once: each is built once and every thread gets it
+    d = build_dictionary.__wrapped__(DictionaryConfig(num_kernels=4, kernel_len=64))
+    builds, results, start = [], [], threading.Barrier(8)
+
+    def build(key):
+        builds.append(key)
+        time.sleep(0.01)  # a slow first build, so that the others arrive
+        return [key]
+
+    def ask(key):
+        start.wait(timeout=10)
+        results.append((key, d.table(key, lambda: build(key))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(i % 2,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(builds) == [0, 1]
+    assert len(results) == 8
+    assert all(value is d.table(key, list) for key, value in results)
 
 
 @pytest.mark.parametrize(

@@ -685,10 +685,18 @@ def test_exact_recovery_across_in_support_shifts(full_dict):
         assert abs(code.s - s) < 1e-6 * abs(s)
 
 
-def test_spectral_without_sdict_rejected(small_dict):
-    cfg = EncoderConfig(max_codes=1, width=256, backend="spectral")
-    with pytest.raises(InvalidConfig):
-        encode_segment(Segment(np.zeros(256)), small_dict, cfg=cfg)
+@pytest.mark.parametrize("arithmetic", ["float", "fixed"])
+def test_spectral_without_sdict_reads_the_dictionarys_spectra(
+    small_dict, small_sdict, arithmetic
+):
+    # the encoder sizes the spectra from the kernels' support: for the
+    # gammatone layout that is `default_fft_len`, so the codes are the same
+    cfg = EncoderConfig(max_codes=8, width=256, backend="spectral",
+                        arithmetic=arithmetic)
+    x = make_audio_clip(3 * 256, seed=9)
+    for seg in segment_stream(x, 256):
+        assert (encode_segment(seg, small_dict, cfg=cfg).tobytes()
+                == encode_segment(seg, small_dict, small_sdict, cfg).tobytes())
 
 
 def test_segment_width_must_match_config(small_dict):

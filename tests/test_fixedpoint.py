@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from spikecodec import encoder, fixedpoint
 from spikecodec.dictionary import (
-    Dictionary,
     DictionaryConfig,
     build_dictionary,
     default_fft_len,
@@ -22,7 +21,7 @@ from spikecodec.encoder import (
     _correlate_fixed_direct,
     _kernel_supports,
     _rmax_limit,
-    _screen_spectra,
+    _spectra,
     correlate_direct,
     correlate_spectral,
     encode_segment,
@@ -44,6 +43,8 @@ from spikecodec.fixedpoint import (
     rescale_half_even_array,
 )
 from spikecodec.pipeline import make_audio_clip
+
+from conftest import column_zero_dictionary
 
 FMT = FixedFormat(total_bits=34, frac_bits=24)
 
@@ -348,7 +349,8 @@ def _check_screened_pick(d, resid_raw, fmt, select):
     width = len(resid_raw)
     kernels_raw = quantize_array(d.kernels, fmt)
     supports = _kernel_supports(kernels_raw, fmt)
-    screen = (_screen_spectra(d, kernels_raw, fmt, width), select)
+    dequantized = replace(d, kernels=dequantize_array(kernels_raw, fmt))
+    screen = (_spectra(dequantized, width), select)
     stats, oracle_stats = SaturationStats(), SaturationStats()
     rows, values = _correlate_fixed_direct(
         resid_raw, kernels_raw, supports, fmt, stats, screen
@@ -388,7 +390,7 @@ def test_fft_screen_error_is_far_inside_the_slack(width, kind):
         supports = _kernel_supports(kernels_raw, fmt)
         nonzero = supports.kmax > 0
         dequantized = replace(d, kernels=dequantize_array(kernels_raw, fmt))
-        sdict = _screen_spectra(d, kernels_raw, fmt, width)
+        sdict = _spectra(dequantized, width)
         rng = np.random.default_rng(width)
         for _ in range(3):
             resid_raw = quantize_array(_screen_residual(d, fmt, kind, rng), fmt)
@@ -404,11 +406,7 @@ def test_screen_fits_kernels_nonzero_from_column_zero(monkeypatch):
     # `default_fft_len` assumes kernels nonzero on [L/2, L): at W=100 it
     # gives 128 points for L=60, but these kernels need 150 (192)
     width, length = 100, 60
-    rng = np.random.default_rng(60)
-    kernels = rng.standard_normal((5, length)) * np.exp(-np.arange(length) / 15)
-    kernels /= np.linalg.norm(kernels, axis=1)[:, None]
-    d = Dictionary(kernels, np.arange(1.0, 6.0), DictionaryConfig(
-        num_kernels=5, kernel_len=length))
+    d = column_zero_dictionary()
     assert d.support == (0, length)
     with pytest.raises(LengthTooSmall):
         kernel_spectra(d, default_fft_len(width, length), width)

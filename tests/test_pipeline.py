@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import wave
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikecodec import cli, encoder, pipeline
-from spikecodec.dictionary import (
-    Dictionary,
-    DictionaryConfig,
-    build_dictionary,
-    default_fft_len,
-    kernel_spectra,
-)
+from spikecodec.dictionary import Dictionary, DictionaryConfig, build_dictionary
 from spikecodec.encoder import EncoderConfig, encode_segment
 from spikecodec.errors import CorruptFile, NumericError, UnsupportedFormat
 from spikecodec.fixedpoint import FixedFormat, SaturationStats
@@ -40,7 +35,7 @@ from spikecodec.pipeline import (
 )
 from spikecodec.spikecoder import EVENT_DTYPE, build_channel_table, emit_stream
 
-from conftest import codes
+from conftest import codes, column_zero_dictionary
 
 
 def _write_wav(path, samples_i16, channels=1, rate=16000):
@@ -351,9 +346,7 @@ def test_encode_signal_equals_serial_loop(par_dict, force_cpus, backend, fixed,
                                           workers):
     cfg = _par_config(backend, fixed)
     x = _five_segments()
-    sdict = kernel_spectra(par_dict, default_fft_len(PAR_WIDTH, PAR_WIDTH),
-                           signal_len=PAR_WIDTH)
-    serial = [encode_segment(seg, par_dict, sdict, cfg)
+    serial = [encode_segment(seg, par_dict, None, cfg)
               for seg in segment_stream(x, PAR_WIDTH)]
     assert sum(len(cs) for cs in serial) == 16  # 4 codes, silent one none
     started = force_cpus(workers)
@@ -462,15 +455,13 @@ def _count_calls(monkeypatch, calls, module, name, label=None, when=None):
 
 
 def test_dictionary_tables_are_built_once(tmp_path, monkeypatch, force_cpus):
-    # one worker: two threads that race on a table's first use may each
-    # build it once (`Dictionary.table`), which changes no result
-    force_cpus(1)
+    # three workers race on each table's first use (`Dictionary.table`)
+    force_cpus(3)
     d = build_dictionary.__wrapped__(
         DictionaryConfig(num_kernels=8, kernel_len=PAR_WIDTH))
     calls = {"_kernel_supports": 0, "kernel_spectra": 0, "kernel quantize": 0}
     _count_calls(monkeypatch, calls, encoder, "_kernel_supports")
     _count_calls(monkeypatch, calls, encoder, "kernel_spectra")
-    _count_calls(monkeypatch, calls, pipeline, "kernel_spectra")
     _count_calls(monkeypatch, calls, encoder, "quantize_array", "kernel quantize",
                  lambda x: x is d.kernels)
     x = make_audio_clip(6 * PAR_WIDTH, seed=4)
@@ -532,6 +523,40 @@ def test_cached_tables_do_not_leak_across_keys(tmp_path):
         assert encode(width, backend, fixed) == result
 
 
+def test_encode_signal_sizes_spectra_from_the_kernels_support():
+    # the spectral backend's spectra fit the kernels' own support (192
+    # points), not the gammatone layout's 128
+    width, d = 100, column_zero_dictionary()
+    x = make_audio_clip(3 * width, seed=60)
+    for fixed in (None, FixedFormat(34, 24)):
+        cfg = replace(_par_config("spectral", fixed), width=width)
+        codesets = encode_signal(x, d, cfg)
+        assert [len(cs) for cs in codesets] == [4, 4, 4]
+        if fixed is None:
+            direct = encode_signal(x, d, replace(cfg, backend="direct"))
+            assert ([(c.m, c.tau) for cs in codesets for c in cs]
+                    == [(c.m, c.tau) for cs in direct for c in cs])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
+@pytest.mark.parametrize("fixed", [None, FixedFormat(34, 24)], ids=["float", "34:24"])
+@pytest.mark.parametrize("backend", ["direct", "spectral"])
+def test_near_max_input_raises_in_float_and_saturates_in_fixed(backend, fixed):
+    # a finite input whose float correlation overflows must not encode to
+    # NaN codes; quantizing saturates it, so fixed point encodes it
+    d = build_dictionary(DictionaryConfig(num_kernels=6, kernel_len=128))
+    x = 1.7e308 * np.sin(0.3 * np.arange(512))
+    cfg = replace(_par_config(backend, fixed), width=128)
+    stats = SaturationStats()
+    if fixed is None:
+        with pytest.raises(NumericError, match="segment 0: .* not finite"):
+            encode_signal(x, d, cfg, stats=stats)
+        return
+    codes = np.concatenate(encode_signal(x, d, cfg, stats=stats))
+    assert len(codes) == 16 and np.all(np.isfinite(codes["s"]))
+    assert stats.saturations > 0
+
+
 def _five_segment_wav(tmp_path):
     path = tmp_path / "five.wav"
     _write_wav(path, np.round(32767 * _five_segments()))
@@ -550,6 +575,21 @@ def test_cli_encode_failure_on_a_thread_exits_4(tmp_path, monkeypatch, capsys,
     assert "numeric error: segment 3" in err
     assert "Traceback" not in err
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_cli_out_of_memory_exits_4(tmp_path, monkeypatch, capsys, command):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "encode_signal", exhausted)
+    monkeypatch.setattr(cli, "parse_events", exhausted)
+    argv = (_encode_args(tmp_path, "s.csv", b"0.1,0.2") if command == "encode"
+            else _decode_args(tmp_path))
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"numeric error: out of memory in {command}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("backend", ["direct", "spectral"])
@@ -676,17 +716,19 @@ def _decode_args(tmp_path, *extra):
             *SMALL_FLAGS]
 
 
+def _decode_text_args(tmp_path, text):
+    events = tmp_path / "ev.csv"
+    events.write_text(text)
+    return ["decode", str(events), "-o", str(tmp_path / "x.f32"), *SMALL_FLAGS]
+
+
 def _decode_args_with_rows(tmp_path, row):
     # no raw column: the decoder takes the center as the intensity
-    events = tmp_path / "ev.csv"
-    events.write_text(f"{EVENT_HEADER}\n{row}\n")
-    return ["decode", str(events), "-o", str(tmp_path / "x.f32"), *SMALL_FLAGS]
+    return _decode_text_args(tmp_path, f"{EVENT_HEADER}\n{row}\n")
 
 
 def _decode_row_args(tmp_path, row):
-    events = tmp_path / "ev.csv"
-    events.write_text(f"{EVENT_HEADER},raw_intensity\n{row}\n")
-    return ["decode", str(events), "-o", str(tmp_path / "x.f32"), *SMALL_FLAGS]
+    return _decode_text_args(tmp_path, f"{EVENT_HEADER},raw_intensity\n{row}\n")
 
 
 def _decode_to_missing_dir(name):
@@ -768,6 +810,13 @@ def _config_args(tmp_path, text):
     (lambda tmp: _encode_args(tmp, "s.csv", b"0.1,0.2", "--fs", "nan"), 2),
     (lambda tmp: _encode_args(tmp, "s.csv", b"0.1,0.2", "--fs", "inf"), 2),
     (lambda tmp: _encode_args(tmp, "s.csv", b"0.1,0.2", "--fs", "0"), 2),
+    # finite, but the float correlation overflows
+    (lambda tmp: _encode_args(tmp, "near-max.csv", ",".join(
+        repr(float(v)) for v in 1.7e308 * np.sin(0.3 * np.arange(512))).encode(),
+        "--with-raw-intensity"), 4),
+    (lambda tmp: _decode_row_args(tmp, "64,10,3,2,0.411500,0.411500,junk"), 3),
+    (lambda tmp: _decode_text_args(
+        tmp, f"{EVENT_HEADER}_extra\n64,10,3,2,0.411500\n"), 3),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
@@ -780,7 +829,8 @@ def _config_args(tmp_path, text):
         "jsonl-null-field", "jsonl-list-field", "jsonl-fractional-time",
         "jsonl-bool-kernel", "config-itp-invalid", "config-k-not-int",
         "wav-22050-band-below-nyquist", "wav-22050-band-above-nyquist",
-        "fs-nan", "fs-inf", "fs-zero"])
+        "fs-nan", "fs-inf", "fs-zero", "csv-near-max", "csv-extra-field",
+        "csv-header-suffix"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     out = _cli(*make_argv(tmp_path))
     assert out.returncode == code, out.stderr
