@@ -123,32 +123,19 @@ def correlate_direct(residual: np.ndarray, dictionary: Dictionary) -> np.ndarray
     return dictionary.kernels[:, lo:hi] @ windows.T
 
 
-def _lag_transform(residual: np.ndarray, sdict: SpectralDictionary):
-    """The conjugate rfft of the residual, rotated to start at bin n - W/2
-    so that lag tau lands in bin W/2 - tau, and `transform(rows)`: those
-    kernel rows' W + 1 lags, as an irfft of the spectra products."""
-    w, n = len(residual), sdict.fft_len
-    if w % 2:
-        raise DimensionMismatch(f"correlation needs an even width, got {w}")
-    bound = _lag_window_bound(w, *sdict.support)
-    if n < bound:
-        raise DimensionMismatch(f"fft_len {n} below lag-window bound {bound}")
-    rotated = np.concatenate(
-        [residual[w // 2 :], np.zeros(n - w), residual[: w // 2]]
-    )
+def _lag_transform(residual: np.ndarray, spectra: np.ndarray, n: int):
+    """The conjugate rfft of the residual, rotated in one length-n buffer so
+    that lag tau lands in bin W/2 - tau, and `transform(rows)`: those rows'
+    W + 1 lags, an irfft of its products with `spectra` (the rfft bins)."""
+    w = len(residual)
+    rotated = np.zeros(n)
+    rotated[: w // 2], rotated[n - w // 2 :] = residual[w // 2 :], residual[: w // 2]
     spectrum = np.conj(np.fft.rfft(rotated))
-    kernels = sdict.spectra[:, : n // 2 + 1]
 
     def transform(rows):
-        return np.fft.irfft(spectrum * kernels[rows], n, axis=-1)[..., w::-1]
+        return np.fft.irfft(spectrum * spectra[rows], n, axis=-1)[..., w::-1]
 
     return spectrum, transform
-
-
-def _row_bounds(spectrum: np.ndarray, sdict: SpectralDictionary) -> np.ndarray:
-    """B_m >= |every lag of row m| = sum_k w_k |K_m[k]| |R[k]| with irfft's
-    weights w (`SpectralDictionary.weights`); 1 + 1e-9 covers rounding."""
-    return (1 + 1e-9) * (sdict.magnitudes @ (sdict.weights * np.abs(spectrum)))
 
 
 def correlate_spectral(
@@ -159,13 +146,18 @@ def correlate_spectral(
 
     With `prune` set to a select rule, returns `(rows, values)`: the
     ascending indices of the rows that can hold or tie that rule's pick,
-    and those rows alone. |row m| <= B_m (`_row_bounds`); the row of
+    and those rows alone. |row m| <= B_m (below); the row of
     largest B_m, transformed once, sets the bar, and rows with B_m >= bar
     are kept. With `fmt`, every kept row is requantized to raw int64
     (overflow tallied in `stats`) and rows with qb_m = 2^F B_m + 1/2 >= the
     raw bar are kept: a dropped row's integers can neither win nor tie,
     nor overflow, since the bar is at most raw_max + 1 = |raw_min|."""
-    spectrum, transform = _lag_transform(residual, sdict)
+    w, n = len(residual), sdict.fft_len
+    bound = _lag_window_bound(w, *sdict.support)
+    if w % 2 or n < bound:
+        raise DimensionMismatch(f"correlation needs an even width (got {w}) and "
+                                f"fft_len {n} at or above the lag-window bound {bound}")
+    spectrum, transform = _lag_transform(residual, sdict.spectra[:, : n // 2 + 1], n)
     if prune is None:
         return transform(slice(None)).copy()
 
@@ -173,7 +165,9 @@ def correlate_spectral(
         values = transform(rows)
         return values if fmt is None else quantize_array(values, fmt, stats)
 
-    bounds = _row_bounds(spectrum, sdict)
+    # B_m >= |every lag of row m| = sum_k w_k |K_m[k]| |R[k]| with irfft's
+    # weights w (`SpectralDictionary.weights`); 1 + 1e-9 covers rounding
+    bounds = (1 + 1e-9) * (sdict.magnitudes @ (sdict.weights * np.abs(spectrum)))
     top = int(np.argmax(bounds))
     top_values = requantized(top)
     bar = np.max(np.abs(top_values) if prune == "abs" else top_values)
@@ -182,15 +176,9 @@ def correlate_spectral(
     keep = bounds >= bar
     keep[top] = True  # bar <= B_top: kept, and not transformed again
     rows = np.flatnonzero(keep)
-    return rows, _splice(requantized, rows, top, top_values)
-
-
-def _splice(transform, rows, top, top_values):
-    """`transform(rows)` for ascending `rows` that hold `top`, whose values
-    are already known: the other rows are transformed once."""
     at = int(np.searchsorted(rows, top))
-    rest = transform(rows[rows != top])
-    return np.concatenate([rest[:at], top_values[None], rest[at:]])
+    rest = requantized(rows[rows != top])  # the other kept rows, transformed once
+    return rows, np.concatenate([rest[:at], top_values[None], rest[at:]])
 
 
 def select_code(
@@ -206,7 +194,7 @@ def select_code(
     spectral surface) and the pick's row is mapped back through them.
     """
     ranked = np.abs(values) if select == "abs" else values
-    k, j = np.unravel_index(int(np.argmax(ranked)), ranked.shape)
+    k, j = divmod(int(ranked.argmax()), ranked.shape[1])
     m = k if rows is None else rows[k]
     return int(m), int(j) - (values.shape[1] - 1) // 2, float(values[k, j])
 
@@ -265,25 +253,26 @@ def encode_segment(
     cfg.validate()
     if segment.width != cfg.width:
         raise DimensionMismatch(
-            f"segment width {segment.width} != config width {cfg.width}"
-        )
+            f"segment width {segment.width} != config width {cfg.width}")
     if cfg.backend == "spectral" and sdict is None:
         sdict = dictionary.table(("spectra", cfg.width),
                                  lambda: _spectra(dictionary, cfg.width))
     datapath = _fixed_datapath if cfg.arithmetic == "fixed" else _float_datapath
     residual, correlate, subtract = datapath(segment, dictionary, sdict, cfg, stats)
     rows = []
-    for _ in range(cfg.max_codes):
-        # kept: the rows `values` holds (None: all); native: what subtract reads
-        native, kept, values = correlate(residual)
-        m, tau, s = select_code(values, cfg.select, kept)
-        if not math.isfinite(s):
-            raise NumericError(f"segment {segment.segment_index}: picked intensity "
-                               f"{s} at kernel {m}, shift {tau} is not finite")
-        if s == 0 or abs(s) < cfg.halt_threshold:
-            break
-        rows.append((segment.segment_index, m, tau, s))
-        residual = subtract(residual, m, tau, s, native)
+    # inf or nan is the NumericError below, not a warning (errstate is per thread)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.max_codes):
+            # kept: the rows `values` holds (None: all); native: what subtract reads
+            native, kept, values = correlate(residual)
+            m, tau, s = select_code(values, cfg.select, kept)
+            if not math.isfinite(s):
+                raise NumericError(f"segment {segment.segment_index}: picked intensity "
+                                   f"{s} at kernel {m}, shift {tau} is not finite")
+            if s == 0 or abs(s) < cfg.halt_threshold:
+                break
+            rows.append((segment.segment_index, m, tau, s))
+            residual = subtract(residual, m, tau, s, native)
     return np.array(rows, CODE_DTYPE).view(np.recarray)
 
 
@@ -307,15 +296,26 @@ def _float_datapath(segment, dictionary, sdict, cfg, stats):
 class _Supports(NamedTuple):
     """Per raw kernel row, as int64: nonzero support [lo, hi), max |k|,
     sum |k|, and the largest max |r| for which no running sum of the row
-    can leave the word (`_rmax_limit`); and, as float64, (hi - lo) / 2,
-    the screen slack's rounding term."""
+    can leave the word (`_rmax_limit`)."""
 
     lo: np.ndarray
     hi: np.ndarray
     kmax: np.ndarray
     kabs: np.ndarray
     rmax_limit: np.ndarray
-    half_span: np.ndarray
+
+
+class _Screen(NamedTuple):
+    """What the direct screen reads of a dictionary under one format and
+    width (`_fixed_tables`); per kernel row unless noted."""
+
+    fft_len: int  # n, the whole bank's
+    spectra: np.ndarray  # of the dequantized kernels, on the n // 2 + 1 rfft bins
+    bound: np.ndarray  # (1 + 1e-9) |spectra| times irfft's weights, as for B_m
+    slack: np.ndarray  # the slack's fixed part, (hi - lo) / 2 + 1
+    float_slack: np.ndarray  # its float term per unit of max |r|, 1e-9 sum |k| / 2^F
+    cols: np.ndarray  # the raw kernels' common support, as column indices
+    kernels: np.ndarray  # the raw kernels over those columns
 
 
 def _rmax_limit(n: int, kmax: int, kabs: int, fmt: FixedFormat) -> int:
@@ -341,32 +341,30 @@ def _kernel_supports(kernels_raw: np.ndarray, fmt: FixedFormat) -> _Supports:
     kmax, kabs = mag.max(axis=1, initial=0), mag.sum(axis=1)
     limit = [_rmax_limit(int(b - a), int(k), int(s), fmt)
              for a, b, k, s in zip(lo, hi, kmax, kabs)]
-    return _Supports(lo, hi, kmax, kabs, np.array(limit, np.int64), (hi - lo) / 2)
+    return _Supports(lo, hi, kmax, kabs, np.array(limit, np.int64))
 
 
-def _summed_entries(windows, kernels_raw, supports, ms, js, frac_bits):
+def _summed_entries(resid_raw, cols, kernels, ms, js, frac_bits):
     """Exact entries (ms[i], js[i]) of rows whose running sums cannot leave
-    the word, so that their terms sum in any order: one gather over the
-    rows' common support, in chunks of at most 2**20 products."""
+    the word, so that their terms sum in any order: entry (m, j) sums the
+    products of kernels[m] with the residual at j - W/2 + cols (zero outside
+    it), gathered from one zero-padded copy, in chunks of about 2**20 products."""
+    w = len(resid_raw)
+    padded = np.zeros(w + max(w // 2, int(cols[-1]) + 1), np.int64)
+    padded[w // 2 : w // 2 + w] = resid_raw  # padded[j + c]: sample j - W/2 + c
     out = np.empty(len(ms), np.int64)
-    if len(ms) == 0:
-        return out
-    lo, hi = int(np.min(supports.lo[ms])), int(np.max(supports.hi[ms]))
-    step = (1 << 20) // (hi - lo) + 1
+    step = (1 << 20) // len(cols) + 1
     for i in range(0, len(ms), step):
         chunk = slice(i, i + step)
-        products = windows[js[chunk], lo:hi] * kernels_raw[ms[chunk], lo:hi]
-        out[chunk] = rescale_half_even_array(products, frac_bits).sum(axis=1)
+        products = padded[js[chunk, None] + cols] * kernels[ms[chunk]]
+        out[chunk] = np.add.reduce(rescale_half_even_array(products, frac_bits), 1)
     return out
 
 
 def _correlate_fixed_direct(
-    resid_raw: np.ndarray,
-    kernels_raw: np.ndarray,
-    supports: _Supports,
-    fmt: FixedFormat,
-    stats: SaturationStats | None,
-    screen: tuple[SpectralDictionary, str] | None = None,
+    resid_raw: np.ndarray, kernels_raw: np.ndarray, supports: _Supports,
+    fmt: FixedFormat, stats: SaturationStats | None,
+    screen: tuple[_Screen, str] | None = None,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Fixed-point correlation surface (raw int64), per-term round-to-even
     rescale, ascending-index accumulation, per-step overflow policy.
@@ -375,24 +373,25 @@ def _correlate_fixed_direct(
     from `_kernel_supports`); terms outside it are exact zeros, which leave
     the accumulator and the overflow counts unchanged. A row is bounded
     when max |r| <= its `rmax_limit`: none of its running sums can leave
-    the word, so its entries are plain sums. Every other (loose) row is
-    computed in full with the overflow policy applied at every step.
+    the word, so its entries are plain sums (`_summed_entries`). Every
+    other (loose) row is computed in full with the overflow policy applied
+    at every step, by a column scan over `_residual_windows`.
 
     Without `screen` returns the full (num_kernels, W + 1) surface. With
-    `screen = (spectra of the dequantized kernels, select rule)` returns
+    `screen = (the dictionary's _Screen, select rule)` returns
     `(rows, values)` like `correlate_spectral(prune=...)`: the ascending
     rows that can hold or tie the pick (the loose rows among them), and
     those rows, exact wherever the pick can be.
     """
     w, num = len(resid_raw), len(kernels_raw)
-    rmax = int(np.max(np.abs(resid_raw)))
+    rmax = int(np.abs(resid_raw).max())
     if rmax == 0:
         surface = np.zeros((num, w + 1), np.int64)
         return surface if screen is None else (np.arange(num), surface)
-    windows = _residual_windows(resid_raw, 0, kernels_raw.shape[1])
-    bounded = np.flatnonzero(rmax <= supports.rmax_limit)
-    loose = np.flatnonzero(rmax > supports.rmax_limit)
+    loose = (rmax > supports.rmax_limit).nonzero()[0]
     loose_values = np.zeros((len(loose), w + 1), np.int64)
+    if len(loose):
+        windows = _residual_windows(resid_raw, 0, kernels_raw.shape[1])
     for i, m in enumerate(loose):
         span = slice(supports.lo[m], supports.hi[m])
         cols, krow = windows[:, span], kernels_raw[m, span]
@@ -404,47 +403,46 @@ def _correlate_fixed_direct(
                     loose_values[i] + term, fmt, stats)
         else:  # int64 headroom exhausted: the scalar MAC chain, entry by entry
             loose_values[i] = [fixed_dot(row, krow, fmt, stats) for row in cols]
-    if screen is None:
+    if screen is None:  # every bounded entry, over all kernel columns
         surface = np.empty((num, w + 1), np.int64)
         surface[loose] = loose_values
-        ms, js = np.repeat(bounded, w + 1), np.tile(np.arange(w + 1), len(bounded))
-        surface[ms, js] = _summed_entries(
-            windows, kernels_raw, supports, ms, js, fmt.frac_bits)
+        ms = np.repeat((rmax <= supports.rmax_limit).nonzero()[0], w + 1)
+        js = np.tile(np.arange(w + 1), num - len(loose))
+        surface[ms, js] = _summed_entries(resid_raw, np.arange(kernels_raw.shape[1]),
+                                          kernels_raw, ms, js, fmt.frac_bits)
         return surface
-    if len(bounded) == 0:
+    if len(loose) == num:
         return loose, loose_values
-    # Screen with c, the float correlation of the dequantized operands
-    # (exact below 2**53), from the FFT: an exact entry E of a bounded row
-    # has |E - 2^F c| <= slack, for hi - lo terms rounded by at most 1/2
-    # each, the float error of c (under 1e-9 rmax kabs / 2^F, FFT included)
-    # and 1 for this test's own rounding. `sure` is a rank the pick reaches;
-    # a row with 2^F B_m + slack below it is not transformed, and an entry
-    # whose rank + slack is below it cannot win or tie.
-    sdict, select = screen
+    # Screen with 2^F c, c the float correlation of the dequantized operands
+    # (the FFT of the raw residual): an exact entry E of a bounded row has
+    # |E - 2^F c| <= slack, for hi - lo terms rounded by at most 1/2 each,
+    # the float error (under 1e-9 rmax kabs / 2^F) and 1 for this test's own
+    # rounding. `sure` is a rank the pick reaches; a row whose reach
+    # 2^F B_m + slack, or an entry whose rank + slack, is below it cannot win.
+    table, select = screen
     rank = np.abs if select == "abs" else np.positive
-    spectrum, transform = _lag_transform(dequantize_array(resid_raw, fmt), sdict)
-    slack = supports.half_span + 1e-9 * rmax * supports.kabs / fmt.scale + 1
-    reach = fmt.scale * _row_bounds(spectrum, sdict) + slack
-    top = bounded[np.argmax(reach[bounded])]
-    top_values = transform(top)
-    sure = max(fmt.scale * np.max(rank(top_values)) - slack[top],
-               np.max(rank(loose_values), initial=fmt.raw_min))
-    screened = bounded[(reach[bounded] >= sure) | (bounded == top)]
-    upper = rank(_splice(transform, screened, top, top_values))  # of c, not 2^F c
-    margin = slack[screened]
-    sure = max(sure, np.max(fmt.scale * np.max(upper, axis=1) - margin))
-    at, js = np.nonzero(upper >= ((sure - margin) / fmt.scale)[:, None])
+    spectrum, transform = _lag_transform(resid_raw, table.spectra, table.fft_len)
+    slack = table.slack + rmax * table.float_slack
+    reach = table.bound @ np.abs(spectrum) + slack
+    reach[loose] = -np.inf
+    top = int(reach.argmax())
+    sure = max(rank(transform(top)).max() - slack[top],
+               rank(loose_values).max(initial=fmt.raw_min))
+    screened = (reach >= sure).nonzero()[0]
+    upper, margin = rank(transform(screened)), slack[screened]
+    sure = (upper.max(axis=1) - margin).max(initial=sure)
+    at, js = np.divmod((upper >= (sure - margin)[:, None]).ravel().nonzero()[0], w + 1)
     ms = screened[at]
     held = np.zeros(num, bool)
     held[ms] = held[loose] = True
-    rows = np.flatnonzero(held)
+    rows = held.nonzero()[0]
     # the rest rank below the pick: bounded entries exceed raw_min, and
     # with abs an entry is left out only below a pick >= sure > 0
     values = np.full((len(rows), w + 1), 0 if select == "abs" else fmt.raw_min,
                      np.int64)
-    values[np.searchsorted(rows, loose)] = loose_values
-    values[np.searchsorted(rows, ms), js] = _summed_entries(
-        windows, kernels_raw, supports, ms, js, fmt.frac_bits)
+    values[rows.searchsorted(loose)] = loose_values
+    values[rows.searchsorted(ms), js] = _summed_entries(
+        resid_raw, table.cols, table.kernels, ms, js, fmt.frac_bits)
     return rows, values
 
 
@@ -452,17 +450,21 @@ def _fixed_tables(dictionary: Dictionary, fmt: FixedFormat, width: int,
                   backend: str) -> tuple:
     """What the fixed datapath reads of a dictionary under one format, width
     and backend: the raw kernels, the (saturations, wraps) of quantizing
-    them and, for the direct backend only, their `_Supports` and, for the
-    screen, the spectra of the dequantized kernels (exact below 2**53)."""
+    them and, for the direct backend only, their `_Supports` and `_Screen`."""
     counts = SaturationStats()
     kernels_raw = quantize_array(dictionary.kernels, fmt, counts)
     kernels_raw.flags.writeable = False
     overflows = (counts.saturations, counts.wraps)
     if backend != "direct":
         return kernels_raw, overflows, None, None
+    supports = _kernel_supports(kernels_raw, fmt)
     dequantized = replace(dictionary, kernels=dequantize_array(kernels_raw, fmt))
-    return (kernels_raw, overflows, _kernel_supports(kernels_raw, fmt),
-            _spectra(dequantized, width))
+    sdict, (lo, hi) = _spectra(dequantized, width), dequantized.support
+    return kernels_raw, overflows, supports, _Screen(
+        sdict.fft_len, sdict.spectra[:, : sdict.fft_len // 2 + 1],
+        (1 + 1e-9) * sdict.magnitudes * sdict.weights,
+        (supports.hi - supports.lo) / 2 + 1, 1e-9 * supports.kabs / fmt.scale,
+        np.arange(lo, hi), kernels_raw[:, lo:hi])
 
 
 def _fixed_datapath(segment, dictionary, sdict, cfg, stats):
@@ -470,13 +472,13 @@ def _fixed_datapath(segment, dictionary, sdict, cfg, stats):
     The kernel tables are built once per dictionary (`Dictionary.table`);
     their quantization overflows count once per segment, as if requantized."""
     fmt = cfg.fixed_format
-    kernels_raw, overflows, supports, screen_spectra = dictionary.table(
+    kernels_raw, overflows, supports, screen_table = dictionary.table(
         ("fixed", fmt, cfg.width, cfg.backend),
         lambda: _fixed_tables(dictionary, fmt, cfg.width, cfg.backend))
     if stats is not None:
         stats.saturations += overflows[0]
         stats.wraps += overflows[1]
-    screen = (screen_spectra, cfg.select)
+    screen = (screen_table, cfg.select)
 
     def correlate(resid_raw: np.ndarray):
         if cfg.backend == "direct":
@@ -492,17 +494,15 @@ def _fixed_datapath(segment, dictionary, sdict, cfg, stats):
     def subtract(resid_raw: np.ndarray, m: int, tau: int, _s, native):
         # the raw pick, not s requantized: inexact past 53 bits
         rows, surface_raw = native
-        s_raw = int(surface_raw[np.searchsorted(rows, m), tau + segment.width // 2])
+        s_raw = int(surface_raw[rows.searchsorted(m), tau + segment.width // 2])
         shifted = shift_kernel(kernels_raw[m], tau, segment.width)
-        kmax = int(np.max(np.abs(shifted)))
-        if abs(s_raw) * max(kmax, 1) >= (1 << 62):
-            # int64 headroom exhausted: exact per-sample rescale
-            scaled = np.array(
-                [_round_half_even(s_raw * int(k), fmt.frac_bits) for k in shifted],
-                dtype=np.int64,
-            )
-        else:
+        # the row's max |k| is at least the shifted one's; both branches are exact
+        kmax = int(supports.kmax[m] if supports else np.abs(shifted).max())
+        if abs(s_raw) * max(kmax, 1) < (1 << 62):
             scaled = rescale_half_even_array(s_raw * shifted, fmt.frac_bits)
+        else:  # int64 headroom exhausted: exact per-sample rescale
+            scaled = np.array([_round_half_even(s_raw * int(k), fmt.frac_bits)
+                               for k in shifted], np.int64)
         return apply_overflow_array(resid_raw - scaled, fmt, stats)
 
     return quantize_array(segment.samples, fmt, stats), correlate, subtract

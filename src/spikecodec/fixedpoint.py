@@ -148,12 +148,13 @@ def quantize_array(
         # raw_max +/- 1 no longer fits the int64 fast path; go scalar
         flat = np.array([quantize(v, fmt, stats).raw for v in x.ravel()])
         return flat.reshape(x.shape)
-    scaled = np.rint(x * fmt.scale)
+    # clip (infinities too) to one step past the word before scaling, so the
+    # product cannot overflow and the cast fits int64; counting happens on
+    # the ints. Exact scaling by 2^F commutes with the clip and with rint.
+    clipped = np.clip(x, (fmt.raw_min - 1) / fmt.scale, (fmt.raw_max + 1) / fmt.scale)
+    scaled = np.rint(clipped * fmt.scale)
     scaled = np.where(np.isnan(scaled), 0.0, scaled)
-    # keep values (infinities too) within int64 before the cast; counting
-    # happens on the ints
-    clipped = np.clip(scaled, float(fmt.raw_min - 1), float(fmt.raw_max + 1))
-    return apply_overflow_array(clipped.astype(np.int64), fmt, stats)
+    return apply_overflow_array(scaled.astype(np.int64), fmt, stats)
 
 
 def dequantize_array(raw: np.ndarray, fmt: FixedFormat) -> np.ndarray:
@@ -165,7 +166,7 @@ def apply_overflow_array(
     raw: np.ndarray, fmt: FixedFormat, stats: SaturationStats | None = None
 ) -> np.ndarray:
     over = (raw > fmt.raw_max) | (raw < fmt.raw_min)
-    if not np.any(over):
+    if not over.any():
         return raw
     n = int(np.count_nonzero(over))
     if fmt.overflow == "saturate":

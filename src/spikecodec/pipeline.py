@@ -187,23 +187,28 @@ def write_events(events: np.ndarray, cfg: RunConfig) -> None:
 
 def parse_events(path: str) -> np.recarray:
     """Read an event file (csv or jsonl) back into an EVENT_DTYPE record
-    array. Raises CorruptFile on a csv header or field count that
-    `write_events_csv` does not write, a malformed record, a negative time,
-    a non-finite intensity, a zero raw intensity or a nonpositive center."""
+    array. Raises CorruptFile on a csv header or field count, or a JSONL
+    record's keys, that the writers do not write (every JSONL record has
+    raw_intensity exactly when the first one does), a malformed record, a
+    negative time, a non-finite intensity, a zero raw intensity or a
+    nonpositive center."""
     events = []
     try:
         with open(path) as fh:
             first = fh.readline()
             if first.lstrip().startswith("{"):
+                keys = None  # the header's, plus raw_intensity if the first has it
                 for line in [first] + fh.readlines():
                     if not line.strip():
                         continue
                     rec = json.loads(line)
+                    keys = keys or EVENT_HEADER.split(",") + [
+                        "raw_intensity"] * ("raw_intensity" in rec)
+                    if sorted(rec) != sorted(keys):
+                        raise ValueError(f"record keys {sorted(rec)}, expected {keys}")
                     # each value's JSON text takes the csv checks: 70.9, true, "1" fail
-                    fields = [json.dumps(rec[k]) for k in EVENT_HEADER.split(",")]
-                    raw = rec.get("raw_intensity")
-                    events.append(_event_from_fields(
-                        *fields, None if raw is None else json.dumps(raw)))
+                    fields = [json.dumps(rec[k]) for k in keys]
+                    events.append(_event_from_fields(*fields))
             elif first:
                 header = first.rstrip("\r\n")
                 if header not in (EVENT_HEADER, EVENT_HEADER + ",raw_intensity"):

@@ -19,6 +19,7 @@ from spikecodec.encoder import (
     EncoderConfig,
     Segment,
     _correlate_fixed_direct,
+    _fixed_tables,
     _kernel_supports,
     _rmax_limit,
     _spectra,
@@ -296,9 +297,10 @@ SCREEN_FORMATS = {
 }
 
 
-def _screen_residual(d, fmt, kind, rng):
-    """A float residual of one stimulus `kind`, scaled to the format's range."""
-    w, full_scale = d.kernel_len, 2.0 ** (fmt.total_bits - fmt.frac_bits - 1)
+def _screen_residual(d, fmt, kind, rng, w=None):
+    """A float residual of one stimulus `kind` and width `w` (by default the
+    kernel length), scaled to the format's range."""
+    w, full_scale = w or d.kernel_len, 2.0 ** (fmt.total_bits - fmt.frac_bits - 1)
     if kind == "zero":
         return np.zeros(w)
     if kind == "noise":
@@ -306,7 +308,8 @@ def _screen_residual(d, fmt, kind, rng):
     if kind == "saturating":
         return 0.8 * full_scale * make_audio_clip(w, seed=int(rng.integers(1000)))
     # negative shifts keep the whole kernel in the window (onset at W/2)
-    (m1, m2), (t1, t2) = rng.choice(8, 2, replace=False), rng.integers(-(w // 2), 1, 2)
+    (m1, m2) = rng.choice(d.num_kernels, 2, replace=False)
+    t1, t2 = rng.integers(-(w // 2), 1, 2)
     a = 10.0 ** rng.uniform(-3, 0) * full_scale
     u = shift_kernel(d.kernels[m1], t1, w)
     if kind == "kernel":  # quantizes to one shifted kernel
@@ -345,12 +348,61 @@ def test_screened_signed_pick_of_a_surface_without_positive_entries():
     _check_screened_pick(d, quantize_array(x, FMT), FMT, "signed")
 
 
+def _top_reach_row(resid_raw, table):
+    """The row of largest reach 2^F B_m + slack over all rows, from the
+    magnitudes of the zero-padded residual's rfft (the screen's rotation
+    leaves them alone)."""
+    rmax = int(np.max(np.abs(resid_raw)))
+    mags = np.abs(np.fft.rfft(resid_raw.astype(np.float64), table.fft_len))
+    return int(np.argmax(table.bound @ mags + table.slack + rmax * table.float_slack))
+
+
+@pytest.mark.parametrize("fmt", list(SCREEN_FORMATS))
+@pytest.mark.parametrize("select", ["abs", "signed"])
+@pytest.mark.parametrize("over", [0, 1])
+def test_screened_pick_at_the_top_rows_rmax_limit(fmt, select, over):
+    # max |r| at the top-reach row's limit keeps that row bounded, its
+    # entries gathered exactly; one raw unit above, it is loose, scanned by
+    # column, and the next row by reach is transformed first
+    d, fmt = _screen_setup(64), SCREEN_FORMATS[fmt]
+    _, _, supports, table = _fixed_tables(d, fmt, 64, "direct")
+    x = shift_kernel(d.kernels[5], -20, 64) + 0.2 * make_audio_clip(64, seed=11)
+    shape = x / np.max(np.abs(x))  # rint(shape * R) peaks at exactly R
+    top = _top_reach_row(quantize_array(shape, fmt), table)
+    limit = int(supports.rmax_limit[top])
+    resid_raw = np.rint(shape * (limit + over)).astype(np.int64)
+    assert int(np.max(np.abs(resid_raw))) == limit + over
+    assert _top_reach_row(resid_raw, table) == top
+    _check_screened_pick(d, resid_raw, fmt, select)
+
+
+@pytest.mark.parametrize("width", [2, 4])
+@pytest.mark.parametrize("fmt", list(SCREEN_FORMATS))
+@pytest.mark.parametrize("select", ["abs", "signed"])
+@pytest.mark.parametrize("kind", ["kernel", "noise", "saturating", "zero"])
+def test_screened_pick_at_the_smallest_widths(width, fmt, select, kind):
+    # W=2 gives a 3-point FFT, the only odd length; W=4 a 6-point one
+    d, fmt = _screen_setup(width), SCREEN_FORMATS[fmt]
+    for seed in range(4):
+        x = _screen_residual(d, fmt, kind, np.random.default_rng(seed))
+        _check_screened_pick(d, quantize_array(x, fmt), fmt, select)
+
+
+@pytest.mark.parametrize("fmt", list(SCREEN_FORMATS))
+@pytest.mark.parametrize("select", ["abs", "signed"])
+@pytest.mark.parametrize("kind", ["kernel", "near-tie", "noise", "saturating", "zero"])
+def test_screened_pick_on_kernels_nonzero_from_column_zero(fmt, select, kind):
+    # L = 60 at W = 100: the common support starts at column 0, left of W/2
+    d, fmt = column_zero_dictionary(), SCREEN_FORMATS[fmt]
+    for seed in range(3):
+        x = _screen_residual(d, fmt, kind, np.random.default_rng(seed), 100)
+        _check_screened_pick(d, quantize_array(x, fmt), fmt, select)
+
+
 def _check_screened_pick(d, resid_raw, fmt, select):
     width = len(resid_raw)
-    kernels_raw = quantize_array(d.kernels, fmt)
-    supports = _kernel_supports(kernels_raw, fmt)
-    dequantized = replace(d, kernels=dequantize_array(kernels_raw, fmt))
-    screen = (_spectra(dequantized, width), select)
+    kernels_raw, _, supports, table = _fixed_tables(d, fmt, width, "direct")
+    screen = (table, select)
     stats, oracle_stats = SaturationStats(), SaturationStats()
     rows, values = _correlate_fixed_direct(
         resid_raw, kernels_raw, supports, fmt, stats, screen

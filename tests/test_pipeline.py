@@ -739,14 +739,17 @@ def _decode_to_missing_dir(name):
     return make_argv
 
 
+NEAR_MAX_CSV = ",".join(
+    repr(float(v)) for v in 1.7e308 * np.sin(0.3 * np.arange(512))).encode()
+
 JSONL_RECORD = ('{"t_samples": 64, "channel": 10, "kernel": 3, "level": 1, '
                 '"intensity_center": 0.4115}')
 
 
-def _decode_jsonl_args(tmp_path, line):
+def _decode_jsonl_args(tmp_path, line, first=JSONL_RECORD):
     # a valid first record makes the file JSONL; `line` follows it
     events = tmp_path / "ev.jsonl"
-    events.write_text(f"{JSONL_RECORD}\n{line}\n")
+    events.write_text(f"{first}\n{line}\n")
     return ["decode", str(events), "-o", str(tmp_path / "x.f32"), *SMALL_FLAGS]
 
 
@@ -811,12 +814,17 @@ def _config_args(tmp_path, text):
     (lambda tmp: _encode_args(tmp, "s.csv", b"0.1,0.2", "--fs", "inf"), 2),
     (lambda tmp: _encode_args(tmp, "s.csv", b"0.1,0.2", "--fs", "0"), 2),
     # finite, but the float correlation overflows
-    (lambda tmp: _encode_args(tmp, "near-max.csv", ",".join(
-        repr(float(v)) for v in 1.7e308 * np.sin(0.3 * np.arange(512))).encode(),
-        "--with-raw-intensity"), 4),
+    (lambda tmp: _encode_args(tmp, "near-max.csv", NEAR_MAX_CSV,
+                              "--with-raw-intensity"), 4),
+    # fixed point saturates instead
+    (lambda tmp: _encode_args(tmp, "near-max.csv", NEAR_MAX_CSV, "--fixed", "34:24"), 0),
     (lambda tmp: _decode_row_args(tmp, "64,10,3,2,0.411500,0.411500,junk"), 3),
     (lambda tmp: _decode_text_args(
         tmp, f"{EVENT_HEADER}_extra\n64,10,3,2,0.411500\n"), 3),
+    (lambda tmp: _decode_jsonl_args(tmp, JSONL_RECORD.replace("}", ', "junk": 7}')), 3),
+    # the second record would decode from its center, losing its sign
+    (lambda tmp: _decode_jsonl_args(
+        tmp, JSONL_RECORD, JSONL_RECORD.replace("}", ', "raw_intensity": -0.4115}')), 3),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
@@ -829,12 +837,14 @@ def _config_args(tmp_path, text):
         "jsonl-null-field", "jsonl-list-field", "jsonl-fractional-time",
         "jsonl-bool-kernel", "config-itp-invalid", "config-k-not-int",
         "wav-22050-band-below-nyquist", "wav-22050-band-above-nyquist",
-        "fs-nan", "fs-inf", "fs-zero", "csv-near-max", "csv-extra-field",
-        "csv-header-suffix"])
+        "fs-nan", "fs-inf", "fs-zero", "csv-near-max", "csv-near-max-fixed",
+        "csv-extra-field", "csv-header-suffix", "jsonl-unknown-key",
+        "jsonl-mixed-raw"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     out = _cli(*make_argv(tmp_path))
     assert out.returncode == code, out.stderr
     assert "Traceback" not in out.stderr
+    assert "Warning" not in out.stderr
 
 
 @pytest.mark.parametrize("fs", ["nan", "inf", "0", "-16000"])
