@@ -37,14 +37,15 @@ def _checked_codes(
     """All codes in segment order as (segment_index, m, tau, s) tuples of
     Python numbers, with s replaced in quantized mode by its channel center
     (keeping the sign). Raises CodeOutOfBounds for a code that does not fit
-    the dictionary, the width or the output length."""
+    the dictionary or the width, or whose segment starts at or past the
+    output length; a segment that runs past it is cut there."""
     if quantized and table is None:
         raise InvalidConfig("quantized reconstruction needs a ChannelTable")
     rows = []
     for cs in codesets:
         for seg, m, tau, s in cs.tolist():
             if not (0 <= m < dictionary.num_kernels and abs(tau) <= width // 2
-                    and 0 <= seg and (seg + 1) * width <= total_len):
+                    and 0 <= seg and seg * width < total_len):
                 raise CodeOutOfBounds(
                     f"code {(seg, m, tau, s)} out of range for "
                     f"{dictionary.num_kernels} kernels, W={width}, {total_len} samples"
@@ -64,7 +65,8 @@ def reconstruct(
     table: ChannelTable | None = None,
     metric: str = "log",
 ) -> np.ndarray:
-    """Sum s_i * shift_kernel(kernel m_i, tau_i) at each segment offset.
+    """Sum s_i * shift_kernel(kernel m_i, tau_i) at each segment offset,
+    each cut at `total_len`.
 
     One code at a time, in segment order: `np.add.at` over all codes gives
     the same sums but is several times slower."""
@@ -75,9 +77,8 @@ def reconstruct(
     for seg, m, tau, s in _checked_codes(
         codesets, dictionary, width, total_len, quantized, table, metric
     ):
-        out[seg * width : (seg + 1) * width] += s * shift_kernel(
-            dictionary.kernels[m], tau, width
-        )
+        span = out[seg * width : (seg + 1) * width]
+        span += (s * shift_kernel(dictionary.kernels[m], tau, width))[: len(span)]
     return out
 
 
@@ -108,7 +109,8 @@ def error_curve(
     metric: str = "log",
 ) -> list[tuple[int, float]]:
     """L2 error after keeping only the first k codes of every segment,
-    for k = 1..max codes per segment.
+    for k = 1..max codes per segment. A last segment shorter than `width`
+    is compared over its own samples.
 
     Computed by running the subtractions in emission order, so the curve
     reproduces the encoder's own residual trajectory.
@@ -124,9 +126,9 @@ def error_curve(
     for k in range(max(rank, default=-1) + 1):
         for (seg, m, tau, s), r in zip(codes, rank):
             if r == k:
-                residual[seg * width : (seg + 1) * width] -= s * shift_kernel(
-                    dictionary.kernels[m], tau, width
-                )
+                span = residual[seg * width : (seg + 1) * width]
+                span -= (s * shift_kernel(dictionary.kernels[m], tau, width))[
+                    : len(span)]
         curve.append((k + 1, float(np.linalg.norm(residual))))
     return curve
 

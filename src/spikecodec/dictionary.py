@@ -141,17 +141,15 @@ class SpectralDictionary:
     support: tuple[int, int]  # the Dictionary's support
 
     @cached_property
-    def magnitudes(self) -> np.ndarray:  # |spectra| on the rfft bins, on first use
-        return np.abs(self.spectra[:, : self.fft_len // 2 + 1])
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """irfft's weight per rfft bin: 1/n at DC and Nyquist, 2/n elsewhere."""
+    def bound(self) -> np.ndarray:
+        """(1 + 1e-9) |spectra| on the rfft bins, times irfft's weight per
+        bin (1/n at DC and Nyquist, 2/n elsewhere): row m times |rfft(r)|
+        bounds every lag of row m's correlation with r, rounding included."""
         n = self.fft_len
         weights = np.full(n // 2 + 1, 2.0 / n)
         # DC and Nyquist; for odd n there is no Nyquist bin and both are bin 0
         weights[0] = weights[n // 2 * (1 - n % 2)] = 1.0 / n
-        return weights
+        return (1 + 1e-9) * np.abs(self.spectra[:, : n // 2 + 1]) * weights
 
 
 @lru_cache(maxsize=8)
@@ -191,14 +189,17 @@ def build_dictionary(config: DictionaryConfig = DictionaryConfig()) -> Dictionar
 
 
 def kernel_spectra(
-    dictionary: Dictionary, fft_len: int, signal_len: int | None = None
+    dictionary: Dictionary, fft_len: int | None = None, signal_len: int | None = None
 ) -> SpectralDictionary:
     """Precompute kernel DFTs at `fft_len` bins, which must be 2^a or 3*2^a
     and at least `_lag_window_bound` for the kernels' nonzero columns and the
-    segment width `signal_len` (default: the kernel length)."""
+    segment width `signal_len` (default: the kernel length); by default the
+    smallest such length."""
     if signal_len is None:
         signal_len = dictionary.kernel_len
     bound = _lag_window_bound(signal_len, *dictionary.support)
+    if fft_len is None:
+        fft_len = _fft_len(bound)
     if fft_len < bound:
         raise LengthTooSmall(f"fft_len {fft_len} below lag-window bound {bound}")
     base = fft_len // 3 if fft_len % 3 == 0 else fft_len

@@ -23,12 +23,10 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .dictionary import (
     Dictionary,
     SpectralDictionary,
-    _fft_len,
     _lag_window_bound,
     kernel_spectra,
 )
@@ -102,16 +100,18 @@ class EncoderConfig:
 
 def _residual_windows(samples: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Row j: the residual over [j - W/2 + lo, j - W/2 + hi), zero outside, for
-    j = 0..W; a read-only as_strided view of a padded copy, unchecked: row W ends
-    at W + hi - lo, and the base is (W/2-lo)+ + W + (hi-W/2)+ - (lo-W/2)+ long,
-    exactly that if lo >= W/2 or lo < W/2 <= hi, and more if hi < W/2."""
+    j = 0..W; a read-only view of one zero-padded copy, whose rows share its
+    memory. numpy checks that the view fits the copy: row W ends at
+    (lo - W/2)+ + W + hi - lo, and the copy is (W/2 - lo)+ + W + (hi - W/2)+ long."""
     w = len(samples)
     if w % 2:
         raise DimensionMismatch(f"correlation needs an even width, got {w}")
     padded = np.concatenate([np.zeros(max(0, w // 2 - lo), samples.dtype), samples,
                              np.zeros(max(0, hi - w // 2), samples.dtype)])
-    return as_strided(padded[max(0, lo - w // 2):], (w + 1, hi - lo),
-                      padded.strides * 2, writeable=False)
+    windows = np.ndarray((w + 1, hi - lo), padded.dtype, padded,
+                         max(0, lo - w // 2) * padded.itemsize, padded.strides * 2)
+    windows.flags.writeable = False
+    return windows
 
 
 def correlate_direct(residual: np.ndarray, dictionary: Dictionary) -> np.ndarray:
@@ -123,11 +123,12 @@ def correlate_direct(residual: np.ndarray, dictionary: Dictionary) -> np.ndarray
     return dictionary.kernels[:, lo:hi] @ windows.T
 
 
-def _lag_transform(residual: np.ndarray, spectra: np.ndarray, n: int):
+def _lag_transform(residual: np.ndarray, sdict: SpectralDictionary):
     """The conjugate rfft of the residual, rotated in one length-n buffer so
     that lag tau lands in bin W/2 - tau, and `transform(rows)`: those rows'
-    W + 1 lags, an irfft of its products with `spectra` (the rfft bins)."""
-    w = len(residual)
+    W + 1 lags, an irfft of its products with the kernels' rfft bins."""
+    w, n = len(residual), sdict.fft_len
+    spectra = sdict.spectra[:, : n // 2 + 1]
     rotated = np.zeros(n)
     rotated[: w // 2], rotated[n - w // 2 :] = residual[w // 2 :], residual[: w // 2]
     spectrum = np.conj(np.fft.rfft(rotated))
@@ -157,7 +158,7 @@ def correlate_spectral(
     if w % 2 or n < bound:
         raise DimensionMismatch(f"correlation needs an even width (got {w}) and "
                                 f"fft_len {n} at or above the lag-window bound {bound}")
-    spectrum, transform = _lag_transform(residual, sdict.spectra[:, : n // 2 + 1], n)
+    spectrum, transform = _lag_transform(residual, sdict)
     if prune is None:
         return transform(slice(None)).copy()
 
@@ -165,9 +166,7 @@ def correlate_spectral(
         values = transform(rows)
         return values if fmt is None else quantize_array(values, fmt, stats)
 
-    # B_m >= |every lag of row m| = sum_k w_k |K_m[k]| |R[k]| with irfft's
-    # weights w (`SpectralDictionary.weights`); 1 + 1e-9 covers rounding
-    bounds = (1 + 1e-9) * (sdict.magnitudes @ (sdict.weights * np.abs(spectrum)))
+    bounds = sdict.bound @ np.abs(spectrum)  # B_m >= |every lag of row m|
     top = int(np.argmax(bounds))
     top_values = requantized(top)
     bar = np.max(np.abs(top_values) if prune == "abs" else top_values)
@@ -225,13 +224,6 @@ def subtract_component(
     return residual - s * shift_kernel(dictionary.kernels[m], tau, len(residual))
 
 
-def _spectra(dictionary: Dictionary, width: int) -> SpectralDictionary:
-    """The kernels' spectra at the smallest 2^a or 3*2^a that fits their own
-    support (`_lag_window_bound`) for segments of `width`."""
-    fft_len = _fft_len(_lag_window_bound(width, *dictionary.support))
-    return kernel_spectra(dictionary, fft_len, width)
-
-
 def encode_segment(
     segment: Segment,
     dictionary: Dictionary,
@@ -247,16 +239,17 @@ def encode_segment(
     code leaves the residual unchanged, so every later pick would repeat it.
     Pure function of its inputs; distinct segments can be encoded
     concurrently. The spectral backend reads `sdict`, by default the kernels'
-    own spectra (`_spectra`, built once per dictionary and width). Raises
-    NumericError, naming the segment, when a pick is not finite.
+    own spectra at the smallest length their support allows (`kernel_spectra`,
+    built once per dictionary and width). Raises NumericError, naming the
+    segment, when a pick is not finite.
     """
     cfg.validate()
     if segment.width != cfg.width:
         raise DimensionMismatch(
             f"segment width {segment.width} != config width {cfg.width}")
     if cfg.backend == "spectral" and sdict is None:
-        sdict = dictionary.table(("spectra", cfg.width),
-                                 lambda: _spectra(dictionary, cfg.width))
+        sdict = dictionary.table(("spectra", cfg.width), lambda: kernel_spectra(
+            dictionary, signal_len=cfg.width))
     datapath = _fixed_datapath if cfg.arithmetic == "fixed" else _float_datapath
     residual, correlate, subtract = datapath(segment, dictionary, sdict, cfg, stats)
     rows = []
@@ -309,13 +302,10 @@ class _Screen(NamedTuple):
     """What the direct screen reads of a dictionary under one format and
     width (`_fixed_tables`); per kernel row unless noted."""
 
-    fft_len: int  # n, the whole bank's
-    spectra: np.ndarray  # of the dequantized kernels, on the n // 2 + 1 rfft bins
-    bound: np.ndarray  # (1 + 1e-9) |spectra| times irfft's weights, as for B_m
+    sdict: SpectralDictionary  # the dequantized kernels', with their support
     slack: np.ndarray  # the slack's fixed part, (hi - lo) / 2 + 1
     float_slack: np.ndarray  # its float term per unit of max |r|, 1e-9 sum |k| / 2^F
-    cols: np.ndarray  # the raw kernels' common support, as column indices
-    kernels: np.ndarray  # the raw kernels over those columns
+    kernels: np.ndarray  # the raw kernels over their common support
 
 
 def _rmax_limit(n: int, kmax: int, kabs: int, fmt: FixedFormat) -> int:
@@ -344,19 +334,17 @@ def _kernel_supports(kernels_raw: np.ndarray, fmt: FixedFormat) -> _Supports:
     return _Supports(lo, hi, kmax, kabs, np.array(limit, np.int64))
 
 
-def _summed_entries(resid_raw, cols, kernels, ms, js, frac_bits):
+def _summed_entries(resid_raw, lo, hi, kernels, ms, js, frac_bits):
     """Exact entries (ms[i], js[i]) of rows whose running sums cannot leave
     the word, so that their terms sum in any order: entry (m, j) sums the
-    products of kernels[m] with the residual at j - W/2 + cols (zero outside
-    it), gathered from one zero-padded copy, in chunks of about 2**20 products."""
-    w = len(resid_raw)
-    padded = np.zeros(w + max(w // 2, int(cols[-1]) + 1), np.int64)
-    padded[w // 2 : w // 2 + w] = resid_raw  # padded[j + c]: sample j - W/2 + c
+    products of kernels[m], the kernel over columns [lo, hi), with row j of
+    `_residual_windows`, in chunks of about 2**20 products."""
+    windows = _residual_windows(resid_raw, lo, hi)
     out = np.empty(len(ms), np.int64)
-    step = (1 << 20) // len(cols) + 1
+    step = (1 << 20) // (hi - lo) + 1
     for i in range(0, len(ms), step):
         chunk = slice(i, i + step)
-        products = padded[js[chunk, None] + cols] * kernels[ms[chunk]]
+        products = windows[js[chunk]] * kernels[ms[chunk]]
         out[chunk] = np.add.reduce(rescale_half_even_array(products, frac_bits), 1)
     return out
 
@@ -408,7 +396,7 @@ def _correlate_fixed_direct(
         surface[loose] = loose_values
         ms = np.repeat((rmax <= supports.rmax_limit).nonzero()[0], w + 1)
         js = np.tile(np.arange(w + 1), num - len(loose))
-        surface[ms, js] = _summed_entries(resid_raw, np.arange(kernels_raw.shape[1]),
+        surface[ms, js] = _summed_entries(resid_raw, 0, kernels_raw.shape[1],
                                           kernels_raw, ms, js, fmt.frac_bits)
         return surface
     if len(loose) == num:
@@ -421,9 +409,9 @@ def _correlate_fixed_direct(
     # 2^F B_m + slack, or an entry whose rank + slack, is below it cannot win.
     table, select = screen
     rank = np.abs if select == "abs" else np.positive
-    spectrum, transform = _lag_transform(resid_raw, table.spectra, table.fft_len)
+    spectrum, transform = _lag_transform(resid_raw, table.sdict)
     slack = table.slack + rmax * table.float_slack
-    reach = table.bound @ np.abs(spectrum) + slack
+    reach = table.sdict.bound @ np.abs(spectrum) + slack
     reach[loose] = -np.inf
     top = int(reach.argmax())
     sure = max(rank(transform(top)).max() - slack[top],
@@ -442,7 +430,7 @@ def _correlate_fixed_direct(
                      np.int64)
     values[rows.searchsorted(loose)] = loose_values
     values[rows.searchsorted(ms), js] = _summed_entries(
-        resid_raw, table.cols, table.kernels, ms, js, fmt.frac_bits)
+        resid_raw, *table.sdict.support, table.kernels, ms, js, fmt.frac_bits)
     return rows, values
 
 
@@ -459,12 +447,11 @@ def _fixed_tables(dictionary: Dictionary, fmt: FixedFormat, width: int,
         return kernels_raw, overflows, None, None
     supports = _kernel_supports(kernels_raw, fmt)
     dequantized = replace(dictionary, kernels=dequantize_array(kernels_raw, fmt))
-    sdict, (lo, hi) = _spectra(dequantized, width), dequantized.support
+    lo, hi = dequantized.support
     return kernels_raw, overflows, supports, _Screen(
-        sdict.fft_len, sdict.spectra[:, : sdict.fft_len // 2 + 1],
-        (1 + 1e-9) * sdict.magnitudes * sdict.weights,
+        kernel_spectra(dequantized, signal_len=width),
         (supports.hi - supports.lo) / 2 + 1, 1e-9 * supports.kabs / fmt.scale,
-        np.arange(lo, hi), kernels_raw[:, lo:hi])
+        kernels_raw[:, lo:hi])
 
 
 def _fixed_datapath(segment, dictionary, sdict, cfg, stats):

@@ -10,6 +10,7 @@ from spikecodec.decoder import (
 )
 from spikecodec.encoder import EncoderConfig, Segment, encode_segment, shift_kernel
 from spikecodec.errors import CodeOutOfBounds, LengthMismatch
+from spikecodec.pipeline import encode_signal, make_audio_clip
 from spikecodec.spikecoder import build_channel_table
 
 from conftest import codes
@@ -95,6 +96,22 @@ def test_error_curve_is_monotone_on_noise(small_dict):
     errors = [e for _, e in curve]
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
     assert errors[-1] < np.linalg.norm(x)
+
+
+def test_error_curve_on_a_partial_last_segment(small_dict):
+    # 600 samples at W=256: the encoder zero-pads the third segment to 256,
+    # and the decoder cuts its atoms at sample 600
+    x = make_audio_clip(600, seed=1)
+    codesets = encode_signal(x, small_dict, EncoderConfig(max_codes=8, width=256))
+    assert len(codesets) == 3 and len(codesets[2])
+    x_hat = reconstruct(codesets, small_dict, 256, 600)
+    assert np.array_equal(x_hat, reconstruct(codesets, small_dict, 256, 768)[:600])
+    curve = error_curve(x, codesets, small_dict, 256)
+    assert [k for k, _ in curve] == list(range(1, 9))
+    assert curve[-1][1] == pytest.approx(np.linalg.norm(x - x_hat), rel=1e-9)
+    # the padded tail's residual, -(the atoms past sample 600), counts there only
+    padded = error_curve(np.concatenate([x, np.zeros(168)]), codesets, small_dict, 256)
+    assert all(e <= p * (1 + 1e-12) for (_, e), (_, p) in zip(curve, padded))
 
 
 def test_full_report_and_quantized_mode(small_dict):

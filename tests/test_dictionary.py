@@ -18,6 +18,8 @@ from spikecodec.dictionary import (
 )
 from spikecodec.errors import InvalidConfig, LengthTooSmall
 
+from conftest import column_zero_dictionary
+
 
 def test_reference_config_builds_40_unit_norm_kernels(full_dict):
     assert full_dict.kernels.shape == (40, 2048)
@@ -203,6 +205,10 @@ def test_fft_len_bounds():
         kernel_spectra(d, 600)  # neither 2^a nor 3 * 2^a
     assert default_fft_len(256, 256) == 384
     assert default_fft_len(2048, 2048) == 3072
+    # no length: the smallest 2^a or 3 * 2^a at the bound of the kernels'
+    # own support, 384 for the delta and 150 -> 192 for the column-zero bank
+    assert kernel_spectra(d).fft_len == 384
+    assert kernel_spectra(column_zero_dictionary(), signal_len=100).fft_len == 192
 
 
 def test_csv_dump_round_trips_one_row(small_dict):

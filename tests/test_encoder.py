@@ -146,15 +146,20 @@ def _naive_windows(samples, lo, hi):
     (3, 20), (0, 32), (7, 7), (0, 0),  # hi <= W/2, and lo == hi
 ])
 def test_residual_windows_match_zero_padded_slices(lo, hi, dtype):
-    w = 64
-    samples = np.random.default_rng(lo * 131 + hi).integers(-99, 99, w).astype(dtype)
-    windows = _residual_windows(samples, lo, hi)
-    assert windows.shape == (w + 1, hi - lo) and windows.dtype == dtype
-    assert np.array_equal(windows, _naive_windows(samples, lo, hi))
-    # a strided view whose rows share memory: writing through it must fail
-    assert not windows.flags.writeable
-    with pytest.raises(ValueError):
-        windows[0, ...] = 1
+    # the bounds are W=64's; W=2 and W=4 (which the fixed-point screen
+    # reaches) take them scaled, with the same layouts
+    for w in (2, 4, 64):
+        lo_w, hi_w = lo * w // 64, hi * w // 64
+        rng = np.random.default_rng(lo * 131 + hi)
+        samples = rng.integers(-99, 99, w).astype(dtype)
+        windows = _residual_windows(samples, lo_w, hi_w)
+        assert windows.shape == (w + 1, hi_w - lo_w) and windows.dtype == dtype
+        assert np.array_equal(windows, _naive_windows(samples, lo_w, hi_w))
+        # a view of a copy whose rows share memory: writing through it must fail
+        assert not np.shares_memory(windows, samples)
+        assert not windows.flags.writeable
+        with pytest.raises(ValueError):
+            windows[0, ...] = 1
 
 
 @pytest.mark.parametrize("width, kernel_len", [

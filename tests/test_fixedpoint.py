@@ -22,7 +22,6 @@ from spikecodec.encoder import (
     _fixed_tables,
     _kernel_supports,
     _rmax_limit,
-    _spectra,
     correlate_direct,
     correlate_spectral,
     encode_segment,
@@ -353,8 +352,9 @@ def _top_reach_row(resid_raw, table):
     magnitudes of the zero-padded residual's rfft (the screen's rotation
     leaves them alone)."""
     rmax = int(np.max(np.abs(resid_raw)))
-    mags = np.abs(np.fft.rfft(resid_raw.astype(np.float64), table.fft_len))
-    return int(np.argmax(table.bound @ mags + table.slack + rmax * table.float_slack))
+    sdict = table.sdict
+    mags = np.abs(np.fft.rfft(resid_raw.astype(np.float64), sdict.fft_len))
+    return int(np.argmax(sdict.bound @ mags + table.slack + rmax * table.float_slack))
 
 
 @pytest.mark.parametrize("fmt", list(SCREEN_FORMATS))
@@ -442,7 +442,7 @@ def test_fft_screen_error_is_far_inside_the_slack(width, kind):
         supports = _kernel_supports(kernels_raw, fmt)
         nonzero = supports.kmax > 0
         dequantized = replace(d, kernels=dequantize_array(kernels_raw, fmt))
-        sdict = _spectra(dequantized, width)
+        sdict = kernel_spectra(dequantized, signal_len=width)
         rng = np.random.default_rng(width)
         for _ in range(3):
             resid_raw = quantize_array(_screen_residual(d, fmt, kind, rng), fmt)

@@ -557,6 +557,32 @@ def test_near_max_input_raises_in_float_and_saturates_in_fixed(backend, fixed):
     assert stats.saturations > 0
 
 
+@settings(max_examples=30, deadline=None)
+@given(a=st.floats(-320, 308), width=st.sampled_from([128, 256]))
+def test_any_finite_amplitude_encodes_to_finite_codes_or_numeric_error(a, width):
+    # amplitudes 10^a from subnormal to near the float limit: each mode gives
+    # finite codes or a NumericError; quantizing saturates, so fixed point
+    # never raises; where both float backends encode, they pick the same
+    # atoms (only (m, tau): s differs in its last digits at subnormal scale)
+    d = build_dictionary(DictionaryConfig(num_kernels=6, kernel_len=width))
+    shape = make_audio_clip(2 * width, seed=width)
+    x = 10.0**a * (shape / np.max(np.abs(shape)))
+    atoms = {}
+    for backend in ("direct", "spectral"):
+        for fixed in (None, FixedFormat(34, 24)):
+            cfg = replace(_par_config(backend, fixed), width=width)
+            try:
+                codes = np.concatenate(encode_signal(x, d, cfg))
+            except NumericError:
+                assert fixed is None
+                continue
+            assert np.all(np.isfinite(codes["s"]))
+            if fixed is None:
+                atoms[backend] = codes[["segment_index", "m", "tau"]].tolist()
+    if len(atoms) == 2:
+        assert atoms["direct"] == atoms["spectral"]
+
+
 def _five_segment_wav(tmp_path):
     path = tmp_path / "five.wav"
     _write_wav(path, np.round(32767 * _five_segments()))
@@ -1071,3 +1097,37 @@ def test_cli_event_file_bytes_pinned(tmp_path, clip_csv, backend, extra, digest)
     assert cli.main(["encode", str(clip_csv), "-o", str(events),
                      "--backend", backend, *extra, *SMALL_FLAGS]) == 0
     assert hashlib.sha256(events.read_bytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("extra, quantized, digest", [
+    (("--with-raw-intensity",), (), "1d8e5885f8f7723c"),
+    (("--with-raw-intensity",), ("--quantized",), "2e2cbe65256f170b"),
+    (JSONL_RAW, (), "3e57eb1b699dc74e"),
+    (JSONL_RAW, ("--quantized",), "2e2cbe65256f170b"),
+], ids=["csv-raw", "csv-raw-quantized", "jsonl-raw", "jsonl-raw-quantized"])
+def test_cli_decoded_waveform_bytes_pinned(tmp_path, clip_csv, extra, quantized,
+                                           digest):
+    # the csv writer rounds the raw intensity, so csv and jsonl decode apart
+    events, recon = tmp_path / "ev.out", tmp_path / "rec.f32"
+    assert cli.main(["encode", str(clip_csv), "-o", str(events), *extra,
+                     *SMALL_FLAGS]) == 0
+    assert cli.main(["decode", str(events), "-o", str(recon), *quantized,
+                     *SMALL_FLAGS]) == 0
+    assert hashlib.sha256(recon.read_bytes()).hexdigest()[:16] == digest
+
+
+def test_cli_decode_length_cuts_the_last_partial_segment(tmp_path):
+    # 1000 samples at W=256: the fourth segment starts at 768 and is cut at
+    # 1000, so its codes still decode
+    wav, events = tmp_path / "clip.wav", tmp_path / "ev.csv"
+    write_waveform(make_audio_clip(1000, seed=1), str(wav))
+    flags = ("--width", "256", "--kernels", "8")
+    assert cli.main(["encode", str(wav), "-o", str(events), "--k", "4",
+                     "--with-raw-intensity", *flags]) == 0
+    full, cut = tmp_path / "full.f32", tmp_path / "cut.f32"
+    assert cli.main(["decode", str(events), "-o", str(full), *flags]) == 0
+    assert cli.main(["decode", str(events), "-o", str(cut), "--length", "1000",
+                     *flags]) == 0
+    full, cut = np.fromfile(full, "<f4"), np.fromfile(cut, "<f4")
+    assert len(full) == 1024 and np.any(full[768:1000])
+    assert np.array_equal(cut, full[:1000])
