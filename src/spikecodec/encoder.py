@@ -123,6 +123,9 @@ def correlate_direct(residual: np.ndarray, dictionary: Dictionary) -> np.ndarray
     return dictionary.kernels[:, lo:hi] @ windows.T
 
 
+_TINY = np.finfo(np.float64).tiny  # below it, a float op's rounding is absolute
+
+
 def _lag_transform(residual: np.ndarray, sdict: SpectralDictionary):
     """The conjugate rfft of the residual, rotated in one length-n buffer so
     that lag tau lands in bin W/2 - tau, and `transform(rows)`: those rows'
@@ -142,17 +145,26 @@ def _lag_transform(residual: np.ndarray, sdict: SpectralDictionary):
 def correlate_spectral(
     residual: np.ndarray, sdict: SpectralDictionary, prune: str | None = None,
     fmt: FixedFormat | None = None, stats: SaturationStats | None = None,
+    carry: dict | None = None,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """FFT backend; identical contract to `correlate_direct`.
 
     With `prune` set to a select rule, returns `(rows, values)`: the
     ascending indices of the rows that can hold or tie that rule's pick,
-    and those rows alone. |row m| <= B_m (below); the row of
+    and those rows alone. |row m| <= B_m (below; its n * tiny covers the
+    rounding below the smallest normal float, which is absolute); the row of
     largest B_m, transformed once, sets the bar, and rows with B_m >= bar
     are kept. With `fmt`, every kept row is requantized to raw int64
     (overflow tallied in `stats`) and rows with qb_m = 2^F B_m + 1/2 >= the
     raw bar are kept: a dropped row's integers can neither win nor tie,
-    nor overflow, since the bar is at most raw_max + 1 = |raw_min|."""
+    nor overflow, since the bar is at most raw_max + 1 = |raw_min|.
+
+    `carry`, a dict that one pursuit hands to each of its calls (empty at
+    the first), also bounds row m by C_m + D_m + 1e-9 (B'_m + B_m). C_m is
+    its max |lag| at the previous call (spectrum R', bounds B') if it was
+    transformed, else the bound it was dropped with; D_m, the row bound of
+    R - R', bounds the change of the lags, which are linear in the
+    spectrum; the 1e-9 terms cover both irffts' rounding. A NaN sum leaves B_m."""
     w, n = len(residual), sdict.fft_len
     bound = _lag_window_bound(w, *sdict.support)
     if w % 2 or n < bound:
@@ -162,22 +174,31 @@ def correlate_spectral(
     if prune is None:
         return transform(slice(None)).copy()
 
-    def requantized(rows):  # the rows' lags, requantized under `fmt`
-        values = transform(rows)
-        return values if fmt is None else quantize_array(values, fmt, stats)
-
-    bounds = sdict.bound @ np.abs(spectrum)  # B_m >= |every lag of row m|
+    magnitudes = np.zeros((len(spectrum), 2))  # |R| and |R - R'|
+    np.abs(spectrum, out=magnitudes[:, 0])
+    if carry:
+        np.abs(spectrum - carry["spectrum"], out=magnitudes[:, 1])
+    row_bounds, moved = (sdict.bound @ magnitudes + n * _TINY).T  # B_m and D_m
+    bounds = row_bounds
+    if carry:  # fmin: a NaN ceiling leaves B_m
+        bounds = np.fmin(bounds, carry["ceilings"] + moved
+                         + 1e-9 * (carry["bounds"] + row_bounds))
     top = int(np.argmax(bounds))
-    top_values = requantized(top)
-    bar = np.max(np.abs(top_values) if prune == "abs" else top_values)
-    if fmt is not None:
-        bounds = fmt.scale * bounds + 0.5  # qb_m, bounding |rint(2^F c)|
-    keep = bounds >= bar
+    top_lags = transform(top)
+    bar = top_lags if fmt is None else quantize_array(top_lags, fmt)
+    bar = np.max(np.abs(bar) if prune == "abs" else bar)
+    # qb_m under fmt, bounding |rint(2^F c)|
+    keep = (bounds if fmt is None else fmt.scale * bounds + 0.5) >= bar
     keep[top] = True  # bar <= B_top: kept, and not transformed again
     rows = np.flatnonzero(keep)
     at = int(np.searchsorted(rows, top))
-    rest = requantized(rows[rows != top])  # the other kept rows, transformed once
-    return rows, np.concatenate([rest[:at], top_values[None], rest[at:]])
+    rest = transform(rows[rows != top])  # the other kept rows, transformed once
+    lags = np.concatenate([rest[:at], top_lags[None], rest[at:]])
+    if carry is not None:  # the ceilings: max |lag| of a kept row, else its bound
+        ceilings = bounds.copy()
+        ceilings[rows] = np.abs(lags).max(axis=1)
+        carry.update(spectrum=spectrum, bounds=row_bounds, ceilings=ceilings)
+    return rows, lags if fmt is None else quantize_array(lags, fmt, stats)
 
 
 def select_code(
@@ -273,10 +294,12 @@ def _float_datapath(segment, dictionary, sdict, cfg, stats):
     """float64 residual. The public functions are looked up per call, so a
     wrapper installed on them (a tracer) sees every call."""
 
+    carry = {}  # the spectral row ceilings, this segment's own
+
     def correlate(residual: np.ndarray):
         if cfg.backend == "direct":
             return None, None, correlate_direct(residual, dictionary)
-        return None, *correlate_spectral(residual, sdict, cfg.select)
+        return None, *correlate_spectral(residual, sdict, cfg.select, carry=carry)
 
     def subtract(residual: np.ndarray, m: int, tau: int, s: float, _native):
         return subtract_component(residual, m, tau, s, dictionary)
@@ -465,7 +488,7 @@ def _fixed_datapath(segment, dictionary, sdict, cfg, stats):
     if stats is not None:
         stats.saturations += overflows[0]
         stats.wraps += overflows[1]
-    screen = (screen_table, cfg.select)
+    screen, carry = (screen_table, cfg.select), {}
 
     def correlate(resid_raw: np.ndarray):
         if cfg.backend == "direct":
@@ -475,7 +498,7 @@ def _fixed_datapath(segment, dictionary, sdict, cfg, stats):
             # FFT stage runs in float; the kept rows are requantized to the
             # datapath width, as a wide-word FFT core would deliver them
             rows, surface_raw = correlate_spectral(
-                dequantize_array(resid_raw, fmt), sdict, cfg.select, fmt, stats)
+                dequantize_array(resid_raw, fmt), sdict, cfg.select, fmt, stats, carry)
         return (rows, surface_raw), rows, dequantize_array(surface_raw, fmt)
 
     def subtract(resid_raw: np.ndarray, m: int, tau: int, _s, native):

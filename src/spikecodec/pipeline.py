@@ -8,9 +8,9 @@ unscaled), raw-f32 (little-endian float32, unscaled).
 Event files are CSV with the exact header
 ``t_samples,channel,kernel,level,intensity_center`` (LF line endings,
 intensities with 6 significant digits) or JSONL with the same fields. The
-optional raw-intensity column appends the signed code intensity, which the
-decoder needs for exact inversion; without it, decoding falls back to the
-channel center magnitudes.
+optional raw-intensity column appends the signed code intensity: JSONL
+carries it exactly, so its decode inverts exactly, and CSV to 6 significant
+digits. Without it, decoding falls back to the channel center magnitudes.
 """
 
 from __future__ import annotations

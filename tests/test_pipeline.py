@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikecodec import cli, encoder, pipeline
+from spikecodec.decoder import reconstruct
 from spikecodec.dictionary import Dictionary, DictionaryConfig, build_dictionary
 from spikecodec.encoder import EncoderConfig, encode_segment
 from spikecodec.errors import CorruptFile, NumericError, UnsupportedFormat
@@ -1114,6 +1115,25 @@ def test_cli_decoded_waveform_bytes_pinned(tmp_path, clip_csv, extra, quantized,
     assert cli.main(["decode", str(events), "-o", str(recon), *quantized,
                      *SMALL_FLAGS]) == 0
     assert hashlib.sha256(recon.read_bytes()).hexdigest()[:16] == digest
+
+
+def test_only_a_jsonl_raw_intensity_decodes_exactly(tmp_path, clip_csv):
+    # JSONL carries the raw intensity as the float it is; the csv writer
+    # prints it to 6 significant digits, so a csv decode is close, not exact
+    samples, _ = read_input(RunConfig(input_path=str(clip_csv)))
+    d = build_dictionary(DictionaryConfig(num_kernels=6, kernel_len=128))
+    codesets = encode_signal(samples, d, EncoderConfig(max_codes=4, width=128))
+    exact = reconstruct(codesets, d, 128, len(samples)).astype(np.float32)
+    decoded = {}
+    for name, extra in (("csv", ("--with-raw-intensity",)), ("jsonl", JSONL_RAW)):
+        events, recon = tmp_path / f"ev.{name}", tmp_path / f"{name}.f32"
+        assert cli.main(["encode", str(clip_csv), "-o", str(events), *extra,
+                         *SMALL_FLAGS]) == 0
+        assert cli.main(["decode", str(events), "-o", str(recon), *SMALL_FLAGS]) == 0
+        decoded[name] = np.fromfile(recon, "<f4")
+    assert np.array_equal(decoded["jsonl"], exact)
+    assert not np.array_equal(decoded["csv"], exact)
+    assert np.abs(decoded["csv"] - exact).max() < 1e-5
 
 
 def test_cli_decode_length_cuts_the_last_partial_segment(tmp_path):
