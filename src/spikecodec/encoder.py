@@ -34,6 +34,7 @@ from .errors import DimensionMismatch, InvalidConfig, NumericError, ShiftOutOfRa
 from .fixedpoint import (
     FixedFormat,
     SaturationStats,
+    _apply_overflow,
     _round_half_even,
     apply_overflow_array,
     dequantize_array,
@@ -310,9 +311,9 @@ def _float_datapath(segment, dictionary, sdict, cfg, stats):
 # ----- fixed-point datapath -----
 
 class _Supports(NamedTuple):
-    """Per raw kernel row, as int64: nonzero support [lo, hi), max |k|,
-    sum |k|, and the largest max |r| for which no running sum of the row
-    can leave the word (`_rmax_limit`)."""
+    """Per raw kernel row: nonzero support [lo, hi), max |k| (uint64),
+    sum |k| (Python ints), and the largest max |r| for which no running sum
+    of the row can leave the word (`_rmax_limit`); all exact at 64 bits."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -346,12 +347,12 @@ def _rmax_limit(n: int, kmax: int, kabs: int, fmt: FixedFormat) -> int:
 
 def _kernel_supports(kernels_raw: np.ndarray, fmt: FixedFormat) -> _Supports:
     """`_Supports` of the raw kernels; (0, 0, 0, 0, -1) for an all-zero row."""
-    mag = np.abs(kernels_raw)
+    mag = np.abs(kernels_raw).view(np.uint64)  # |int64's minimum| is 2**63 here
     nonzero = mag > 0
     lo = np.argmax(nonzero, axis=1)
     last = mag.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
     hi = np.where(nonzero.any(axis=1), last, 0)
-    kmax, kabs = mag.max(axis=1, initial=0), mag.sum(axis=1)
+    kmax, kabs = mag.max(axis=1, initial=0), mag.sum(axis=1, dtype=object)
     limit = [_rmax_limit(int(b - a), int(k), int(s), fmt)
              for a, b, k, s in zip(lo, hi, kmax, kabs)]
     return _Supports(lo, hi, kmax, kabs, np.array(limit, np.int64))
@@ -374,11 +375,13 @@ def _summed_entries(resid_raw, lo, hi, kernels, ms, js, frac_bits):
 
 def _correlate_fixed_direct(
     resid_raw: np.ndarray, kernels_raw: np.ndarray, supports: _Supports,
-    fmt: FixedFormat, stats: SaturationStats | None,
-    screen: tuple[_Screen, str] | None = None,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Fixed-point correlation surface (raw int64), per-term round-to-even
-    rescale, ascending-index accumulation, per-step overflow policy.
+    fmt: FixedFormat, stats: SaturationStats | None, table: _Screen, select: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-point correlation (raw int64), per-term round-to-even rescale,
+    ascending-index accumulation, per-step overflow policy; returns
+    `(rows, values)` like `correlate_spectral(prune=select)`: the ascending
+    rows that can hold or tie the pick, and those rows, exact wherever the
+    pick can be. `table` is the dictionary's direct `_Screen`.
 
     Each kernel is multiplied over its nonzero support only (`supports`
     from `_kernel_supports`); terms outside it are exact zeros, which leave
@@ -386,19 +389,12 @@ def _correlate_fixed_direct(
     when max |r| <= its `rmax_limit`: none of its running sums can leave
     the word, so its entries are plain sums (`_summed_entries`). Every
     other (loose) row is computed in full with the overflow policy applied
-    at every step, by a column scan over `_residual_windows`.
-
-    Without `screen` returns the full (num_kernels, W + 1) surface. With
-    `screen = (the dictionary's _Screen, select rule)` returns
-    `(rows, values)` like `correlate_spectral(prune=...)`: the ascending
-    rows that can hold or tie the pick (the loose rows among them), and
-    those rows, exact wherever the pick can be.
+    at every step, by a column scan over `_residual_windows`, and returned.
     """
     w, num = len(resid_raw), len(kernels_raw)
-    rmax = int(np.abs(resid_raw).max())
+    rmax = max(int(resid_raw.max()), -int(resid_raw.min()))  # exact at raw_min
     if rmax == 0:
-        surface = np.zeros((num, w + 1), np.int64)
-        return surface if screen is None else (np.arange(num), surface)
+        return np.arange(num), np.zeros((num, w + 1), np.int64)
     loose = (rmax > supports.rmax_limit).nonzero()[0]
     loose_values = np.zeros((len(loose), w + 1), np.int64)
     if len(loose):
@@ -414,14 +410,6 @@ def _correlate_fixed_direct(
                     loose_values[i] + term, fmt, stats)
         else:  # int64 headroom exhausted: the scalar MAC chain, entry by entry
             loose_values[i] = [fixed_dot(row, krow, fmt, stats) for row in cols]
-    if screen is None:  # every bounded entry, over all kernel columns
-        surface = np.empty((num, w + 1), np.int64)
-        surface[loose] = loose_values
-        ms = np.repeat((rmax <= supports.rmax_limit).nonzero()[0], w + 1)
-        js = np.tile(np.arange(w + 1), num - len(loose))
-        surface[ms, js] = _summed_entries(resid_raw, 0, kernels_raw.shape[1],
-                                          kernels_raw, ms, js, fmt.frac_bits)
-        return surface
     if len(loose) == num:
         return loose, loose_values
     # Screen with 2^F c, c the float correlation of the dequantized operands
@@ -430,7 +418,6 @@ def _correlate_fixed_direct(
     # the float error (under 1e-9 rmax kabs / 2^F) and 1 for this test's own
     # rounding. `sure` is a rank the pick reaches; a row whose reach
     # 2^F B_m + slack, or an entry whose rank + slack, is below it cannot win.
-    table, select = screen
     rank = np.abs if select == "abs" else np.positive
     spectrum, transform = _lag_transform(resid_raw, table.sdict)
     slack = table.slack + rmax * table.float_slack
@@ -473,7 +460,7 @@ def _fixed_tables(dictionary: Dictionary, fmt: FixedFormat, width: int,
     lo, hi = dequantized.support
     return kernels_raw, overflows, supports, _Screen(
         kernel_spectra(dequantized, signal_len=width),
-        (supports.hi - supports.lo) / 2 + 1, 1e-9 * supports.kabs / fmt.scale,
+        (supports.hi - supports.lo) / 2 + 1, 1e-9 * supports.kabs.astype(float) / fmt.scale,
         kernels_raw[:, lo:hi])
 
 
@@ -488,12 +475,12 @@ def _fixed_datapath(segment, dictionary, sdict, cfg, stats):
     if stats is not None:
         stats.saturations += overflows[0]
         stats.wraps += overflows[1]
-    screen, carry = (screen_table, cfg.select), {}
+    carry = {}
 
     def correlate(resid_raw: np.ndarray):
         if cfg.backend == "direct":
             rows, surface_raw = _correlate_fixed_direct(
-                resid_raw, kernels_raw, supports, fmt, stats, screen)
+                resid_raw, kernels_raw, supports, fmt, stats, screen_table, cfg.select)
         else:
             # FFT stage runs in float; the kept rows are requantized to the
             # datapath width, as a wide-word FFT core would deliver them
@@ -506,13 +493,15 @@ def _fixed_datapath(segment, dictionary, sdict, cfg, stats):
         rows, surface_raw = native
         s_raw = int(surface_raw[rows.searchsorted(m), tau + segment.width // 2])
         shifted = shift_kernel(kernels_raw[m], tau, segment.width)
-        # the row's max |k| is at least the shifted one's; both branches are exact
+        # the row's max |k| is at least the shifted one's. Both branches are
+        # exact: |scaled| <= 2**61 and, below 64 bits, |r| <= 2**62
         kmax = int(supports.kmax[m] if supports else np.abs(shifted).max())
-        if abs(s_raw) * max(kmax, 1) < (1 << 62):
+        if abs(s_raw) * max(kmax, 1) < (1 << 62) and fmt.total_bits < 64:
             scaled = rescale_half_even_array(s_raw * shifted, fmt.frac_bits)
-        else:  # int64 headroom exhausted: exact per-sample rescale
-            scaled = np.array([_round_half_even(s_raw * int(k), fmt.frac_bits)
-                               for k in shifted], np.int64)
-        return apply_overflow_array(resid_raw - scaled, fmt, stats)
+            return apply_overflow_array(resid_raw - scaled, fmt, stats)
+        # int64 headroom exhausted: exact ints, sample by sample
+        return np.array([_apply_overflow(r - _round_half_even(s_raw * k, fmt.frac_bits),
+                                         fmt, stats)
+                         for r, k in zip(resid_raw.tolist(), shifted.tolist())], np.int64)
 
     return quantize_array(segment.samples, fmt, stats), correlate, subtract

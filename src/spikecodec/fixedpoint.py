@@ -154,7 +154,11 @@ def quantize_array(
     clipped = np.clip(x, (fmt.raw_min - 1) / fmt.scale, (fmt.raw_max + 1) / fmt.scale)
     scaled = np.rint(clipped * fmt.scale)
     scaled = np.where(np.isnan(scaled), 0.0, scaled)
-    return apply_overflow_array(scaled.astype(np.int64), fmt, stats)
+    raw = apply_overflow_array(scaled.astype(np.int64), fmt, stats)
+    if fmt.overflow == "wrap":  # a finite value past the clip wraps whole, as in quantize
+        far, raw = np.isfinite(x) & (x != clipped), np.asarray(raw)  # 0-d x: a scalar
+        raw[far] = [quantize(v, fmt).raw for v in x[far]]  # each counted once, above
+    return raw
 
 
 def dequantize_array(raw: np.ndarray, fmt: FixedFormat) -> np.ndarray:
@@ -214,8 +218,9 @@ def fixed_dot(
         raise DimensionMismatch("fixed_dot operands must have equal length")
     if a_raw.size == 0:
         return 0
-    amax = int(np.max(np.abs(a_raw)))
-    bmax = int(np.max(np.abs(b_raw)))
+    # not np.abs, which leaves int64's minimum negative
+    amax = max(int(a_raw.max()), -int(a_raw.min()))
+    bmax = max(int(b_raw.max()), -int(b_raw.min()))
     if amax == 0 or bmax == 0:
         return 0
     if amax * bmax < (1 << 62) // a_raw.size:

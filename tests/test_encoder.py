@@ -756,7 +756,7 @@ FIXED_34_24 = FixedFormat(34, 24)
                       fixed_format=FIXED_34_24), "ec990f89c183b4a5", 340),
     (128, 300.0, dict(backend="spectral", arithmetic="fixed",
                       fixed_format=FixedFormat(20, 10, "wrap")),
-     "d5035290502c24f4", 945),
+     "80a0f5e39567dbb3", 304),
     (512, 400.0, dict(backend="spectral", arithmetic="fixed",
                       fixed_format=FIXED_34_24, select="signed"),
      "27344727ba48b090", 851),

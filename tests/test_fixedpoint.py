@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spikecodec import encoder, fixedpoint
 from spikecodec.dictionary import (
+    Dictionary,
     DictionaryConfig,
     build_dictionary,
     default_fft_len,
@@ -130,6 +131,23 @@ def test_quantize_array_matches_scalar_including_ties():
     raw = quantize_array(values, FMT)
     for v, r in zip(values, raw):
         assert quantize(float(v), FMT).raw == r
+    # under wrap a value past the word wraps whole, however far it lies:
+    # 600.0 at 20:10 is -434176, not raw_min
+    rng = np.random.default_rng(4)
+    for fmt in (FixedFormat(10, 4, "wrap"), FixedFormat(20, 10, "wrap"),
+                FixedFormat(34, 24, "wrap"), FMT):
+        edge = (fmt.raw_max + 1) / fmt.scale
+        values = np.concatenate([
+            [600.0, 1000.3, -700.2, 1e300, -1e300, np.inf, -np.inf, np.nan],
+            edge * np.array([1.0, -1.0, 2.0, -2.0, 3.5]),
+            edge + np.array([-1.5, -0.5, 0.5, 1.5]) * fmt.lsb,
+            rng.choice([-1, 1], 2000) * edge * 10.0 ** rng.uniform(-2, 6, 2000),
+        ])
+        stats, scalar_stats = SaturationStats(), SaturationStats()
+        raw = quantize_array(values, fmt, stats)
+        assert raw.tolist() == [quantize(v, fmt, scalar_stats).raw for v in values]
+        assert stats == scalar_stats
+    assert quantize_array(np.array([600.0]), FixedFormat(20, 10, "wrap"))[0] == -434176
 
 
 def test_fixed_dot_matches_scalar_macc_chain():
@@ -146,14 +164,19 @@ def test_fixed_dot_matches_scalar_macc_chain():
 
 
 def test_fixed_dot_headroom_fallback_matches_scalar():
-    # operands big enough that int64 products would overflow the fast path
+    # operands big enough that int64 products would overflow the fast path,
+    # and int64's minimum, which np.abs leaves negative
     fmt = FixedFormat(total_bits=64, frac_bits=32)
-    a = np.array([(1 << 40) + 12345, -(1 << 41) + 7, 1 << 39], dtype=np.int64)
-    b = np.array([(1 << 40) - 999, (1 << 38) + 3, -(1 << 40)], dtype=np.int64)
-    acc = FixedValue(0, fmt)
-    for ai, bi in zip(a.tolist(), b.tolist()):
-        acc = macc(acc, FixedValue(ai, fmt), FixedValue(bi, fmt))
-    assert fixed_dot(a, b, fmt) == acc.raw
+    for a, b in [
+        ([(1 << 40) + 12345, -(1 << 41) + 7, 1 << 39],
+         [(1 << 40) - 999, (1 << 38) + 3, -(1 << 40)]),
+        ([fmt.raw_min, 1], [2, 0]),
+    ]:
+        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        acc = FixedValue(0, fmt)
+        for ai, bi in zip(a.tolist(), b.tolist()):
+            acc = macc(acc, FixedValue(ai, fmt), FixedValue(bi, fmt))
+        assert fixed_dot(a, b, fmt) == acc.raw
 
 
 def _round_half_even_oracle(p, frac_bits):
@@ -210,35 +233,92 @@ def _fixed_surface_oracle(resid_raw, kernels_raw, fmt, stats):
     ],
 )
 def test_fixed_direct_surface_matches_scalar_oracle(
-    width, fmt, scale, overflow_counted, monkeypatch
+    width, fmt, scale, overflow_counted
 ):
     d = build_dictionary(DictionaryConfig(num_kernels=8, kernel_len=width))
-    x = scale * make_audio_clip(width, seed=5)
     # an all-zero kernel row has an empty support
-    kernels_raw = np.vstack(
-        [quantize_array(d.kernels, fmt), np.zeros((1, width), np.int64)]
-    )
-    resid_raw = quantize_array(x, fmt)
-    supports = _kernel_supports(kernels_raw, fmt)
-    stats, oracle_stats = SaturationStats(), SaturationStats()
-    macc_calls = []
-    with monkeypatch.context() as patch:
-        patch.setattr(fixedpoint, "macc", lambda *a: macc_calls.append(1) or macc(*a))
-        surface = _correlate_fixed_direct(resid_raw, kernels_raw, supports, fmt, stats)
-    oracle = _fixed_surface_oracle(resid_raw, kernels_raw, fmt, oracle_stats)
-    assert np.array_equal(surface, oracle)
-    assert (stats.saturations, stats.wraps) == (
-        oracle_stats.saturations, oracle_stats.wraps
-    )
-    assert (stats.saturations + stats.wraps > 0) == overflow_counted
-    if overflow_counted:  # overflowing rows take the column scan, not the scalar chain
-        assert not macc_calls
+    d = replace(d, kernels=np.vstack([d.kernels, np.zeros((1, width))]))
+    resid_raw = quantize_array(scale * make_audio_clip(width, seed=5), fmt)
+    for select in ("abs", "signed"):
+        stats, macc_calls = _check_screened_pick(d, resid_raw, fmt, select)
+        assert (stats.saturations + stats.wraps > 0) == overflow_counted
+        if overflow_counted:  # overflowing rows take the column scan, not the scalar chain
+            assert not macc_calls
     if fmt.total_bits == 48:
+        supports = _fixed_tables(d, fmt, width, "direct")[2]
         rmax = int(np.max(np.abs(resid_raw)))
         assert any(
             rmax * int(kmax) >= (1 << 62) // int(hi - lo)
             for lo, hi, kmax in zip(supports.lo, supports.hi, supports.kmax) if kmax
         )
+
+
+def test_fixed_direct_reads_int64_min_as_the_largest_magnitude():
+    # np.abs leaves int64's minimum, 64 bits' raw_min, negative: max |r| must
+    # still read 2**63, so every nonzero row is loose and computed in full
+    width, fmt = 64, FixedFormat(64, 4)
+    kernels_raw, _, supports, table = _fixed_tables(_screen_setup(width), fmt, width,
+                                                    "direct")
+    resid_raw = np.resize(np.array([1, -1, 0], np.int64), width)
+    resid_raw[width // 2] = fmt.raw_min
+    rows, values = _correlate_fixed_direct(resid_raw, kernels_raw, supports, fmt,
+                                           None, table, "abs")
+    oracle = _fixed_surface_oracle(resid_raw, kernels_raw, fmt, None)
+    nonzero = np.flatnonzero(supports.kmax)
+    assert len(nonzero) and np.all(np.isin(nonzero, rows))
+    assert np.array_equal(values[np.searchsorted(rows, nonzero)], oracle[nonzero])
+
+
+@pytest.mark.parametrize("fmt, taps", [
+    (FixedFormat(64, 63), [-1.0]),  # int64's minimum, |k| = 2**63
+    (FixedFormat(64, 60), [1 / 16] * 256),  # unit norm, sum |k| = 2**64
+], ids=["64:63-minimum", "64:60-boxcar"])
+def test_fixed_direct_encodes_64_bit_kernels_exactly(fmt, taps):
+    # a 0.5-scaled shifted copy of kernel 0 encodes to that one code, and
+    # the residual is then exactly zero; kernel 1 is a decoy
+    width = 512
+    kernels = np.zeros((2, width))
+    kernels[0, 256 : 256 + len(taps)] = taps
+    kernels[1, 300] = 0.5
+    d = Dictionary(kernels, np.array([1.0, 2.0]), DictionaryConfig(
+        num_kernels=2, kernel_len=width))
+    cfg = EncoderConfig(max_codes=4, width=width, arithmetic="fixed", fixed_format=fmt)
+    x = 0.5 * shift_kernel(kernels[0], -100, width)
+    codes = encode_segment(Segment(x), d, None, cfg, SaturationStats())
+    assert codes.tolist() == [(0, 0, -100, 0.5)]
+
+
+@pytest.mark.parametrize("fmt", [
+    FixedFormat(64, 60), FixedFormat(64, 60, "wrap"), FixedFormat(63, 59),
+    FixedFormat(62, 58), FMT, FixedFormat(20, 10, "wrap"),
+], ids=["64:60", "64:60-wrap", "63:59", "62:58", "34:24", "20:10-wrap"])
+def test_fixed_subtract_equals_exact_integer_arithmetic(fmt):
+    # at 64 bits r - round(s k / 2^F) can leave int64 before the overflow
+    # policy sees it; a 7.9 sine at 64:60 saturates its first pick
+    width = 128
+    d = build_dictionary(DictionaryConfig(num_kernels=6, kernel_len=width))
+    cfg = EncoderConfig(max_codes=4, width=width, arithmetic="fixed", fixed_format=fmt)
+    stats = SaturationStats()
+    resid_raw, correlate, subtract = encoder._fixed_datapath(
+        Segment(7.9 * np.sin(0.3 * np.arange(width))), d, None, cfg, stats)
+    native, kept, values = correlate(resid_raw)
+    m, tau, _ = select_code(values, cfg.select, kept)
+    s_raw = int(native[1][np.searchsorted(kept, m), tau + width // 2])
+    kernels_raw = _fixed_tables(d, fmt, width, "direct")[0]
+    extremes = np.resize(np.array([fmt.raw_max, fmt.raw_min, 0, 1]), width)
+    for resid in (resid_raw, extremes):
+        for m, tau, s_raw in [(m, tau, s_raw), (2, -17, fmt.raw_max), (4, 30, fmt.raw_min)]:
+            surface = np.zeros((d.num_kernels, width + 1), np.int64)
+            surface[m, tau + width // 2] = s_raw
+            before, exact_stats = (stats.saturations, stats.wraps), SaturationStats()
+            got = subtract(resid, m, tau, None, (np.arange(d.num_kernels), surface))
+            shifted = shift_kernel(kernels_raw[m], tau, width).tolist()
+            exact = [fixedpoint._apply_overflow(r - round(Fraction(s_raw * k, fmt.scale)),
+                                                fmt, exact_stats)
+                     for r, k in zip(resid.tolist(), shifted)]
+            assert got.tolist() == exact
+            assert (stats.saturations - before[0], stats.wraps - before[1]) == (
+                exact_stats.saturations, exact_stats.wraps)
 
 
 def _two_part_test(rmax, lo, hi, kmax, kabs, fmt):
@@ -400,13 +480,16 @@ def test_screened_pick_on_kernels_nonzero_from_column_zero(fmt, select, kind):
 
 
 def _check_screened_pick(d, resid_raw, fmt, select):
+    """The screened correlation against `_fixed_surface_oracle`; returns its
+    overflow counts and the number of `macc` calls it made."""
     width = len(resid_raw)
     kernels_raw, _, supports, table = _fixed_tables(d, fmt, width, "direct")
-    screen = (table, select)
-    stats, oracle_stats = SaturationStats(), SaturationStats()
-    rows, values = _correlate_fixed_direct(
-        resid_raw, kernels_raw, supports, fmt, stats, screen
-    )
+    stats, oracle_stats, macc_calls = SaturationStats(), SaturationStats(), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fixedpoint, "macc", lambda *a: macc_calls.append(1) or macc(*a))
+        rows, values = _correlate_fixed_direct(
+            resid_raw, kernels_raw, supports, fmt, stats, table, select
+        )
     oracle = _fixed_surface_oracle(resid_raw, kernels_raw, fmt, oracle_stats)
     assert np.all(np.diff(rows) > 0)
     # every row that may overflow is computed and returned in full
@@ -429,6 +512,7 @@ def _check_screened_pick(d, resid_raw, fmt, select):
     inexact = values[values != oracle[rows]]
     assert np.all(rank(inexact) < rank(pick(oracle)[2]))
     assert np.all(rank(np.delete(oracle, rows, axis=0)) < rank(pick(oracle)[2]))
+    return stats, len(macc_calls)
 
 
 @pytest.mark.parametrize("width", [64, 512])
@@ -462,24 +546,50 @@ def test_screen_fits_kernels_nonzero_from_column_zero(monkeypatch):
     assert d.support == (0, length)
     with pytest.raises(LengthTooSmall):
         kernel_spectra(d, default_fft_len(width, length), width)
-    x = make_audio_clip(2 * width, seed=60)
+    _check_pursuit_against_oracle(monkeypatch, d, make_audio_clip(2 * width, seed=60),
+                                  width, FMT)
+
+
+@pytest.mark.parametrize("width", [64, 128])
+@pytest.mark.parametrize("fmt", [*SCREEN_FORMATS, "48:36"])
+@pytest.mark.parametrize("kind", ["clip", "saturating"])
+def test_screened_pursuit_equals_the_scalar_oracle_pursuit(monkeypatch, width, fmt,
+                                                           kind):
+    # no format above 53 bits: select_code ranks the dequantized values,
+    # which are inexact there
+    d = _screen_setup(width)
+    fmt = SCREEN_FORMATS.get(fmt) or FixedFormat(48, 36)
+    x = (make_audio_clip(width, seed=width) if kind == "clip" else
+         _screen_residual(d, fmt, kind, np.random.default_rng(width)))
+    # 48:36 leaves no int64 headroom: every entry is a scalar MAC chain
+    codes = 4 if fmt.total_bits == 48 else 8
+    overflows = _check_pursuit_against_oracle(monkeypatch, d, x, width, fmt, codes)
+    assert (overflows > 0) == (kind == "saturating")
+
+
+def _check_pursuit_against_oracle(monkeypatch, d, x, width, fmt, max_codes=8):
+    """Encodes x, segment by segment, with the screened correlation and
+    then with `_fixed_surface_oracle`'s full surface in its place: codes,
+    raw s and overflow counts must be equal. Returns the overflow count."""
 
     def encode():
         stats, codes = SaturationStats(), []
-        for i in range(2):
+        cfg = EncoderConfig(max_codes=max_codes, width=width, arithmetic="fixed",
+                            fixed_format=fmt)
+        for i in range(len(x) // width):
             seg = Segment(x[i * width : (i + 1) * width], i)
-            cfg = EncoderConfig(max_codes=8, width=width, arithmetic="fixed",
-                                fixed_format=FMT)
             codes.append(encode_segment(seg, d, None, cfg, stats).tobytes())
         return codes, (stats.saturations, stats.wraps)
 
     screened = encode()
-    full = encoder._correlate_fixed_direct
-    monkeypatch.setattr(  # the full exact surface, every row
+    monkeypatch.setattr(  # the oracle's full surface, every row
         encoder, "_correlate_fixed_direct",
-        lambda *a: (np.arange(5), full(*a[:5])),
+        lambda resid_raw, kernels_raw, supports, fmt, stats, *_: (
+            np.arange(len(kernels_raw)),
+            _fixed_surface_oracle(resid_raw, kernels_raw, fmt, stats)),
     )
     assert encode() == screened
+    return sum(screened[1])
 
 
 def test_fixed_mode_encoding_matches_float_on_margin_separated_signal(small_dict):
