@@ -173,9 +173,9 @@ def _cmd_decode(args) -> int:
     cfg = _build_configs(args)
     if args.length is not None and args.length < 1:
         raise InvalidConfig(f"--length must be >= 1, got {args.length}")
-    events = parse_events(args.events)
     dictionary = build_dictionary(cfg.dictionary)
     table = build_channel_table(dictionary.num_kernels)
+    events = parse_events(args.events, table)
     width = cfg.encoder.width
     codesets = codes_from_events(events, width)
     n_segments = int(codesets[-1].segment_index[0]) + 1 if codesets else 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Dictionary
-from .encoder import shift_kernel
+from .encoder import CODE_DTYPE
 from .errors import CodeOutOfBounds, InvalidConfig, LengthMismatch, NumericError
 from .spikecoder import ChannelTable, nearest_level
 
@@ -25,35 +25,57 @@ class ReconstructionReport:
     snr_db: float
 
 
-def _checked_codes(
-    codesets: list[np.ndarray],
-    dictionary: Dictionary,
-    width: int,
-    total_len: int,
-    quantized: bool,
-    table: ChannelTable | None,
-    metric: str,
-) -> list[tuple]:
-    """All codes in segment order as (segment_index, m, tau, s) tuples of
-    Python numbers, with s replaced in quantized mode by its channel center
-    (keeping the sign). Raises CodeOutOfBounds for a code that does not fit
-    the dictionary or the width, or whose segment starts at or past the
-    output length; a segment that runs past it is cut there."""
+def _checked_codes(codesets, dictionary: Dictionary, width: int, total_len: int,
+                   quantized: bool, table: ChannelTable | None, metric: str):
+    """All codes split by segment (`by_segment`), with s replaced in
+    quantized mode by its channel center (keeping the sign). Raises
+    CodeOutOfBounds for the first code in list order that does not fit the
+    dictionary or the width, or whose segment starts at or past the output
+    length; a segment that runs past it is cut there."""
     if quantized and table is None:
         raise InvalidConfig("quantized reconstruction needs a ChannelTable")
-    rows = []
-    for cs in codesets:
-        for seg, m, tau, s in cs.tolist():
-            if not (0 <= m < dictionary.num_kernels and abs(tau) <= width // 2
-                    and 0 <= seg and seg * width < total_len):
-                raise CodeOutOfBounds(
-                    f"code {(seg, m, tau, s)} out of range for "
-                    f"{dictionary.num_kernels} kernels, W={width}, {total_len} samples"
-                )
-            if quantized and s != 0.0:
-                s = math.copysign(table.centers[nearest_level(s, table, metric)], s)
-            rows.append((seg, m, tau, s))
-    return rows
+    if width < 2:  # a (codes, 1) sum would run along the code axis
+        raise InvalidConfig(f"width must be >= 2, got {width}")
+    # a plain array of its own: field reads of a record array run Python code
+    codes = np.array(codesets[0] if len(codesets) == 1 else np.concatenate(
+        [np.empty(0, CODE_DTYPE), *codesets]))
+    # read as unsigned, a value below a field's lower bound exceeds its upper
+    u = np.uint64
+    wrong = ((codes["segment_index"].view(u) >= -(-total_len // width))
+             | (codes["m"].view(u) >= dictionary.num_kernels)
+             | ((codes["tau"] + width // 2).view(u) > width // 2 * 2)).nonzero()[0]
+    if len(wrong):
+        raise CodeOutOfBounds(
+            f"code {tuple(codes[wrong[0]].tolist())} out of range for "
+            f"{dictionary.num_kernels} kernels, W={width}, {total_len} samples"
+        )
+    if quantized:
+        s = codes["s"]
+        nonzero = s.nonzero()[0]
+        s[nonzero] = np.copysign(np.asarray(table.centers)[
+            nearest_level(s[nonzero], table, metric)], s[nonzero])
+    return by_segment(codes)
+
+
+def by_segment(codes: np.ndarray) -> list[np.ndarray]:
+    """`codes` split by segment, in segment order, each segment's codes in
+    their order in `codes` (a stable sort)."""
+    codes = codes[codes["segment_index"].argsort(kind="stable")]
+    seg = codes["segment_index"]
+    edges = [0, *((seg[1:] != seg[:-1]).nonzero()[0] + 1).tolist(), len(codes)]
+    return [codes[lo:hi] for lo, hi in zip(edges, edges[1:])] if len(codes) else []
+
+
+def _atoms(codes: np.ndarray, dictionary: Dictionary, width: int) -> np.ndarray:
+    """s_i * shift_kernel(kernel m_i, tau_i, width) of each code as one
+    C-ordered (codes, W) array, each row filled by one slice copy."""
+    atoms, kernels = np.zeros((len(codes), width)), dictionary.kernels
+    for row, m, tau in zip(atoms, codes["m"].tolist(), codes["tau"].tolist()):
+        lo, hi = max(0, tau), min(width, tau + dictionary.kernel_len)
+        if hi > lo:
+            row[lo:hi] = kernels[m, lo - tau : hi - tau]
+    atoms *= codes["s"][:, None]
+    return atoms
 
 
 def reconstruct(
@@ -68,17 +90,20 @@ def reconstruct(
     """Sum s_i * shift_kernel(kernel m_i, tau_i) at each segment offset,
     each cut at `total_len`.
 
-    One code at a time, in segment order: `np.add.at` over all codes gives
-    the same sums but is several times slower."""
+    Each sample sums its segment's codes in list order from +0.0, as adding
+    one code at a time would: a segment's scaled atoms are summed along the
+    code axis, which is not the contiguous one (numpy sums that one
+    pairwise), and the sum is added to the zeroed span."""
     try:
         out = np.zeros(total_len)
     except MemoryError:
         raise NumericError(f"cannot allocate {total_len} output samples") from None
-    for seg, m, tau, s in _checked_codes(
-        codesets, dictionary, width, total_len, quantized, table, metric
-    ):
+    segments = _checked_codes(codesets, dictionary, width, total_len, quantized,
+                              table, metric)
+    for cs in segments:
+        seg = int(cs["segment_index"][0])
         span = out[seg * width : (seg + 1) * width]
-        span += (s * shift_kernel(dictionary.kernels[m], tau, width))[: len(span)]
+        span += _atoms(cs, dictionary, width).sum(axis=0)[: len(span)]
     return out
 
 
@@ -112,23 +137,18 @@ def error_curve(
     for k = 1..max codes per segment. A last segment shorter than `width`
     is compared over its own samples.
 
-    Computed by running the subtractions in emission order, so the curve
-    reproduces the encoder's own residual trajectory.
+    Computed by running the subtractions in emission order, one rank (a
+    code's position in its segment) at a time across all segments, so the
+    curve reproduces the encoder's own residual trajectory.
     """
     x = np.asarray(x, dtype=np.float64)
-    codes = _checked_codes(
-        codesets, dictionary, width, len(x), quantized, table, metric
-    )
-    # each code's position in its segment: the k-th codes go in together
-    rank = [k for cs in codesets for k in range(len(cs))]
-    residual = x.copy()
+    segments = _checked_codes(codesets, dictionary, width, len(x), quantized,
+                              table, metric)
+    residual = np.zeros(-(-len(x) // width) * width)
+    residual[: len(x)] = x
     curve = []
-    for k in range(max(rank, default=-1) + 1):
-        for (seg, m, tau, s), r in zip(codes, rank):
-            if r == k:
-                span = residual[seg * width : (seg + 1) * width]
-                span -= (s * shift_kernel(dictionary.kernels[m], tau, width))[
-                    : len(span)]
-        curve.append((k + 1, float(np.linalg.norm(residual))))
+    for k in range(max(map(len, segments), default=0)):
+        c = np.concatenate([cs[k : k + 1] for cs in segments])  # k-th of each
+        residual.reshape(-1, width)[c["segment_index"]] -= _atoms(c, dictionary, width)
+        curve.append((k + 1, float(np.linalg.norm(residual[: len(x)]))))
     return curve
-

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .decoder import by_segment
 from .dictionary import Dictionary, DictionaryConfig, build_dictionary
 from .encoder import CODE_DTYPE, EncoderConfig, Segment, encode_segment
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .fixedpoint import SaturationStats
-from .spikecoder import EVENT_DTYPE
+from .spikecoder import EVENT_DTYPE, ChannelTable
 
 EVENT_HEADER = "t_samples,channel,kernel,level,intensity_center"
 
@@ -185,18 +186,21 @@ def write_events(events: np.ndarray, cfg: RunConfig) -> None:
         raise IoError(f"cannot write {cfg.output_path!r}: {exc}")
 
 
-def parse_events(path: str) -> np.recarray:
+def parse_events(path: str, table: ChannelTable | None = None) -> np.recarray:
     """Read an event file (csv or jsonl) back into an EVENT_DTYPE record
     array. Raises CorruptFile on a csv header or field count, or a JSONL
     record's keys, that the writers do not write (every JSONL record has
     raw_intensity exactly when the first one does), a malformed record, a
     negative time, a non-finite intensity, a zero raw intensity or a
-    nonpositive center."""
+    nonpositive center; given the decoder's `table`, also on a channel other
+    than kernel * levels + level, a level outside the table, or a center
+    other than its level's as the writers write it."""
     events = []
     try:
         with open(path) as fh:
             first = fh.readline()
-            if first.lstrip().startswith("{"):
+            jsonl = first.lstrip().startswith("{")
+            if jsonl:
                 keys = None  # the header's, plus raw_intensity if the first has it
                 for line in [first] + fh.readlines():
                     if not line.strip():
@@ -221,7 +225,19 @@ def parse_events(path: str) -> np.recarray:
                     if len(parts) != columns:
                         raise ValueError(f"{len(parts)} fields in {line.strip()!r}")
                     events.append(_event_from_fields(*parts))
-        return np.array(events, EVENT_DTYPE).view(np.recarray)
+        # record dtype from the start: a record-array view then converts nothing
+        events = np.array(events, (np.record, EVENT_DTYPE))
+        if table is not None:  # JSONL writes centers exactly, csv to 6 digits
+            centers = [c if jsonl else float(_fmt_intensity(c)) for c in table.centers]
+            level, n = events["level"], len(centers)
+            # a level outside [0, n) reads the NaN past the last center
+            center = np.array([*centers, np.nan])[np.minimum(level.view(np.uint64), n)]
+            wrong = ((events["channel"] != events["m"] * n + level)
+                     | (events["magnitude_level_center"] != center)).nonzero()[0]
+            if len(wrong):
+                raise ValueError(f"event {events[wrong[0]].tolist()} contradicts "
+                                 f"{n} levels with centers {centers}")
+        return events.view(np.recarray)
     except OSError as exc:
         raise IoError(f"cannot read {path!r}: {exc}")
     # TypeError: a JSONL record that is not an object, or a null or list field
@@ -248,14 +264,13 @@ def codes_from_events(events: np.ndarray, width: int) -> list[np.recarray]:
     A shift of exactly +W/2 shares its event time with the next segment's
     -W/2 and resolves to the latter; the schema carries no segment id.
     """
-    by_segment: dict[int, list[tuple]] = {}
-    for t, _, m, _, _, s in np.asarray(events).tolist():
-        seg, tau = divmod(t, width)
-        by_segment.setdefault(seg, []).append((seg, m, tau - width // 2, s))
-    return [
-        np.array(by_segment[seg], CODE_DTYPE).view(np.recarray)
-        for seg in sorted(by_segment)
-    ]
+    events = np.asarray(events)
+    # record dtype from the start: a record-array view then converts nothing
+    codes = np.empty(len(events), (np.record, CODE_DTYPE))
+    codes["segment_index"], tau = np.divmod(events["t"], width)
+    codes["m"], codes["tau"] = events["m"], tau - width // 2
+    codes["s"] = events["raw_intensity"]
+    return [cs.view(np.recarray) for cs in by_segment(codes)]
 
 
 def encode_signal(

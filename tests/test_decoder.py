@@ -2,18 +2,147 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikecodec.decoder import (
     error_curve,
     reconstruct,
     reconstruction_error,
 )
+from spikecodec.dictionary import Dictionary, DictionaryConfig
 from spikecodec.encoder import EncoderConfig, Segment, encode_segment, shift_kernel
 from spikecodec.errors import CodeOutOfBounds, LengthMismatch
 from spikecodec.pipeline import encode_signal, make_audio_clip
-from spikecodec.spikecoder import build_channel_table
+from spikecodec.spikecoder import build_channel_table, nearest_level
 
 from conftest import codes
+
+
+# ----- the per-code decoder, kept as the oracle of the array one -----
+
+def _loop_codes(codesets, dictionary, width, total_len, quantized, table, metric):
+    """(seg, m, tau, s) of every code in list order, checked one at a time."""
+    rows = []
+    for cs in codesets:
+        for seg, m, tau, s in cs.tolist():
+            if not (0 <= m < dictionary.num_kernels and abs(tau) <= width // 2
+                    and 0 <= seg and seg * width < total_len):
+                raise CodeOutOfBounds(
+                    f"code {(seg, m, tau, s)} out of range for "
+                    f"{dictionary.num_kernels} kernels, W={width}, {total_len} samples"
+                )
+            if quantized and s != 0.0:
+                s = math.copysign(table.centers[nearest_level(s, table, metric)], s)
+            rows.append((seg, m, tau, s))
+    return rows
+
+
+def loop_reconstruct(codesets, dictionary, width, total_len, quantized=False,
+                     table=None, metric="log"):
+    """One shifted kernel added per code, in list order."""
+    out = np.zeros(total_len)
+    for seg, m, tau, s in _loop_codes(codesets, dictionary, width, total_len,
+                                      quantized, table, metric):
+        span = out[seg * width : (seg + 1) * width]
+        span += (s * shift_kernel(dictionary.kernels[m], tau, width))[: len(span)]
+    return out
+
+
+def loop_error_curve(x, codesets, dictionary, width, quantized=False, table=None,
+                     metric="log"):
+    """Every code's subtraction once per rank, rank = position in its code set."""
+    codes = _loop_codes(codesets, dictionary, width, len(x), quantized, table, metric)
+    rank = [k for cs in codesets for k in range(len(cs))]
+    residual = np.array(x, dtype=np.float64)
+    curve = []
+    for k in range(max(rank, default=-1) + 1):
+        for (seg, m, tau, s), r in zip(codes, rank):
+            if r == k:
+                span = residual[seg * width : (seg + 1) * width]
+                span -= (s * shift_kernel(dictionary.kernels[m], tau, width))[
+                    : len(span)]
+        curve.append((k + 1, float(np.linalg.norm(residual))))
+    return curve
+
+
+def _random_dictionary(width, kernel_len, num_kernels=5):
+    rng = np.random.default_rng([width, kernel_len])
+    kernels = rng.standard_normal((num_kernels, kernel_len))
+    return Dictionary(kernels, np.arange(1.0, num_kernels + 1.0), DictionaryConfig(
+        num_kernels=num_kernels, kernel_len=kernel_len))
+
+
+# (W, kernel_len): kernels shorter than, as long as, and longer than W, and
+# longer than the 3W/2 a shift can reach
+SHAPES = [(8, 5), (16, 16), (16, 40), (30, 23), (9, 9)]
+DICTS = {shape: _random_dictionary(*shape) for shape in SHAPES}
+
+
+@st.composite
+def _decodes(draw, one_set_per_segment=False):
+    """(dictionary, width, total_len, code sets, quantized, metric): up to 4
+    segments, with code sets that share a segment, are empty or come out of
+    segment order, up to 20 codes in a segment, shifts of exactly +/-W/2,
+    intensities of both signs and zero, and a last segment that may be cut."""
+    width, kernel_len = draw(st.sampled_from(SHAPES))
+    n_seg = draw(st.integers(1, 4))
+    tau = st.one_of(st.sampled_from([-(width // 2), width // 2]),
+                    st.integers(-(width // 2), width // 2))
+    s = st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.floats(-1e6, 1e6, allow_subnormal=False))
+    code = st.tuples(st.integers(0, n_seg - 1), st.integers(0, 4), tau, s)
+    if one_set_per_segment:
+        order = draw(st.permutations(range(n_seg)))
+        codesets = [codes(*[(seg, *c[1:]) for c in draw(st.lists(code, max_size=20))])
+                    for seg in order]
+    else:
+        codesets = [codes(*rows) for rows in draw(
+            st.lists(st.lists(code, max_size=20), max_size=5))]
+    total_len = n_seg * width - draw(st.integers(0, width - 1))
+    return (DICTS[width, kernel_len], width, total_len, codesets,
+            draw(st.booleans()), draw(st.sampled_from(["log", "linear"])))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except CodeOutOfBounds as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(decode=_decodes(), bad=st.lists(st.tuples(
+    st.integers(0, 5), st.sampled_from(["segment", "kernel", "shift"])), max_size=2))
+def test_reconstruct_equals_the_per_code_loop_byte_for_byte(decode, bad):
+    d, width, total_len, codesets, quantized, metric = decode
+    for i, field in bad:  # out-of-range codes at drawn places in the list
+        wrong = {"segment": (-(-total_len // width), 0, 0, 1.0),
+                 "kernel": (0, d.num_kernels, 0, 2.0),
+                 "shift": (0, 0, -(width // 2) - 1, 3.0)}[field]
+        codesets = codesets[:i] + [codes(wrong)] + codesets[i:]
+    table = build_channel_table(d.num_kernels)
+    given_bytes = [cs.tobytes() for cs in codesets]
+    args = (codesets, d, width, total_len)
+    kwargs = dict(quantized=quantized, table=table, metric=metric)
+    got = _outcome(reconstruct, *args, **kwargs)
+    want = _outcome(loop_reconstruct, *args, **kwargs)
+    if isinstance(want, str):  # the same first code in list order
+        assert got == want
+    else:
+        assert got.tobytes() == want.tobytes()
+    assert [cs.tobytes() for cs in codesets] == given_bytes  # read, not written
+
+
+@settings(max_examples=150, deadline=None)
+@given(decode=_decodes(one_set_per_segment=True), seed=st.integers(0, 2**32 - 1))
+def test_error_curve_equals_the_per_code_loop(decode, seed):
+    d, width, total_len, codesets, quantized, metric = decode
+    x = np.random.default_rng(seed).standard_normal(total_len)
+    table = build_channel_table(d.num_kernels)
+    kwargs = dict(quantized=quantized, table=table, metric=metric)
+    assert (_outcome(error_curve, x, codesets, d, width, **kwargs)
+            == _outcome(loop_error_curve, x, codesets, d, width, **kwargs))
 
 
 def test_empty_codesets_reconstruct_to_silence(small_dict):

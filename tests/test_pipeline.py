@@ -682,9 +682,10 @@ def test_cli_exit_code_3_on_missing_input():
 
 
 def test_cli_exit_code_4_on_bad_events(tmp_path):
+    # a well-formed event, level 2's center included, on kernel 99 of 6
     path = tmp_path / "ev.csv"
     path.write_text(
-        "t_samples,channel,kernel,level,intensity_center\n64,299,99,2,0.411500\n"
+        "t_samples,channel,kernel,level,intensity_center\n64,299,99,2,25.8744\n"
     )
     out = _cli("decode", str(path), "-o", str(tmp_path / "x.f32"), *SMALL_FLAGS)
     assert out.returncode == 4
@@ -852,6 +853,17 @@ def _config_args(tmp_path, text):
     # the second record would decode from its center, losing its sign
     (lambda tmp: _decode_jsonl_args(
         tmp, JSONL_RECORD, JSONL_RECORD.replace("}", ', "raw_intensity": -0.4115}')), 3),
+    # columns that contradict each other: 6 kernels x 3 levels = 18 channels
+    *[(lambda tmp, row=row, extra=extra: [*_decode_row_args(tmp, row), *extra], 3)
+      for extra in ([], ["--quantized"])
+      for row in ("64,999,3,1,0.411500,0.411500",  # channel != kernel * 3 + level
+                  "64,16,3,7,0.411500,0.411500",  # level outside [0, 3)
+                  "64,10,3,1,3.500000,0.411500")],  # not level 1's center
+    (lambda tmp: _decode_jsonl_args(
+        tmp, JSONL_RECORD.replace('"channel": 10', '"channel": 11')), 3),
+    # JSONL carries the center exactly
+    (lambda tmp: _decode_jsonl_args(
+        tmp, JSONL_RECORD.replace("0.4115", "0.41150000000000003")), 3),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
@@ -866,7 +878,10 @@ def _config_args(tmp_path, text):
         "wav-22050-band-below-nyquist", "wav-22050-band-above-nyquist",
         "fs-nan", "fs-inf", "fs-zero", "csv-near-max", "csv-near-max-fixed",
         "csv-extra-field", "csv-header-suffix", "jsonl-unknown-key",
-        "jsonl-mixed-raw"])
+        "jsonl-mixed-raw", "channel-contradicts-level", "level-outside-table",
+        "center-not-the-level-center", "channel-contradicts-level-quantized",
+        "level-outside-table-quantized", "center-not-the-level-center-quantized",
+        "jsonl-channel-contradicts-level", "jsonl-center-not-exact"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     out = _cli(*make_argv(tmp_path))
     assert out.returncode == code, out.stderr
