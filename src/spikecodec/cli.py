@@ -59,7 +59,8 @@ SHARED_FLAGS = {
     "threshold": dict(type=float, default=EncoderConfig.halt_threshold,
                       help="halting threshold (default %(default)s)"),
     "backend": dict(choices=["direct", "spectral"], default=EncoderConfig.backend,
-                    help="correlation backend (default %(default)s)"),
+                    help="correlation backend (default %(default)s); with --fixed "
+                    "both run one datapath and write the same events"),
     "fixed": dict(metavar="B:F", help="run the fixed-point datapath, e.g. 34:24"),
     "select": dict(choices=["abs", "signed"], default=EncoderConfig.select,
                    help="pick the largest |c| or the largest c (default %(default)s)"),
@@ -249,7 +250,7 @@ def _cmd_eval(args) -> int:
                 break
         if path is None:
             raise IoError(f"no event file for {stem!r} in {args.features_from!r}")
-        events = parse_events(path)
+        events = parse_events(path, table)
         duration = int(events.t.max(initial=0)) // width * width + width
         features.append(evaluate.temporal_average(events, duration, bin_width, table))
         labels.append(class_names.index(labels_by_stem[stem]))

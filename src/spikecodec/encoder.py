@@ -9,7 +9,8 @@ Two correlation backends produce the same surface: `correlate_direct`
 (time-domain multiply-accumulate) and `correlate_spectral` (real FFT of the
 residual, multiply with the kernel spectra, inverse real FFT). Arithmetic
 runs in float64 or, for hardware-faithful emulation, in the fixed-point
-format from :mod:`spikecodec.fixedpoint`.
+format from :mod:`spikecodec.fixedpoint`; there both backends run one
+datapath, an FFT screen and an exact gather, so they give the same codes.
 
 Boundary policy: kernels shifted partially out of the window are truncated
 (zero outside, no renormalization), the behaviour of a shift register with a
@@ -145,7 +146,6 @@ def _lag_transform(residual: np.ndarray, sdict: SpectralDictionary):
 
 def correlate_spectral(
     residual: np.ndarray, sdict: SpectralDictionary, prune: str | None = None,
-    fmt: FixedFormat | None = None, stats: SaturationStats | None = None,
     carry: dict | None = None,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """FFT backend; identical contract to `correlate_direct`.
@@ -155,10 +155,7 @@ def correlate_spectral(
     and those rows alone. |row m| <= B_m (below; its n * tiny covers the
     rounding below the smallest normal float, which is absolute); the row of
     largest B_m, transformed once, sets the bar, and rows with B_m >= bar
-    are kept. With `fmt`, every kept row is requantized to raw int64
-    (overflow tallied in `stats`) and rows with qb_m = 2^F B_m + 1/2 >= the
-    raw bar are kept: a dropped row's integers can neither win nor tie,
-    nor overflow, since the bar is at most raw_max + 1 = |raw_min|.
+    are kept.
 
     `carry`, a dict that one pursuit hands to each of its calls (empty at
     the first), also bounds row m by C_m + D_m + 1e-9 (B'_m + B_m). C_m is
@@ -186,10 +183,7 @@ def correlate_spectral(
                          + 1e-9 * (carry["bounds"] + row_bounds))
     top = int(np.argmax(bounds))
     top_lags = transform(top)
-    bar = top_lags if fmt is None else quantize_array(top_lags, fmt)
-    bar = np.max(np.abs(bar) if prune == "abs" else bar)
-    # qb_m under fmt, bounding |rint(2^F c)|
-    keep = (bounds if fmt is None else fmt.scale * bounds + 0.5) >= bar
+    keep = bounds >= np.max(np.abs(top_lags) if prune == "abs" else top_lags)
     keep[top] = True  # bar <= B_top: kept, and not transformed again
     rows = np.flatnonzero(keep)
     at = int(np.searchsorted(rows, top))
@@ -199,7 +193,7 @@ def correlate_spectral(
         ceilings = bounds.copy()
         ceilings[rows] = np.abs(lags).max(axis=1)
         carry.update(spectrum=spectrum, bounds=row_bounds, ceilings=ceilings)
-    return rows, lags if fmt is None else quantize_array(lags, fmt, stats)
+    return rows, lags
 
 
 def select_code(
@@ -260,18 +254,16 @@ def encode_segment(
     intensity magnitude drops below `cfg.halt_threshold` or is zero: a zero
     code leaves the residual unchanged, so every later pick would repeat it.
     Pure function of its inputs; distinct segments can be encoded
-    concurrently. The spectral backend reads `sdict`, by default the kernels'
-    own spectra at the smallest length their support allows (`kernel_spectra`,
-    built once per dictionary and width). Raises NumericError, naming the
-    segment, when a pick is not finite.
+    concurrently. The float spectral backend reads `sdict`, by default the
+    kernels' own spectra at the smallest length their support allows
+    (`kernel_spectra`, built once per dictionary and width); fixed point
+    reads its own tables. Raises NumericError, naming the segment, when a
+    pick is not finite.
     """
     cfg.validate()
     if segment.width != cfg.width:
         raise DimensionMismatch(
             f"segment width {segment.width} != config width {cfg.width}")
-    if cfg.backend == "spectral" and sdict is None:
-        sdict = dictionary.table(("spectra", cfg.width), lambda: kernel_spectra(
-            dictionary, signal_len=cfg.width))
     datapath = _fixed_datapath if cfg.arithmetic == "fixed" else _float_datapath
     residual, correlate, subtract = datapath(segment, dictionary, sdict, cfg, stats)
     rows = []
@@ -294,7 +286,9 @@ def encode_segment(
 def _float_datapath(segment, dictionary, sdict, cfg, stats):
     """float64 residual. The public functions are looked up per call, so a
     wrapper installed on them (a tracer) sees every call."""
-
+    if cfg.backend == "spectral" and sdict is None:
+        sdict = dictionary.table(("spectra", cfg.width), lambda: kernel_spectra(
+            dictionary, signal_len=cfg.width))
     carry = {}  # the spectral row ceilings, this segment's own
 
     def correlate(residual: np.ndarray):
@@ -323,7 +317,7 @@ class _Supports(NamedTuple):
 
 
 class _Screen(NamedTuple):
-    """What the direct screen reads of a dictionary under one format and
+    """What the fixed screen reads of a dictionary under one format and
     width (`_fixed_tables`); per kernel row unless noted."""
 
     sdict: SpectralDictionary  # the dequantized kernels', with their support
@@ -381,7 +375,7 @@ def _correlate_fixed_direct(
     ascending-index accumulation, per-step overflow policy; returns
     `(rows, values)` like `correlate_spectral(prune=select)`: the ascending
     rows that can hold or tie the pick, and those rows, exact wherever the
-    pick can be. `table` is the dictionary's direct `_Screen`.
+    pick can be. `table` is the dictionary's `_Screen`.
 
     Each kernel is multiplied over its nonzero support only (`supports`
     from `_kernel_supports`); terms outside it are exact zeros, which leave
@@ -390,6 +384,7 @@ def _correlate_fixed_direct(
     the word, so its entries are plain sums (`_summed_entries`). Every
     other (loose) row is computed in full with the overflow policy applied
     at every step, by a column scan over `_residual_windows`, and returned.
+    Both backends run it in fixed point, so they give the same integers.
     """
     w, num = len(resid_raw), len(kernels_raw)
     rmax = max(int(resid_raw.max()), -int(resid_raw.min()))  # exact at raw_min
@@ -444,17 +439,14 @@ def _correlate_fixed_direct(
     return rows, values
 
 
-def _fixed_tables(dictionary: Dictionary, fmt: FixedFormat, width: int,
-                  backend: str) -> tuple:
-    """What the fixed datapath reads of a dictionary under one format, width
-    and backend: the raw kernels, the (saturations, wraps) of quantizing
-    them and, for the direct backend only, their `_Supports` and `_Screen`."""
+def _fixed_tables(dictionary: Dictionary, fmt: FixedFormat, width: int) -> tuple:
+    """What the fixed datapath reads of a dictionary under one format and
+    width: the raw kernels, the (saturations, wraps) of quantizing them,
+    their `_Supports` and their `_Screen`."""
     counts = SaturationStats()
     kernels_raw = quantize_array(dictionary.kernels, fmt, counts)
     kernels_raw.flags.writeable = False
     overflows = (counts.saturations, counts.wraps)
-    if backend != "direct":
-        return kernels_raw, overflows, None, None
     supports = _kernel_supports(kernels_raw, fmt)
     dequantized = replace(dictionary, kernels=dequantize_array(kernels_raw, fmt))
     lo, hi = dequantized.support
@@ -464,28 +456,21 @@ def _fixed_tables(dictionary: Dictionary, fmt: FixedFormat, width: int,
         kernels_raw[:, lo:hi])
 
 
-def _fixed_datapath(segment, dictionary, sdict, cfg, stats):
-    """Raw int64 residual and surface; select_code ranks the dequantized copy.
-    The kernel tables are built once per dictionary (`Dictionary.table`);
-    their quantization overflows count once per segment, as if requantized."""
+def _fixed_datapath(segment, dictionary, _sdict, cfg, stats):
+    """Raw int64 residual and surface, the same under either backend;
+    select_code ranks the dequantized copy. The kernel tables are built once
+    per dictionary (`Dictionary.table`); their quantization overflows count
+    once per segment, as if requantized."""
     fmt = cfg.fixed_format
     kernels_raw, overflows, supports, screen_table = dictionary.table(
-        ("fixed", fmt, cfg.width, cfg.backend),
-        lambda: _fixed_tables(dictionary, fmt, cfg.width, cfg.backend))
+        ("fixed", fmt, cfg.width), lambda: _fixed_tables(dictionary, fmt, cfg.width))
     if stats is not None:
         stats.saturations += overflows[0]
         stats.wraps += overflows[1]
-    carry = {}
 
     def correlate(resid_raw: np.ndarray):
-        if cfg.backend == "direct":
-            rows, surface_raw = _correlate_fixed_direct(
-                resid_raw, kernels_raw, supports, fmt, stats, screen_table, cfg.select)
-        else:
-            # FFT stage runs in float; the kept rows are requantized to the
-            # datapath width, as a wide-word FFT core would deliver them
-            rows, surface_raw = correlate_spectral(
-                dequantize_array(resid_raw, fmt), sdict, cfg.select, fmt, stats, carry)
+        rows, surface_raw = _correlate_fixed_direct(
+            resid_raw, kernels_raw, supports, fmt, stats, screen_table, cfg.select)
         return (rows, surface_raw), rows, dequantize_array(surface_raw, fmt)
 
     def subtract(resid_raw: np.ndarray, m: int, tau: int, _s, native):
@@ -495,8 +480,7 @@ def _fixed_datapath(segment, dictionary, sdict, cfg, stats):
         shifted = shift_kernel(kernels_raw[m], tau, segment.width)
         # the row's max |k| is at least the shifted one's. Both branches are
         # exact: |scaled| <= 2**61 and, below 64 bits, |r| <= 2**62
-        kmax = int(supports.kmax[m] if supports else np.abs(shifted).max())
-        if abs(s_raw) * max(kmax, 1) < (1 << 62) and fmt.total_bits < 64:
+        if abs(s_raw) * int(supports.kmax[m]) < (1 << 62) and fmt.total_bits < 64:
             scaled = rescale_half_even_array(s_raw * shifted, fmt.frac_bits)
             return apply_overflow_array(resid_raw - scaled, fmt, stats)
         # int64 headroom exhausted: exact ints, sample by sample

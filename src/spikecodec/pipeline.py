@@ -359,15 +359,15 @@ def run_bench(cfg: RunConfig, n_segments: int = 10) -> list[BenchReport]:
                               cfg.dictionary.sample_rate, cfg.seed)
 
     reports = []
-    reference: dict[str, list[tuple[int, int]]] = {}
+    reference: dict[str, np.ndarray] = {}  # the direct run's (m, tau) columns
     for backend in ("direct", "spectral"):
         for arithmetic in ("float", "fixed"):
             enc = replace(cfg.encoder, backend=backend, arithmetic=arithmetic)
             start = time.perf_counter()
             codesets = encode_signal(samples, dictionary, enc)
             elapsed = time.perf_counter() - start
-            n_codes = sum(len(cs) for cs in codesets)
-            seq = [(c.m, c.tau) for cs in codesets for c in cs]
+            codes = np.concatenate(codesets)
+            seq = np.stack([codes["m"], codes["tau"]])
             if backend == "direct":
                 reference[arithmetic] = seq
             reports.append(
@@ -375,9 +375,9 @@ def run_bench(cfg: RunConfig, n_segments: int = 10) -> list[BenchReport]:
                     backend=backend,
                     arithmetic=arithmetic,
                     wall_time_per_segment=elapsed / max(n_segments, 1),
-                    codes_per_second=n_codes / elapsed if elapsed > 0 else 0.0,
+                    codes_per_second=len(codes) / elapsed if elapsed > 0 else 0.0,
                     segments_per_second=n_segments / elapsed if elapsed > 0 else 0.0,
-                    sequences_match_direct=(seq == reference[arithmetic]),
+                    sequences_match_direct=np.array_equal(seq, reference[arithmetic]),
                 )
             )
     return reports

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from spikecodec import cli
 from spikecodec.decoder import error_curve, reconstruct
 from spikecodec.dictionary import (
     DictionaryConfig,
@@ -37,9 +38,10 @@ from spikecodec.evaluate import (
     prf1,
     ConfusionCounts,
 )
-from spikecodec.fixedpoint import FixedFormat, quantize_array
+from spikecodec.fixedpoint import FixedFormat, SaturationStats, quantize_array
 from spikecodec.pipeline import (
     RunConfig,
+    encode_signal,
     make_audio_clip,
     read_input,
     run_bench,
@@ -96,6 +98,47 @@ def test_criterion_2_backend_equivalence():
         for ca, cb in zip(a, b):
             assert abs(abs(ca.s) - abs(cb.s)) <= 1e-6 * abs(ca.s), f"seed {seed}"
     _report("criterion 2 (backend equivalence, 100 segments)",
+            time.perf_counter() - start)
+
+
+def test_criterion_2_fixed_point_backend_equivalence(tmp_path, capsys):
+    """In fixed point both backends run one datapath: byte-identical code
+    arrays and equal overflow counts at every format, on noise and on a
+    clip (loud enough to overflow, too); and CLI event files, raw intensity
+    included, byte for byte with the same overflow line."""
+    start = time.perf_counter()
+    width = 128
+    d = build_dictionary(DictionaryConfig(num_kernels=16, kernel_len=width))
+    clip = make_audio_clip(8 * width, seed=4)
+    signals = {"noise": np.random.default_rng(2).standard_normal(8 * width),
+               "clip": clip, "loud clip": 300.0 * clip[4 * width : 6 * width]}
+    for fmt in (FixedFormat(34, 24), FixedFormat(24, 14), FixedFormat(20, 10),
+                FixedFormat(16, 8), FixedFormat(20, 10, "wrap")):
+        for name, x in signals.items():
+            runs = []
+            for backend in ("direct", "spectral"):
+                cfg = EncoderConfig(max_codes=8, width=width, backend=backend,
+                                    arithmetic="fixed", fixed_format=fmt)
+                stats = SaturationStats()
+                codesets = encode_signal(x, d, cfg, stats=stats)
+                runs.append(([cs.tobytes() for cs in codesets], stats))
+            assert runs[0] == runs[1], f"{fmt} on {name}"
+
+    signal = tmp_path / "clip.csv"
+    write_waveform(make_audio_clip(4096, seed=0), str(signal))
+    for fixed in ("34:24", "20:10"):
+        files, lines = [], []
+        for backend in ("direct", "spectral"):
+            out = tmp_path / f"{backend}.jsonl"
+            assert cli.main(["encode", str(signal), "-o", str(out), "--width", "256",
+                             "--kernels", "16", "--k", "8", "--backend", backend,
+                             "--fixed", fixed, "--output-format", "jsonl",
+                             "--with-raw-intensity"]) == 0
+            files.append(out.read_bytes())
+            lines.append(capsys.readouterr().out.splitlines()[-1])
+        assert files[0] == files[1], fixed
+        assert lines[0] == lines[1] and lines[0].startswith("saturations "), fixed
+    _report("criterion 2 (fixed-point backend equivalence, 5 formats)",
             time.perf_counter() - start)
 
 
@@ -341,7 +384,7 @@ def test_criterion_10_bench_reporting():
         assert r.wall_time_per_segment > 0
         assert r.segments_per_second > 0
         assert r.codes_per_second > 0
-    assert all(r.sequences_match_direct for r in reports if r.arithmetic == "float")
+    assert all(r.sequences_match_direct for r in reports)
 
     result = subprocess.run(
         [sys.executable, "-m", "spikecodec.cli", "bench", "--segments", "2",

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from spikecodec import encoder
 from spikecodec.dictionary import (
     Dictionary,
     DictionaryConfig,
@@ -303,34 +304,20 @@ def _prune_setup(width):
     return d, kernel_spectra(d, default_fft_len(width, width), signal_len=width)
 
 
-# arithmetic of the requantized surface, and the stimulus scale that makes
-# it overflow: ±512 is the range of both fixed formats
-PRUNE_MODES = {
-    "float": (None, 1.0),
-    "34:24": (FixedFormat(34, 24), 1.0),
-    "34:24-saturating": (FixedFormat(34, 24), 400.0),
-    "20:10-wrap": (FixedFormat(20, 10, "wrap"), 300.0),
-}
-
-
 @settings(max_examples=400, deadline=None)
 @given(width=st.sampled_from([64, 128, 256]),
        select=st.sampled_from(["abs", "signed"]),
        kind=st.sampled_from(["kernel", "mixture", "noise", "zero"]),
-       mode=st.sampled_from(sorted(PRUNE_MODES)),
        seed=st.integers(0, 2**32 - 1))
 # an unclipped shifted kernel attains the row bound at its own (m, tau);
 # without the 1 + 1e-9 margin, rounding prunes the pick's row in these
-@example(width=64, select="abs", kind="kernel", mode="float", seed=8)
-@example(width=128, select="abs", kind="kernel", mode="float", seed=4)
-@example(width=256, select="signed", kind="kernel", mode="float", seed=27)
-@example(width=128, select="abs", kind="zero", mode="float", seed=0)
-@example(width=128, select="signed", kind="zero", mode="float", seed=0)
-@example(width=128, select="abs", kind="mixture", mode="34:24-saturating", seed=1)
-@example(width=128, select="signed", kind="mixture", mode="20:10-wrap", seed=1)
-def test_pruned_pick_equals_full_surface_pick(width, select, kind, mode, seed):
+@example(width=64, select="abs", kind="kernel", seed=8)
+@example(width=128, select="abs", kind="kernel", seed=4)
+@example(width=256, select="signed", kind="kernel", seed=27)
+@example(width=128, select="abs", kind="zero", seed=0)
+@example(width=128, select="signed", kind="zero", seed=0)
+def test_pruned_pick_equals_full_surface_pick(width, select, kind, seed):
     d, sdict = _prune_setup(width)
-    fmt, scale = PRUNE_MODES[mode]
     rng = np.random.default_rng(seed)
     x = np.zeros(width)
     if kind == "noise":
@@ -341,27 +328,18 @@ def test_pruned_pick_equals_full_surface_pick(width, select, kind, mode, seed):
         tau = int(rng.integers(-(width // 2), 1))
         x += rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0]) * shift_kernel(
             d.kernels[m], tau, width)
-    full, stats, full_stats = correlate_spectral(x, sdict), None, None
-    if fmt is not None:  # a residual as the fixed datapath holds it
-        x = dequantize_array(quantize_array(scale * x, fmt), fmt)
-        stats, full_stats = SaturationStats(), SaturationStats()
-        full = quantize_array(correlate_spectral(x, sdict), fmt, full_stats)
-    rows, kept = correlate_spectral(x, sdict, select, fmt, stats)
+    full = correlate_spectral(x, sdict)
+    rows, kept = correlate_spectral(x, sdict, select)
     assert np.all(np.diff(rows) > 0)
 
-    def pick(values, rows=None):  # (m, tau, s bytes: raw int64 under fmt)
-        ranked = values if fmt is None else dequantize_array(values, fmt)
-        m, tau, _ = select_code(ranked, select, rows)
+    def pick(values, rows=None):  # (m, tau, s bytes)
+        m, tau, _ = select_code(values, select, rows)
         k = m if rows is None else int(np.searchsorted(rows, m))
         return m, tau, values[k, tau + width // 2].tobytes()
 
     assert pick(kept, rows) == pick(full)
-    # kept rows are transformed (and requantized) exactly as in the full
-    # surface, and pruning changes no overflow count
+    # kept rows are transformed exactly as in the full surface
     assert full[rows].tobytes() == kept.tobytes()
-    if fmt is not None:
-        assert (stats.saturations, stats.wraps) == (
-            full_stats.saturations, full_stats.wraps)
 
 
 @functools.cache
@@ -393,52 +371,40 @@ def _atoms(d, rng, width, count):
 @given(width=st.sampled_from([64, 128, 256]),
        select=st.sampled_from(["abs", "signed"]),
        kind=st.sampled_from(["pursuit", "regrow", "zeroed", "twins"]),
-       mode=st.sampled_from(sorted(PRUNE_MODES)),
        exponent=st.one_of(st.just(0.0), st.floats(-323.0, 308.25)),
        seed=st.integers(0, 2**32 - 1))
 # each example fails without one term of the ceiling: the 1e-9 terms; the
 # n * tiny of the bounds (rounding below the smallest normal float is
 # absolute, and today's rule fails too); the fallback to B from a NaN
 # ceiling; and D
-@example(width=128, select="abs", kind="twins", mode="float", exponent=0.0, seed=0)
-@example(width=128, select="abs", kind="pursuit", mode="float", exponent=-322.0,
-         seed=5)
-@example(width=128, select="abs", kind="regrow", mode="float", exponent=308.0,
-         seed=1)
-@example(width=64, select="signed", kind="zeroed", mode="20:10-wrap", exponent=0.0,
-         seed=2)
-def test_carried_ceiling_keeps_the_full_surface_pick(width, select, kind, mode,
-                                                      exponent, seed):
+@example(width=128, select="abs", kind="twins", exponent=0.0, seed=0)
+@example(width=128, select="abs", kind="pursuit", exponent=-322.0, seed=5)
+@example(width=128, select="abs", kind="regrow", exponent=308.0, seed=1)
+@example(width=64, select="signed", kind="zeroed", exponent=0.0, seed=2)
+def test_carried_ceiling_keeps_the_full_surface_pick(width, select, kind, exponent,
+                                                      seed):
     # a k=16 pursuit whose every call carries the row ceilings to the next:
     # each pick equals the full surface's and today's (no carry), and the
-    # kept rows' bytes and the overflow counts equal the full surface's
+    # kept rows' bytes equal the full surface's
     d, sdict = (_twin_setup if kind == "twins" else _prune_setup)(width)
-    fmt, scale = PRUNE_MODES[mode]
     rng = np.random.default_rng(seed)
     x = _atoms(d, rng, width, 3)
     if x.any():  # peak 10^exponent
         x = x / np.abs(x).max() * 10.0 ** exponent
     carry = {}
 
-    def pick(values, rows=None):  # (m, tau, s, s as bytes: raw int64 under fmt)
-        ranked = values if fmt is None else dequantize_array(values, fmt)
-        m, tau, s = select_code(ranked, select, rows)
+    def pick(values, rows=None):  # (m, tau, s, s as bytes)
+        m, tau, s = select_code(values, select, rows)
         k = m if rows is None else int(np.searchsorted(rows, m))
         return m, tau, s, values[k, tau + width // 2].tobytes()
 
     with np.errstate(all="ignore"):
         for i in range(16):
-            stats, full_stats = SaturationStats(), SaturationStats()
             if kind == "zeroed" and i in (4, 5):  # to zero, then somewhere else
                 x = np.zeros(width) if i == 4 else _atoms(d, rng, width, 2)
-            if fmt is not None:  # a residual as the fixed datapath holds it
-                x = dequantize_array(quantize_array(scale * x if i == 0 else x,
-                                                    fmt), fmt)
             full = correlate_spectral(x, sdict)
-            if fmt is not None:
-                full = quantize_array(full, fmt, full_stats)
-            today = pick(*correlate_spectral(x, sdict, select, fmt)[::-1])
-            rows, kept = correlate_spectral(x, sdict, select, fmt, stats, carry)
+            today = pick(*correlate_spectral(x, sdict, select)[::-1])
+            rows, kept = correlate_spectral(x, sdict, select, carry=carry)
             expected, got = pick(full), pick(kept, rows)
             if not math.isfinite(expected[2]):
                 # encode_segment's NumericError, naming today's pick; the
@@ -449,8 +415,6 @@ def test_carried_ceiling_keeps_the_full_surface_pick(width, select, kind, mode,
                 continue
             assert got == expected == today
             assert full[rows].tobytes() == kept.tobytes()
-            assert (stats.saturations, stats.wraps) == (
-                full_stats.saturations, full_stats.wraps)
             m, tau, s, _ = expected
             if kind == "twins":  # the pick grows by its own D: only the 1e-9
                 # terms cover the rounding of its two maxima
@@ -520,7 +484,8 @@ def test_select_over_kept_rows_keeps_the_tie_rule():
 @pytest.mark.parametrize("fmt", [None, FixedFormat(34, 24)])
 def test_pruned_surface_keeps_tied_rows_and_drops_small_ones(fmt):
     # kernels 3 and 7 are equal, so their rows are equal to the bit; kernel 5
-    # is too small to reach the bar and is pruned
+    # is too small to reach the bar and is pruned. In fixed point the rows
+    # come from the screen that both backends run
     width = 128
     d, _ = _prune_setup(width)
     kernels = d.kernels.copy()
@@ -529,34 +494,18 @@ def test_pruned_surface_keeps_tied_rows_and_drops_small_ones(fmt):
     d = replace(d, kernels=kernels)
     sdict = kernel_spectra(d, default_fft_len(width, width), signal_len=width)
     x = 2.0 * shift_kernel(kernels[3], -10, width)
-    rows, values = correlate_spectral(x, sdict, "abs", fmt, SaturationStats())
+    rows, values = correlate_spectral(x, sdict, "abs")
+    if fmt is not None:
+        cfg = EncoderConfig(width=width, arithmetic="fixed", fixed_format=fmt)
+        resid_raw, correlate, _ = encoder._fixed_datapath(Segment(x), d, None, cfg, None)
+        _, rows, values = correlate(resid_raw)  # values dequantized
     assert 3 in rows and 7 in rows and 5 not in rows
     k3, k7 = np.searchsorted(rows, [3, 7])
     assert values[k3].tobytes() == values[k7].tobytes()
-    ranked = values if fmt is None else dequantize_array(values, fmt)
-    assert select_code(ranked, "abs", rows)[:2] == (3, -10)
+    assert select_code(values, "abs", rows)[:2] == (3, -10)
 
 
-def test_fixed_pruning_keeps_a_row_that_rounds_up_to_the_bar():
-    # kernel 7 is kernel 3 scaled up by 1e-12, so row 7 sets the bar; the
-    # residual is kernel 3 at 2^-4 + 0.7 LSB, so row 3 attains its bound,
-    # 0.3 LSB below the bar, and rounds up to tie it: only the + 1/2 in qb_m
-    # keeps row 3, the full surface's pick
-    width, fmt = 128, FixedFormat(34, 24)
-    d, _ = _prune_setup(width)
-    kernels = d.kernels.copy()
-    kernels[7] = kernels[3] * (1 + 1e-12)
-    d = replace(d, kernels=kernels)
-    sdict = kernel_spectra(d, default_fft_len(width, width), signal_len=width)
-    x = (2**20 + 0.7) / fmt.scale * shift_kernel(kernels[3], -10, width)
-    full = quantize_array(correlate_spectral(x, sdict), fmt)
-    rows, values = correlate_spectral(x, sdict, "abs", fmt)
-    assert full[3, width // 2 - 10] == full[7, width // 2 - 10] == 2**20 + 1
-    assert select_code(dequantize_array(values, fmt), "abs", rows)[:2] == (3, -10)
-
-
-@pytest.mark.parametrize("fmt", [None, FixedFormat(34, 24)])
-def test_signed_pruning_keeps_every_row_when_all_values_are_negative(fmt):
+def test_signed_pruning_keeps_every_row_when_all_values_are_negative():
     # positive kernels over the whole window and a negative residual: every
     # entry is negative, so the signed bar is too and no bound falls below it
     width = 64
@@ -567,7 +516,7 @@ def test_signed_pruning_keeps_every_row_when_all_values_are_negative(fmt):
     sdict = kernel_spectra(d, default_fft_len(width, width), signal_len=width)
     x = -0.1 - rng.uniform(size=width)
     assert np.all(correlate_spectral(x, sdict) < 0)
-    rows, values = correlate_spectral(x, sdict, "signed", fmt, SaturationStats())
+    rows, values = correlate_spectral(x, sdict, "signed")
     assert rows.tolist() == list(range(6))
     assert np.all(values < 0)
 
@@ -732,7 +681,7 @@ FIXED_34_24 = FixedFormat(34, 24)
     (128, 1.0, dict(backend="direct", arithmetic="fixed",
                     fixed_format=FIXED_34_24), "73ac9f87b8bb8eeb", 0),
     (128, 1.0, dict(backend="spectral", arithmetic="fixed",
-                    fixed_format=FIXED_34_24), "92b109adff4acdc0", 0),
+                    fixed_format=FIXED_34_24), "73ac9f87b8bb8eeb", 0),
     (128, 400.0, dict(backend="direct", arithmetic="fixed",
                       fixed_format=FIXED_34_24), "2ccd9de581c64fa0", 1698),
     (128, 300.0, dict(backend="direct", arithmetic="fixed",
@@ -740,26 +689,25 @@ FIXED_34_24 = FixedFormat(34, 24)
      "264a3f2b5c27991d", 380),
     (128, 1.0, dict(backend="spectral", arithmetic="fixed",
                     fixed_format=FIXED_34_24, select="signed"),
-     "fd78bf0d68a900f2", 0),
+     "bb35f747c53cc18d", 0),
     # 48:36 leaves too little int64 headroom for the array subtract
     (64, 1.0, dict(backend="spectral", arithmetic="fixed",
-                   fixed_format=FixedFormat(48, 36)), "28b654e495c55a11", 0),
+                   fixed_format=FixedFormat(48, 36)), "231cc369650b8932", 0),
     # the direct fixed screen under the signed rule, and at W=512
     (128, 1.0, dict(backend="direct", arithmetic="fixed",
                     fixed_format=FIXED_34_24, select="signed"),
      "bb35f747c53cc18d", 0),
     (512, 1.0, dict(backend="direct", arithmetic="fixed",
                     fixed_format=FIXED_34_24), "0ab9ab4b77762115", 0),
-    # the spectral requantize under overflow: a pruned row must not change
-    # a count
+    # the screen under overflow: a screened-out row must not change a count
     (128, 400.0, dict(backend="spectral", arithmetic="fixed",
-                      fixed_format=FIXED_34_24), "ec990f89c183b4a5", 340),
+                      fixed_format=FIXED_34_24), "2ccd9de581c64fa0", 1698),
     (128, 300.0, dict(backend="spectral", arithmetic="fixed",
                       fixed_format=FixedFormat(20, 10, "wrap")),
-     "80a0f5e39567dbb3", 304),
+     "264a3f2b5c27991d", 380),
     (512, 400.0, dict(backend="spectral", arithmetic="fixed",
                       fixed_format=FIXED_34_24, select="signed"),
-     "27344727ba48b090", 851),
+     "12ed7ad5657dd3e3", 17646),
 ], ids=["direct-float", "direct-float-W256", "direct-float-signed",
         "spectral-float", "direct-34:24", "spectral-34:24",
         "direct-34:24-saturating", "direct-20:10-wrap", "spectral-34:24-signed",
@@ -771,18 +719,29 @@ def test_encoder_output_pinned_per_mode(width, scale, cfg_kwargs, digest,
     # a refactor of the pursuit loop or a datapath must keep every mode's
     # codes and overflow counts bit for bit: they become the event bytes
     cfg = EncoderConfig(max_codes=4, width=width, **cfg_kwargs)
-    assert _encoder_digest(width, scale, cfg) == (digest, overflows)
+    for cfg in _with_direct_twin(cfg):
+        assert _encoder_digest(width, scale, cfg) == (digest, overflows)
+
+
+def _with_direct_twin(cfg):
+    """`cfg`, and for fixed spectral `cfg` on the direct backend too: in
+    fixed point both backends run one datapath, so they share a pin."""
+    if cfg.arithmetic == "float" or cfg.backend == "direct":
+        return [cfg]
+    return [cfg, replace(cfg, backend="direct")]
 
 
 @pytest.mark.parametrize("cfg_kwargs, digest", [
     (dict(), "052124ab7b045d3a"),
-    (dict(arithmetic="fixed", fixed_format=FIXED_34_24), "a7b3b0e9dbe8df15"),
+    (dict(arithmetic="fixed", fixed_format=FIXED_34_24), "6d0bb76101ab9b9e"),
 ], ids=["spectral-float", "spectral-34:24"])
 def test_encoder_output_pinned_at_the_reference_point(cfg_kwargs, digest):
     # W=2048, 40 kernels, k=16 on 3 segments: the spectral rows above stop
     # at W=512, 8 kernels and k=4, where few iterations carry row ceilings
     cfg = EncoderConfig(max_codes=16, width=2048, backend="spectral", **cfg_kwargs)
-    assert _encoder_digest(2048, 1.0, cfg, num_kernels=40, segments=3) == (digest, 0)
+    for cfg in _with_direct_twin(cfg):
+        assert _encoder_digest(2048, 1.0, cfg, num_kernels=40, segments=3) == (
+            digest, 0)
 
 
 def test_exact_recovery_across_in_support_shifts(full_dict):

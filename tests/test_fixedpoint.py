@@ -245,7 +245,7 @@ def test_fixed_direct_surface_matches_scalar_oracle(
         if overflow_counted:  # overflowing rows take the column scan, not the scalar chain
             assert not macc_calls
     if fmt.total_bits == 48:
-        supports = _fixed_tables(d, fmt, width, "direct")[2]
+        supports = _fixed_tables(d, fmt, width)[2]
         rmax = int(np.max(np.abs(resid_raw)))
         assert any(
             rmax * int(kmax) >= (1 << 62) // int(hi - lo)
@@ -257,8 +257,7 @@ def test_fixed_direct_reads_int64_min_as_the_largest_magnitude():
     # np.abs leaves int64's minimum, 64 bits' raw_min, negative: max |r| must
     # still read 2**63, so every nonzero row is loose and computed in full
     width, fmt = 64, FixedFormat(64, 4)
-    kernels_raw, _, supports, table = _fixed_tables(_screen_setup(width), fmt, width,
-                                                    "direct")
+    kernels_raw, _, supports, table = _fixed_tables(_screen_setup(width), fmt, width)
     resid_raw = np.resize(np.array([1, -1, 0], np.int64), width)
     resid_raw[width // 2] = fmt.raw_min
     rows, values = _correlate_fixed_direct(resid_raw, kernels_raw, supports, fmt,
@@ -304,7 +303,7 @@ def test_fixed_subtract_equals_exact_integer_arithmetic(fmt):
     native, kept, values = correlate(resid_raw)
     m, tau, _ = select_code(values, cfg.select, kept)
     s_raw = int(native[1][np.searchsorted(kept, m), tau + width // 2])
-    kernels_raw = _fixed_tables(d, fmt, width, "direct")[0]
+    kernels_raw = _fixed_tables(d, fmt, width)[0]
     extremes = np.resize(np.array([fmt.raw_max, fmt.raw_min, 0, 1]), width)
     for resid in (resid_raw, extremes):
         for m, tau, s_raw in [(m, tau, s_raw), (2, -17, fmt.raw_max), (4, 30, fmt.raw_min)]:
@@ -445,7 +444,7 @@ def test_screened_pick_at_the_top_rows_rmax_limit(fmt, select, over):
     # entries gathered exactly; one raw unit above, it is loose, scanned by
     # column, and the next row by reach is transformed first
     d, fmt = _screen_setup(64), SCREEN_FORMATS[fmt]
-    _, _, supports, table = _fixed_tables(d, fmt, 64, "direct")
+    _, _, supports, table = _fixed_tables(d, fmt, 64)
     x = shift_kernel(d.kernels[5], -20, 64) + 0.2 * make_audio_clip(64, seed=11)
     shape = x / np.max(np.abs(x))  # rint(shape * R) peaks at exactly R
     top = _top_reach_row(quantize_array(shape, fmt), table)
@@ -483,7 +482,7 @@ def _check_screened_pick(d, resid_raw, fmt, select):
     """The screened correlation against `_fixed_surface_oracle`; returns its
     overflow counts and the number of `macc` calls it made."""
     width = len(resid_raw)
-    kernels_raw, _, supports, table = _fixed_tables(d, fmt, width, "direct")
+    kernels_raw, _, supports, table = _fixed_tables(d, fmt, width)
     stats, oracle_stats, macc_calls = SaturationStats(), SaturationStats(), []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fixedpoint, "macc", lambda *a: macc_calls.append(1) or macc(*a))

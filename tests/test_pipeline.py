@@ -283,8 +283,7 @@ def test_bench_reports_all_modes():
         assert r.wall_time_per_segment > 0
         assert r.segments_per_second > 0
         assert r.codes_per_second > 0
-    float_reports = [r for r in reports if r.arithmetic == "float"]
-    assert all(r.sequences_match_direct for r in float_reports)
+    assert all(r.sequences_match_direct for r in reports)
 
 
 def test_bench_with_zero_budget():
@@ -469,10 +468,10 @@ def test_dictionary_tables_are_built_once(tmp_path, monkeypatch, force_cpus):
     for _ in range(2):
         encode_signal(x, d, _par_config("direct", FixedFormat(34, 24)))
     assert calls == {"_kernel_supports": 1, "kernel_spectra": 1, "kernel quantize": 1}
-    # fixed spectral: the spectra and the raw kernels, never the supports
+    # fixed spectral runs the same datapath on the same tables
     for _ in range(2):
         encode_signal(x, d, _par_config("spectral", FixedFormat(34, 24)))
-    assert calls == {"_kernel_supports": 1, "kernel_spectra": 2, "kernel quantize": 2}
+    assert calls == {"_kernel_supports": 1, "kernel_spectra": 1, "kernel quantize": 1}
 
     signal = tmp_path / "clip.csv"
     write_waveform(x, str(signal))
@@ -512,7 +511,7 @@ def test_cached_tables_do_not_leak_across_keys(tmp_path):
 
     build_dictionary.cache_clear()
     # each step changes the width, the backend or the format; a table built
-    # for W=256 or the spectral backend is too short for W=512 or direct
+    # for W=256 is too short for W=512
     runs = [(fixed, backend, width) for fixed in (None, "34:24", "20:10")
             for backend, width in (("direct", 256), ("spectral", 256),
                                    ("spectral", 512), ("direct", 512))]
@@ -729,10 +728,9 @@ def _train_args(tmp_path, *extra):
     return _eval_args(tmp_path, "clip_a,x\nclip_b,y\n", "--epochs", "2", *extra)
 
 
-def _eval_channel_args(tmp_path, channel):
-    # clip_a holds one event on `channel`; 40 kernels x 3 levels = 120 channels
-    (tmp_path / "clip_a.csv").write_text(
-        f"{EVENT_HEADER}\n64,{channel},3,2,0.411500\n")
+def _eval_row_args(tmp_path, row):
+    # clip_a holds the one event `row`; 40 kernels x 3 levels = 120 channels
+    (tmp_path / "clip_a.csv").write_text(f"{EVENT_HEADER}\n{row}\n")
     (tmp_path / "clip_b.csv").write_text(f"{EVENT_HEADER}\n64,10,3,1,0.411500\n")
     return _eval_args(tmp_path, "clip_a,x\nclip_b,y\n", "--epochs", "2")
 
@@ -809,8 +807,11 @@ def _config_args(tmp_path, text):
     (lambda tmp: _decode_row_args(tmp, "64,10,3,2,0.411500,inf"), 3),
     (lambda tmp: _decode_row_args(tmp, "64,10,3,2,nan,0.411500"), 3),
     (lambda tmp: _decode_row_args(tmp, "-10,10,3,2,0.411500,0.411500"), 3),
-    (lambda tmp: _eval_channel_args(tmp, 9999), 4),
-    (lambda tmp: _eval_channel_args(tmp, -1), 4),
+    # channels outside [0, 120), each kernel * 3 + level
+    (lambda tmp: _eval_row_args(tmp, "64,121,40,1,0.411500"), 4),
+    (lambda tmp: _eval_row_args(tmp, "64,-2,-1,1,0.411500"), 4),
+    # channel 10, though kernel 3 at level 2 is channel 11
+    (lambda tmp: _eval_row_args(tmp, "64,10,3,2,0.411500"), 3),
     (lambda tmp: _decode_row_args(tmp, "64,5,1,2,0.411500,0.000000"), 3),
     (lambda tmp: _decode_args_with_rows(tmp, "64,5,1,2,0.000000"), 3),
     (lambda tmp: _decode_args_with_rows(tmp, "64,5,1,2,-0.411500"), 3),
@@ -869,7 +870,8 @@ def _config_args(tmp_path, text):
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
         "length-negative", "length-zero", "bench-segments-zero", "bin-zero",
         "bin-negative", "raw-intensity-inf", "center-nan", "time-negative",
-        "eval-channel-high", "eval-channel-negative", "raw-intensity-zero",
+        "eval-channel-high", "eval-channel-negative",
+        "eval-channel-contradicts-level", "raw-intensity-zero",
         "center-zero", "center-negative", "time-beyond-int64", "time-huge",
         "decode-wav-unwritable", "decode-csv-unwritable", "decode-f32-unwritable",
         "model-out-unwritable", "jsonl-array-record", "jsonl-number-record",
