@@ -35,11 +35,8 @@ from .errors import DimensionMismatch, InvalidConfig, NumericError, ShiftOutOfRa
 from .fixedpoint import (
     FixedFormat,
     SaturationStats,
-    _apply_overflow,
-    _round_half_even,
     apply_overflow_array,
     dequantize_array,
-    fixed_dot,
     quantize_array,
     rescale_half_even_array,
 )
@@ -324,19 +321,19 @@ class _Screen(NamedTuple):
     slack: np.ndarray  # the slack's fixed part, (hi - lo) / 2 + 1
     float_slack: np.ndarray  # its float term per unit of max |r|, 1e-9 sum |k| / 2^F
     kernels: np.ndarray  # the raw kernels over their common support
+    kmax: int  # the largest max |k| of all rows
 
 
-def _rmax_limit(n: int, kmax: int, kabs: int, fmt: FixedFormat) -> int:
-    """Largest max |r| that passes both no-overflow tests of a kernel row
-    with n support columns, in exact ints; -1 for an all-zero row. The
-    tests: rmax * kmax < 2**62 // n, so int64 holds each product and their
-    sum; and ((rmax * kabs) >> F) + n <= raw_max, which bounds every running
-    sum since |round(p / 2**F)| <= (|p| >> F) + 1."""
-    if kmax == 0:
+def _rmax_limit(n: int, kabs: int, fmt: FixedFormat) -> int:
+    """Largest max |r| for which no running sum of a kernel row with n
+    support columns and sum |k| = kabs can leave the word, in exact ints:
+    ((rmax * kabs) >> F) + n <= raw_max, which bounds every running sum
+    since |round(p / 2**F)| <= (|p| >> F) + 1. Capped at int64's maximum;
+    -1 for an all-zero row, and above 53 bits, where the screen's float
+    ranks are inexact, so that every row there is loose."""
+    if kabs == 0 or fmt.total_bits > 53:
         return -1
-    headroom = ((1 << 62) // n - 1) // kmax
-    word = (((fmt.raw_max - n + 1) << fmt.frac_bits) - 1) // kabs
-    return min(headroom, word)
+    return min((((fmt.raw_max - n + 1) << fmt.frac_bits) - 1) // kabs, (1 << 63) - 1)
 
 
 def _kernel_supports(kernels_raw: np.ndarray, fmt: FixedFormat) -> _Supports:
@@ -347,22 +344,23 @@ def _kernel_supports(kernels_raw: np.ndarray, fmt: FixedFormat) -> _Supports:
     last = mag.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
     hi = np.where(nonzero.any(axis=1), last, 0)
     kmax, kabs = mag.max(axis=1, initial=0), mag.sum(axis=1, dtype=object)
-    limit = [_rmax_limit(int(b - a), int(k), int(s), fmt)
-             for a, b, k, s in zip(lo, hi, kmax, kabs)]
+    limit = [_rmax_limit(int(b - a), int(s), fmt) for a, b, s in zip(lo, hi, kabs)]
     return _Supports(lo, hi, kmax, kabs, np.array(limit, np.int64))
 
 
-def _summed_entries(resid_raw, lo, hi, kernels, ms, js, frac_bits):
+def _summed_entries(resid_raw, lo, hi, kernels, ms, js, frac_bits, wide):
     """Exact entries (ms[i], js[i]) of rows whose running sums cannot leave
     the word, so that their terms sum in any order: entry (m, j) sums the
     products of kernels[m], the kernel over columns [lo, hi), with row j of
-    `_residual_windows`, in chunks of about 2**20 products."""
+    `_residual_windows`, in chunks of about 2**20 products. They are Python
+    ints when `wide`, as int64 cannot hold every product."""
     windows = _residual_windows(resid_raw, lo, hi)
     out = np.empty(len(ms), np.int64)
     step = (1 << 20) // (hi - lo) + 1
     for i in range(0, len(ms), step):
         chunk = slice(i, i + step)
-        products = windows[js[chunk]] * kernels[ms[chunk]]
+        rows = windows[js[chunk]]
+        products = (rows.astype(object) if wide else rows) * kernels[ms[chunk]]
         out[chunk] = np.add.reduce(rescale_half_even_array(products, frac_bits), 1)
     return out
 
@@ -384,7 +382,8 @@ def _correlate_fixed_direct(
     the word, so its entries are plain sums (`_summed_entries`). Every
     other (loose) row is computed in full with the overflow policy applied
     at every step, by a column scan over `_residual_windows`, and returned.
-    Both backends run it in fixed point, so they give the same integers.
+    Both run on Python ints where int64 is too narrow. Both backends run it
+    in fixed point, so they give the same integers.
     """
     w, num = len(resid_raw), len(kernels_raw)
     rmax = max(int(resid_raw.max()), -int(resid_raw.min()))  # exact at raw_min
@@ -394,17 +393,14 @@ def _correlate_fixed_direct(
     loose_values = np.zeros((len(loose), w + 1), np.int64)
     if len(loose):
         windows = _residual_windows(resid_raw, 0, kernels_raw.shape[1])
-    for i, m in enumerate(loose):
+    for i, m in enumerate(loose):  # a column scan, all shifts at once
         span = slice(supports.lo[m], supports.hi[m])
         cols, krow = windows[:, span], kernels_raw[m, span]
-        if fmt.total_bits <= 62 and rmax * int(supports.kmax[m]) < (1 << 62):
-            # a column scan, all shifts at once: |acc| <= 2**61 and
-            # |term| <= 2**61 + 1, so acc + term fits int64
-            for term in rescale_half_even_array(cols * krow, fmt.frac_bits).T:
-                loose_values[i] = apply_overflow_array(
-                    loose_values[i] + term, fmt, stats)
-        else:  # int64 headroom exhausted: the scalar MAC chain, entry by entry
-            loose_values[i] = [fixed_dot(row, krow, fmt, stats) for row in cols]
+        # int64 holds acc + term while |acc| <= 2**61 and |term| <= 2**61 + 1
+        if fmt.total_bits > 62 or rmax * int(supports.kmax[m]) >= (1 << 62):
+            cols = cols.astype(object)
+        for term in rescale_half_even_array(cols * krow, fmt.frac_bits).T:
+            loose_values[i] = apply_overflow_array(loose_values[i] + term, fmt, stats)
     if len(loose) == num:
         return loose, loose_values
     # Screen with 2^F c, c the float correlation of the dequantized operands
@@ -435,7 +431,8 @@ def _correlate_fixed_direct(
                      np.int64)
     values[rows.searchsorted(loose)] = loose_values
     values[rows.searchsorted(ms), js] = _summed_entries(
-        resid_raw, *table.sdict.support, table.kernels, ms, js, fmt.frac_bits)
+        resid_raw, *table.sdict.support, table.kernels, ms, js, fmt.frac_bits,
+        rmax * table.kmax >= (1 << 62))
     return rows, values
 
 
@@ -453,7 +450,7 @@ def _fixed_tables(dictionary: Dictionary, fmt: FixedFormat, width: int) -> tuple
     return kernels_raw, overflows, supports, _Screen(
         kernel_spectra(dequantized, signal_len=width),
         (supports.hi - supports.lo) / 2 + 1, 1e-9 * supports.kabs.astype(float) / fmt.scale,
-        kernels_raw[:, lo:hi])
+        kernels_raw[:, lo:hi], int(supports.kmax.max()))
 
 
 def _fixed_datapath(segment, dictionary, _sdict, cfg, stats):
@@ -478,14 +475,13 @@ def _fixed_datapath(segment, dictionary, _sdict, cfg, stats):
         rows, surface_raw = native
         s_raw = int(surface_raw[rows.searchsorted(m), tau + segment.width // 2])
         shifted = shift_kernel(kernels_raw[m], tau, segment.width)
-        # the row's max |k| is at least the shifted one's. Both branches are
-        # exact: |scaled| <= 2**61 and, below 64 bits, |r| <= 2**62
-        if abs(s_raw) * int(supports.kmax[m]) < (1 << 62) and fmt.total_bits < 64:
-            scaled = rescale_half_even_array(s_raw * shifted, fmt.frac_bits)
-            return apply_overflow_array(resid_raw - scaled, fmt, stats)
-        # int64 headroom exhausted: exact ints, sample by sample
-        return np.array([_apply_overflow(r - _round_half_even(s_raw * k, fmt.frac_bits),
-                                         fmt, stats)
-                         for r, k in zip(resid_raw.tolist(), shifted.tolist())], np.int64)
+        # int64 holds r - scaled while |scaled| <= 2**61 (the row's max |k|
+        # bounds the shifted one's) and, below 64 bits, |r| <= 2**62
+        wide = abs(s_raw) * int(supports.kmax[m]) >= (1 << 62) or fmt.total_bits == 64
+        if wide:  # the same arithmetic on Python ints
+            resid_raw, shifted = resid_raw.astype(object), shifted.astype(object)
+        scaled = rescale_half_even_array(s_raw * shifted, fmt.frac_bits)
+        resid_raw = apply_overflow_array(resid_raw - scaled, fmt, stats)
+        return resid_raw.astype(np.int64) if wide else resid_raw
 
     return quantize_array(segment.samples, fmt, stats), correlate, subtract

@@ -3,10 +3,9 @@
 Models the encoder's hardware datapath: a 34-bit signed word with 24
 fractional bits by default, round-to-nearest-even at every rescale, and
 saturating (or optionally wrapping) overflow. Scalar ops (`quantize`,
-`macc`) use exact Python integers and are the bit-level reference; the
-`*_array` helpers are vectorized equivalents used by the encoder's fixed
-mode and fall back to the scalar path whenever int64 headroom or the
-no-overflow fast path cannot be guaranteed.
+`macc`, `fixed_dot`) use exact Python integers and are the bit-level
+reference; the `*_array` helpers are vectorized equivalents used by the
+encoder's fixed mode, exact at any width on Python-int (object) arrays.
 
 Accumulation order is ascending sample index throughout, so results are
 bit-reproducible across runs and platforms.
@@ -100,7 +99,8 @@ def quantize(
 ) -> FixedValue:
     """Round-to-nearest-even of x * 2**frac_bits, overflow per format policy.
 
-    Never raises: infinities saturate, NaN quantizes to zero.
+    Never raises: NaN quantizes to zero; x * 2**frac_bits = +/-inf is
+    raw_max + 1 or raw_min - 1, and so saturates, or wraps to the far end.
     """
     x = float(x)
     if x != x:  # NaN
@@ -142,23 +142,25 @@ def macc(
 def quantize_array(
     x: np.ndarray, fmt: FixedFormat, stats: SaturationStats | None = None
 ) -> np.ndarray:
-    """Vectorized quantize; returns int64 raw values. NaN -> 0, inf saturates."""
+    """Vectorized `quantize`: the same raw values, as int64, and counts."""
     x = np.asarray(x, dtype=np.float64)
-    if fmt.total_bits > 62:
-        # raw_max +/- 1 no longer fits the int64 fast path; go scalar
-        flat = np.array([quantize(v, fmt, stats).raw for v in x.ravel()])
-        return flat.reshape(x.shape)
-    # clip (infinities too) to one step past the word before scaling, so the
-    # product cannot overflow and the cast fits int64; counting happens on
-    # the ints. Exact scaling by 2^F commutes with the clip and with rint.
-    clipped = np.clip(x, (fmt.raw_min - 1) / fmt.scale, (fmt.raw_max + 1) / fmt.scale)
-    scaled = np.rint(clipped * fmt.scale)
-    scaled = np.where(np.isnan(scaled), 0.0, scaled)
-    raw = apply_overflow_array(scaled.astype(np.int64), fmt, stats)
-    if fmt.overflow == "wrap":  # a finite value past the clip wraps whole, as in quantize
-        far, raw = np.isfinite(x) & (x != clipped), np.asarray(raw)  # 0-d x: a scalar
-        raw[far] = [quantize(v, fmt).raw for v in x[far]]  # each counted once, above
-    return raw
+    if fmt.total_bits <= 53:  # raw_min - 1 and raw_max + 1 are exact floats
+        # clip (infinities too) to one step past the word before scaling, so
+        # the product cannot overflow and the cast fits int64; counting happens
+        # on the ints. Exact scaling by 2^F commutes with the clip and with
+        # rint. Under wrap a finite value past the clip wraps whole, below.
+        clipped = np.clip(x, (fmt.raw_min - 1) / fmt.scale, (fmt.raw_max + 1) / fmt.scale)
+        if fmt.overflow == "saturate" or not (np.isfinite(x) & (x != clipped)).any():
+            scaled = np.rint(clipped * fmt.scale)
+            scaled = np.where(np.isnan(scaled), 0.0, scaled)
+            return apply_overflow_array(scaled.astype(np.int64), fmt, stats)
+    # exact at any width, in Python ints, with quantize's infinities
+    with np.errstate(over="ignore"):  # past the float: inf, as in quantize
+        scaled = np.rint(x * fmt.scale)
+    raw, finite = np.zeros(x.shape, object), np.isfinite(scaled)  # NaN -> 0
+    raw[scaled == np.inf], raw[scaled == -np.inf] = fmt.raw_max + 1, fmt.raw_min - 1
+    raw[finite] = [int(v) for v in scaled[finite].tolist()]
+    return np.asarray(apply_overflow_array(raw, fmt, stats), np.int64)  # 0-d: an int
 
 
 def dequantize_array(raw: np.ndarray, fmt: FixedFormat) -> np.ndarray:
@@ -184,12 +186,12 @@ def apply_overflow_array(
 
 
 def rescale_half_even_array(products: np.ndarray, frac_bits: int) -> np.ndarray:
-    """Vectorized `_round_half_even` over an int64 product array.
+    """Vectorized `_round_half_even` over an int64 or Python-int product array.
 
     Computes (p + half - 1 + ((p >> f) & 1)) >> f: adding half - 1 rounds
     every remainder above half up, and the quotient's low bit adds the one
-    more needed to lift an exact half to the even neighbour. Exact for
-    |p| < 2**62, which every caller's headroom check guarantees.
+    more needed to lift an exact half to the even neighbour. Exact on Python
+    ints, and for |p| < 2**62, which every caller's headroom check guarantees.
     """
     out = products >> frac_bits  # arithmetic shift == floor division
     out &= 1

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from spikecodec import cli
+from spikecodec import cli, fixedpoint
 from spikecodec.decoder import error_curve, reconstruct
 from spikecodec.dictionary import (
     DictionaryConfig,
@@ -101,19 +101,22 @@ def test_criterion_2_backend_equivalence():
             time.perf_counter() - start)
 
 
-def test_criterion_2_fixed_point_backend_equivalence(tmp_path, capsys):
+def test_criterion_2_fixed_point_backend_equivalence(tmp_path, capsys, monkeypatch):
     """In fixed point both backends run one datapath: byte-identical code
     arrays and equal overflow counts at every format, on noise and on a
     clip (loud enough to overflow, too); and CLI event files, raw intensity
-    included, byte for byte with the same overflow line."""
+    included, byte for byte with the same overflow line. Past int64
+    headroom (48:36) the encoder makes no call of the scalar `macc`."""
     start = time.perf_counter()
+    macc_calls, macc = [], fixedpoint.macc
+    monkeypatch.setattr(fixedpoint, "macc", lambda *a: macc_calls.append(1) or macc(*a))
     width = 128
     d = build_dictionary(DictionaryConfig(num_kernels=16, kernel_len=width))
     clip = make_audio_clip(8 * width, seed=4)
     signals = {"noise": np.random.default_rng(2).standard_normal(8 * width),
                "clip": clip, "loud clip": 300.0 * clip[4 * width : 6 * width]}
     for fmt in (FixedFormat(34, 24), FixedFormat(24, 14), FixedFormat(20, 10),
-                FixedFormat(16, 8), FixedFormat(20, 10, "wrap")):
+                FixedFormat(16, 8), FixedFormat(20, 10, "wrap"), FixedFormat(48, 36)):
         for name, x in signals.items():
             runs = []
             for backend in ("direct", "spectral"):
@@ -126,11 +129,11 @@ def test_criterion_2_fixed_point_backend_equivalence(tmp_path, capsys):
 
     signal = tmp_path / "clip.csv"
     write_waveform(make_audio_clip(4096, seed=0), str(signal))
-    for fixed in ("34:24", "20:10"):
+    for fixed, width in (("34:24", "256"), ("20:10", "256"), ("48:36", "128")):
         files, lines = [], []
         for backend in ("direct", "spectral"):
             out = tmp_path / f"{backend}.jsonl"
-            assert cli.main(["encode", str(signal), "-o", str(out), "--width", "256",
+            assert cli.main(["encode", str(signal), "-o", str(out), "--width", width,
                              "--kernels", "16", "--k", "8", "--backend", backend,
                              "--fixed", fixed, "--output-format", "jsonl",
                              "--with-raw-intensity"]) == 0
@@ -138,7 +141,8 @@ def test_criterion_2_fixed_point_backend_equivalence(tmp_path, capsys):
             lines.append(capsys.readouterr().out.splitlines()[-1])
         assert files[0] == files[1], fixed
         assert lines[0] == lines[1] and lines[0].startswith("saturations "), fixed
-    _report("criterion 2 (fixed-point backend equivalence, 5 formats)",
+    assert not macc_calls
+    _report("criterion 2 (fixed-point backend equivalence, 6 formats)",
             time.perf_counter() - start)
 
 

@@ -133,9 +133,13 @@ def test_quantize_array_matches_scalar_including_ties():
         assert quantize(float(v), FMT).raw == r
     # under wrap a value past the word wraps whole, however far it lies:
     # 600.0 at 20:10 is -434176, not raw_min
+    # past 53 bits raw_min - 1 is no float: 56:30 and 60:4-wrap miscounted
+    # -inf and -1e300 in an int64 pass; from 63 bits raw_max + 1 is no int64
     rng = np.random.default_rng(4)
     for fmt in (FixedFormat(10, 4, "wrap"), FixedFormat(20, 10, "wrap"),
-                FixedFormat(34, 24, "wrap"), FMT):
+                FixedFormat(34, 24, "wrap"), FMT, FixedFormat(56, 30),
+                FixedFormat(60, 4, "wrap"), FixedFormat(63, 59), FixedFormat(64, 60),
+                FixedFormat(64, 60, "wrap"), FixedFormat(64, 4, "wrap")):
         edge = (fmt.raw_max + 1) / fmt.scale
         values = np.concatenate([
             [600.0, 1000.3, -700.2, 1e300, -1e300, np.inf, -np.inf, np.nan],
@@ -229,7 +233,7 @@ def _fixed_surface_oracle(resid_raw, kernels_raw, fmt, stats):
         (256, FMT, 1.0, False),  # real-scale input
         (128, FMT, 400.0, True),  # saturating rows take the exact fallback
         (256, FixedFormat(20, 10, "wrap"), 300.0, True),
-        (64, FixedFormat(48, 36), 1.0, False),  # int64 headroom too short
+        (64, FixedFormat(48, 36), 1.0, False),  # the gather multiplies Python ints
     ],
 )
 def test_fixed_direct_surface_matches_scalar_oracle(
@@ -240,17 +244,11 @@ def test_fixed_direct_surface_matches_scalar_oracle(
     d = replace(d, kernels=np.vstack([d.kernels, np.zeros((1, width))]))
     resid_raw = quantize_array(scale * make_audio_clip(width, seed=5), fmt)
     for select in ("abs", "signed"):
-        stats, macc_calls = _check_screened_pick(d, resid_raw, fmt, select)
+        stats = _check_screened_pick(d, resid_raw, fmt, select)
         assert (stats.saturations + stats.wraps > 0) == overflow_counted
-        if overflow_counted:  # overflowing rows take the column scan, not the scalar chain
-            assert not macc_calls
-    if fmt.total_bits == 48:
-        supports = _fixed_tables(d, fmt, width)[2]
+    if fmt.total_bits == 48:  # int64 cannot hold the products
         rmax = int(np.max(np.abs(resid_raw)))
-        assert any(
-            rmax * int(kmax) >= (1 << 62) // int(hi - lo)
-            for lo, hi, kmax in zip(supports.lo, supports.hi, supports.kmax) if kmax
-        )
+        assert rmax * _fixed_tables(d, fmt, width)[3].kmax >= 1 << 62
 
 
 def test_fixed_direct_reads_int64_min_as_the_largest_magnitude():
@@ -320,22 +318,26 @@ def test_fixed_subtract_equals_exact_integer_arithmetic(fmt):
                 exact_stats.saturations, exact_stats.wraps)
 
 
-def _two_part_test(rmax, lo, hi, kmax, kabs, fmt):
-    """The no-overflow test of a kernel row as one expression: int64 holds
-    the products, and the bound on every running sum fits the word."""
-    return kmax > 0 and (rmax * kmax < (1 << 62) // (hi - lo)) and (
-        ((rmax * kabs) >> fmt.frac_bits) + (hi - lo) <= fmt.raw_max
-    )
+def _word_test(rmax, n, kabs, fmt):
+    """The no-overflow test of a kernel row with n support columns and
+    sum |k| = kabs: the bound on every running sum fits the word. Above 53
+    bits every row fails it, as the screen's float ranks are inexact."""
+    return fmt.total_bits <= 53 and kabs > 0 and (
+        ((rmax * kabs) >> fmt.frac_bits) + n <= fmt.raw_max)
 
 
 @settings(max_examples=200, deadline=None)
-@given(total_bits=st.integers(8, 62), data=st.data())
-def test_rmax_limit_selects_the_rows_the_two_part_test_selects(total_bits, data):
+@given(total_bits=st.integers(8, 64), data=st.data())
+def test_rmax_limit_selects_the_rows_the_word_test_selects(total_bits, data):
+    # the limit is capped at int64's maximum, and max |r| is tested up to
+    # 2**63 - 1: row 1, one tap of 1, passes 2**63 uncapped at formats up
+    # to 53 bits with a wide fraction, as at 40:30
     fmt = FixedFormat(total_bits, data.draw(st.integers(1, total_bits - 1)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     length = data.draw(st.integers(1, 300))
     kernels_raw = np.zeros((6, length), np.int64)
-    for krow in kernels_raw[1:]:  # row 0 stays all zero
+    kernels_raw[1, -1] = 1
+    for krow in kernels_raw[2:]:  # row 0 stays all zero
         lo = int(rng.integers(length))
         hi = int(rng.integers(lo + 1, length + 1))
         krow[lo:hi] = rng.integers(-(1 << 40), 1 << 40, hi - lo) >> rng.integers(41)
@@ -349,20 +351,21 @@ def test_rmax_limit_selects_the_rows_the_two_part_test_selects(total_bits, data)
         reference.append((lo, hi, max(mags, default=0), sum(mags)))
     assert [tuple(map(int, row)) for row in zip(*supports[:4])] == reference
     limits = supports.rmax_limit.tolist()
-    rmaxes = {0, 1, data.draw(st.integers(0, 1 << 62))}
-    rmaxes |= {r + d for r in limits for d in (0, 1) if r + d >= 0}
+    rmaxes = {0, 1, (1 << 63) - 1, data.draw(st.integers(0, (1 << 63) - 1))}
+    rmaxes |= {r + d for r in limits for d in (0, 1) if 0 <= r + d < 1 << 63}
     for rmax in rmaxes:
         assert (rmax <= supports.rmax_limit).tolist() == [
-            _two_part_test(rmax, *row, fmt) for row in reference
+            _word_test(rmax, hi - lo, kabs, fmt) for lo, hi, _, kabs in reference
         ]
-    # one row of exact ints, drawn directly
+    # one row of exact ints, drawn directly; sum |k| can pass int64
     n = data.draw(st.integers(1, 1 << 20))
-    kmax = data.draw(st.integers(1, 1 << 62))
-    kabs = data.draw(st.integers(kmax, n * kmax))
-    limit = _rmax_limit(n, kmax, kabs, fmt)
-    for rmax in (0, limit, limit + 1, data.draw(st.integers(0, 1 << 62))):
-        if rmax >= 0:
-            assert (rmax <= limit) == _two_part_test(rmax, 0, n, kmax, kabs, fmt)
+    kabs = data.draw(st.integers(1, 1 << 70))
+    limit = _rmax_limit(n, kabs, fmt)
+    assert limit < 1 << 63
+    for rmax in (0, limit, limit + 1, data.draw(st.integers(0, (1 << 63) - 1))):
+        if 0 <= rmax < 1 << 63:
+            assert (rmax <= limit) == _word_test(rmax, n, kabs, fmt)
+    assert _rmax_limit(1, 1, FixedFormat(40, 30)) == (1 << 63) - 1
 
 
 @functools.cache
@@ -479,8 +482,8 @@ def test_screened_pick_on_kernels_nonzero_from_column_zero(fmt, select, kind):
 
 
 def _check_screened_pick(d, resid_raw, fmt, select):
-    """The screened correlation against `_fixed_surface_oracle`; returns its
-    overflow counts and the number of `macc` calls it made."""
+    """The screened correlation against `_fixed_surface_oracle`, with no
+    call of the scalar `macc`; returns its overflow counts."""
     width = len(resid_raw)
     kernels_raw, _, supports, table = _fixed_tables(d, fmt, width)
     stats, oracle_stats, macc_calls = SaturationStats(), SaturationStats(), []
@@ -511,7 +514,8 @@ def _check_screened_pick(d, resid_raw, fmt, select):
     inexact = values[values != oracle[rows]]
     assert np.all(rank(inexact) < rank(pick(oracle)[2]))
     assert np.all(rank(np.delete(oracle, rows, axis=0)) < rank(pick(oracle)[2]))
-    return stats, len(macc_calls)
+    assert not macc_calls
+    return stats
 
 
 @pytest.mark.parametrize("width", [64, 512])
@@ -549,19 +553,21 @@ def test_screen_fits_kernels_nonzero_from_column_zero(monkeypatch):
                                   width, FMT)
 
 
-@pytest.mark.parametrize("width", [64, 128])
-@pytest.mark.parametrize("fmt", [*SCREEN_FORMATS, "48:36"])
+@pytest.mark.parametrize("fmt, width", [
+    *((fmt, width) for width in (64, 128) for fmt in [*SCREEN_FORMATS, "48:36"]),
+    ("52:40", 64), ("64:60", 64),
+])
 @pytest.mark.parametrize("kind", ["clip", "saturating"])
 def test_screened_pursuit_equals_the_scalar_oracle_pursuit(monkeypatch, width, fmt,
                                                            kind):
-    # no format above 53 bits: select_code ranks the dequantized values,
-    # which are inexact there
+    # 48:36 and 52:40 gather rows bounded past int64 headroom in Python
+    # ints; at 64:60 every row is loose, scanned in Python ints
     d = _screen_setup(width)
-    fmt = SCREEN_FORMATS.get(fmt) or FixedFormat(48, 36)
+    fmt = SCREEN_FORMATS.get(fmt) or parse_format(fmt)
     x = (make_audio_clip(width, seed=width) if kind == "clip" else
          _screen_residual(d, fmt, kind, np.random.default_rng(width)))
-    # 48:36 leaves no int64 headroom: every entry is a scalar MAC chain
-    codes = 4 if fmt.total_bits == 48 else 8
+    # past int64 headroom the oracle's every entry is a scalar MAC chain
+    codes = 4 if fmt.total_bits > 34 else 8
     overflows = _check_pursuit_against_oracle(monkeypatch, d, x, width, fmt, codes)
     assert (overflows > 0) == (kind == "saturating")
 
