@@ -5,9 +5,10 @@ atoms, plus their precomputed spectra for the FFT correlation backend.
 
 The impulse response of each kernel is
 
-    g(t) = t^(n-1) * exp(-2*pi*b*ERB(fc)*t) * cos(2*pi*fc*t + phase)
+    g(t) = t^(n-1) * exp(-2*pi*b*ERB(fc)*t) * cos(2*pi*fc*t)
 
-with order n = 4 and bandwidth scale b = 1.019 by default, ERB per
+with order n = 4 (`GAMMATONE_ORDER`), bandwidth scale b = 1.019
+(`BANDWIDTH_SCALE`) and phase 0, ERB per
 Glasberg & Moore (1990), and center frequencies equally spaced on the
 ERB-rate scale between ``freq_lo`` and ``freq_hi``.
 
@@ -29,7 +30,8 @@ import numpy as np
 
 from .errors import InvalidConfig, LengthTooSmall
 
-DEFAULT_BANDWIDTH_SCALE = 1.019
+GAMMATONE_ORDER = 4
+BANDWIDTH_SCALE = 1.019
 
 
 def erb_bandwidth(freq_hz):
@@ -61,9 +63,6 @@ class DictionaryConfig:
     freq_lo: float = 20.0
     freq_hi: float = 8000.0
     kernel_len: int = 2048
-    gammatone_order: int = 4
-    bandwidth_scale: float = DEFAULT_BANDWIDTH_SCALE
-    phase: float = 0.0
 
     def validate(self) -> None:
         # first: a bad rate would fail the band checks with their message
@@ -74,8 +73,6 @@ class DictionaryConfig:
             raise InvalidConfig(f"num_kernels must be >= 1, got {self.num_kernels}")
         if self.kernel_len < 1:
             raise InvalidConfig(f"kernel_len must be >= 1, got {self.kernel_len}")
-        if self.gammatone_order < 1:
-            raise InvalidConfig("gammatone_order must be >= 1")
         if not (0.0 < self.freq_lo < self.freq_hi):
             raise InvalidConfig(
                 f"need 0 < freq_lo < freq_hi, got {self.freq_lo}, {self.freq_hi}"
@@ -173,10 +170,10 @@ def build_dictionary(config: DictionaryConfig = DictionaryConfig()) -> Dictionar
 
     # one row per kernel; each element is computed as a per-kernel loop would
     fc = centers[:, np.newaxis]
-    decay = 2.0 * np.pi * config.bandwidth_scale * erb_bandwidth(fc)
-    env = t ** (config.gammatone_order - 1) * np.exp(-decay * t)
+    decay = 2.0 * np.pi * BANDWIDTH_SCALE * erb_bandwidth(fc)
+    env = t ** (GAMMATONE_ORDER - 1) * np.exp(-decay * t)
     kernels = np.zeros((config.num_kernels, config.kernel_len))
-    kernels[:, onset:] = env * np.cos(2.0 * np.pi * fc * t + config.phase)
+    kernels[:, onset:] = env * np.cos(2.0 * np.pi * fc * t)
 
     norms = np.linalg.norm(kernels, axis=1)
     if np.any(norms == 0.0):

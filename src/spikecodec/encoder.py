@@ -5,9 +5,10 @@ Per segment: correlate the residual against every kernel at every shift in
 contribution, and repeat until the code budget is exhausted or the picked
 intensity is zero or falls below the halting threshold.
 
-Two correlation backends produce the same surface: `correlate_direct`
-(time-domain multiply-accumulate) and `correlate_spectral` (real FFT of the
-residual, multiply with the kernel spectra, inverse real FFT). Arithmetic
+Two correlation backends give the same picks: `correlate_direct`
+(time-domain multiply-accumulate, the whole surface) and
+`correlate_spectral` (real FFT of the residual, multiply with the kernel
+spectra, inverse real FFT, on the rows that can hold the pick). Arithmetic
 runs in float64 or, for hardware-faithful emulation, in the fixed-point
 format from :mod:`spikecodec.fixedpoint`; there both backends run one
 datapath, an FFT screen and an exact gather, so they give the same codes.
@@ -142,17 +143,14 @@ def _lag_transform(residual: np.ndarray, sdict: SpectralDictionary):
 
 
 def correlate_spectral(
-    residual: np.ndarray, sdict: SpectralDictionary, prune: str | None = None,
-    carry: dict | None = None,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """FFT backend; identical contract to `correlate_direct`.
-
-    With `prune` set to a select rule, returns `(rows, values)`: the
-    ascending indices of the rows that can hold or tie that rule's pick,
-    and those rows alone. |row m| <= B_m (below; its n * tiny covers the
-    rounding below the smallest normal float, which is absolute); the row of
-    largest B_m, transformed once, sets the bar, and rows with B_m >= bar
-    are kept.
+    residual: np.ndarray, sdict: SpectralDictionary, select: str, carry: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """FFT backend: the rows of `correlate_direct`'s surface that can hold
+    or tie the `select` rule's pick, as `(rows, values)`: their ascending
+    indices and those rows alone. |row m| <= B_m (below; its n * tiny
+    covers the rounding below the smallest normal float, which is
+    absolute); the row of largest B_m, transformed once, sets the bar, and
+    rows with B_m >= bar are kept.
 
     `carry`, a dict that one pursuit hands to each of its calls (empty at
     the first), also bounds row m by C_m + D_m + 1e-9 (B'_m + B_m). C_m is
@@ -166,9 +164,6 @@ def correlate_spectral(
         raise DimensionMismatch(f"correlation needs an even width (got {w}) and "
                                 f"fft_len {n} at or above the lag-window bound {bound}")
     spectrum, transform = _lag_transform(residual, sdict)
-    if prune is None:
-        return transform(slice(None)).copy()
-
     magnitudes = np.zeros((len(spectrum), 2))  # |R| and |R - R'|
     np.abs(spectrum, out=magnitudes[:, 0])
     if carry:
@@ -180,16 +175,15 @@ def correlate_spectral(
                          + 1e-9 * (carry["bounds"] + row_bounds))
     top = int(np.argmax(bounds))
     top_lags = transform(top)
-    keep = bounds >= np.max(np.abs(top_lags) if prune == "abs" else top_lags)
+    keep = bounds >= np.max(np.abs(top_lags) if select == "abs" else top_lags)
     keep[top] = True  # bar <= B_top: kept, and not transformed again
     rows = np.flatnonzero(keep)
     at = int(np.searchsorted(rows, top))
     rest = transform(rows[rows != top])  # the other kept rows, transformed once
     lags = np.concatenate([rest[:at], top_lags[None], rest[at:]])
-    if carry is not None:  # the ceilings: max |lag| of a kept row, else its bound
-        ceilings = bounds.copy()
-        ceilings[rows] = np.abs(lags).max(axis=1)
-        carry.update(spectrum=spectrum, bounds=row_bounds, ceilings=ceilings)
+    ceilings = bounds.copy()  # max |lag| of a kept row, else its bound
+    ceilings[rows] = np.abs(lags).max(axis=1)
+    carry.update(spectrum=spectrum, bounds=row_bounds, ceilings=ceilings)
     return rows, lags
 
 
@@ -291,7 +285,7 @@ def _float_datapath(segment, dictionary, sdict, cfg, stats):
     def correlate(residual: np.ndarray):
         if cfg.backend == "direct":
             return None, None, correlate_direct(residual, dictionary)
-        return None, *correlate_spectral(residual, sdict, cfg.select, carry=carry)
+        return None, *correlate_spectral(residual, sdict, cfg.select, carry)
 
     def subtract(residual: np.ndarray, m: int, tau: int, s: float, _native):
         return subtract_component(residual, m, tau, s, dictionary)
@@ -371,7 +365,7 @@ def _correlate_fixed_direct(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-point correlation (raw int64), per-term round-to-even rescale,
     ascending-index accumulation, per-step overflow policy; returns
-    `(rows, values)` like `correlate_spectral(prune=select)`: the ascending
+    `(rows, values)` like `correlate_spectral`: the ascending
     rows that can hold or tie the pick, and those rows, exact wherever the
     pick can be. `table` is the dictionary's `_Screen`.
 

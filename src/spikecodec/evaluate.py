@@ -19,19 +19,12 @@ from .spikecoder import EVENT_DTYPE, ChannelTable
 
 
 def temporal_average(
-    events: np.ndarray,
-    duration: int,
-    bin_width: int,
-    table: ChannelTable,
-    mode: str = "binary",
+    events: np.ndarray, duration: int, bin_width: int, table: ChannelTable
 ) -> np.ndarray:
-    """Per-channel mean spike activity over time bins of an EVENT_DTYPE
-    array.
-
-    `mode="binary"` counts a bin as active if it holds at least one spike,
-    so entries lie in [0, 1]; `mode="count"` averages raw spike counts per
-    bin instead. Events at or beyond `duration` are ignored. Raises
-    CodeOutOfBounds for a channel outside the table.
+    """Per-channel share of time bins that hold at least one spike of an
+    EVENT_DTYPE array, so entries lie in [0, 1]. Events at or beyond
+    `duration` are ignored. Raises CodeOutOfBounds for a channel outside
+    the table.
     """
     if duration <= 0 or bin_width <= 0:
         raise DegenerateData("duration and bin_width must be positive")
@@ -43,12 +36,10 @@ def temporal_average(
             f"channel {channel[bad][0]} outside [0, {table.total_channels})"
         )
     n_bins = -(-duration // bin_width)  # ceil
-    counts = np.zeros((table.total_channels, n_bins))
+    active = np.zeros((table.total_channels, n_bins), bool)
     kept = (t >= 0) & (t < duration)
-    np.add.at(counts, (channel[kept], t[kept] // bin_width), 1)
-    if mode == "binary":
-        return (counts > 0).mean(axis=1)
-    return counts.mean(axis=1)
+    active[channel[kept], t[kept] // bin_width] = True
+    return active.mean(axis=1)
 
 
 @dataclass

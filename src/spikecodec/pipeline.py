@@ -68,7 +68,8 @@ def detect_format(path: str) -> str:
 def read_input(cfg: RunConfig) -> tuple[np.ndarray, float | None]:
     """Load the configured input; returns (samples, sample_rate_or_None).
 
-    Raises NumericError when a sample is NaN or infinite.
+    Raises NumericError when a sample is NaN or infinite, and CorruptFile
+    when a raw-f32 file's size is not a whole number of samples.
     """
     fmt = cfg.input_format or detect_format(cfg.input_path)
     rate = None
@@ -84,7 +85,10 @@ def read_input(cfg: RunConfig) -> tuple[np.ndarray, float | None]:
             except ValueError as exc:
                 raise CorruptFile(f"non-numeric csv value: {exc}")
         elif fmt == "raw-f32":
-            samples = np.fromfile(cfg.input_path, dtype="<f4").astype(np.float64)
+            data = np.fromfile(cfg.input_path, dtype=np.uint8)
+            if len(data) % 4:
+                raise CorruptFile(f"{cfg.input_path!r} ends inside a float32 sample")
+            samples = data.view("<f4").astype(np.float64)
         else:
             raise UnsupportedFormat(f"unknown input format {fmt!r}")
     except OSError as exc:
@@ -186,15 +190,15 @@ def write_events(events: np.ndarray, cfg: RunConfig) -> None:
         raise IoError(f"cannot write {cfg.output_path!r}: {exc}")
 
 
-def parse_events(path: str, table: ChannelTable | None = None) -> np.recarray:
+def parse_events(path: str, table: ChannelTable) -> np.recarray:
     """Read an event file (csv or jsonl) back into an EVENT_DTYPE record
     array. Raises CorruptFile on a csv header or field count, or a JSONL
     record's keys, that the writers do not write (every JSONL record has
     raw_intensity exactly when the first one does), a malformed record, a
-    negative time, a non-finite intensity, a zero raw intensity or a
-    nonpositive center; given the decoder's `table`, also on a channel other
-    than kernel * levels + level, a level outside the table, or a center
-    other than its level's as the writers write it."""
+    negative time, a non-finite intensity, a zero raw intensity, a
+    nonpositive center, a channel other than kernel * levels + level of the
+    reader's `table`, a level outside it, or a center other than its
+    level's as the writers write it."""
     events = []
     try:
         with open(path) as fh:
@@ -227,16 +231,16 @@ def parse_events(path: str, table: ChannelTable | None = None) -> np.recarray:
                     events.append(_event_from_fields(*parts))
         # record dtype from the start: a record-array view then converts nothing
         events = np.array(events, (np.record, EVENT_DTYPE))
-        if table is not None:  # JSONL writes centers exactly, csv to 6 digits
-            centers = [c if jsonl else float(_fmt_intensity(c)) for c in table.centers]
-            level, n = events["level"], len(centers)
-            # a level outside [0, n) reads the NaN past the last center
-            center = np.array([*centers, np.nan])[np.minimum(level.view(np.uint64), n)]
-            wrong = ((events["channel"] != events["m"] * n + level)
-                     | (events["magnitude_level_center"] != center)).nonzero()[0]
-            if len(wrong):
-                raise ValueError(f"event {events[wrong[0]].tolist()} contradicts "
-                                 f"{n} levels with centers {centers}")
+        # JSONL writes centers exactly, csv to 6 digits
+        centers = [c if jsonl else float(_fmt_intensity(c)) for c in table.centers]
+        level, n = events["level"], len(centers)
+        # a level outside [0, n) reads the NaN past the last center
+        center = np.array([*centers, np.nan])[np.minimum(level.view(np.uint64), n)]
+        wrong = ((events["channel"] != events["m"] * n + level)
+                 | (events["magnitude_level_center"] != center)).nonzero()[0]
+        if len(wrong):
+            raise ValueError(f"event {events[wrong[0]].tolist()} contradicts "
+                             f"{n} levels with centers {centers}")
         return events.view(np.recarray)
     except OSError as exc:
         raise IoError(f"cannot read {path!r}: {exc}")

@@ -46,17 +46,11 @@ EVENT_DTYPE = np.dtype([
 ])
 
 
-def build_channel_table(
-    num_kernels: int, centers=DEFAULT_CENTERS
-) -> ChannelTable:
-    centers = tuple(float(c) for c in centers)
-    if len(centers) < 1 or num_kernels < 1:
-        raise InvalidCenters("need at least one center and one kernel")
-    if any(c <= 0 for c in centers):
-        raise InvalidCenters(f"centers must be positive, got {centers}")
-    if any(b <= a for a, b in zip(centers, centers[1:])):
-        raise InvalidCenters(f"centers must be strictly increasing, got {centers}")
-    return ChannelTable(centers=centers, num_kernels=num_kernels)
+def build_channel_table(num_kernels: int) -> ChannelTable:
+    """`num_kernels` kernels of `DEFAULT_CENTERS` levels each."""
+    if num_kernels < 1:
+        raise InvalidCenters(f"need at least one kernel, got {num_kernels}")
+    return ChannelTable(centers=DEFAULT_CENTERS, num_kernels=num_kernels)
 
 
 def nearest_level(intensity, table: ChannelTable, metric: str = "log"):

@@ -11,13 +11,19 @@ from spikecodec.dictionary import (
     default_fft_len,
     kernel_spectra,
 )
-from spikecodec.encoder import CODE_DTYPE
+from spikecodec.encoder import CODE_DTYPE, _lag_transform
 from spikecodec.spikecoder import EVENT_DTYPE
 
 
 def codes(*rows):
     """One segment's code array from (segment_index, m, tau, s) rows."""
     return np.array(list(rows), CODE_DTYPE).view(np.recarray)
+
+
+def spectral_surface(x, sdict):
+    """The spectral backend's full (kernels, W + 1) surface of `x`, every
+    row transformed: what `correlate_spectral` keeps rows of."""
+    return _lag_transform(x, sdict)[1](slice(None))
 
 
 def column_zero_dictionary():

@@ -176,7 +176,7 @@ def test_criterion_4_itp_brute_force_equivalence():
     """1000-point log sweep maps to the same level as an exhaustive
     nearest-log-center scan; 40 kernels give 120 channels."""
     start = time.perf_counter()
-    table = build_channel_table(40, DEFAULT_CENTERS)
+    table = build_channel_table(40)
     assert table.total_channels == 120
     for s in np.logspace(-4, 2, 1000):
         best, best_dist = None, None

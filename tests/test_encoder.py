@@ -42,7 +42,7 @@ from spikecodec.fixedpoint import (
 )
 from spikecodec.pipeline import make_audio_clip, segment_stream
 
-from conftest import max_in_support_shift
+from conftest import max_in_support_shift, spectral_surface
 
 
 def brute_force_correlation(residual, kernels, width):
@@ -105,7 +105,7 @@ def test_shift_out_of_range_raises():
 def test_zero_residual_gives_zero_surface(small_dict, small_sdict):
     seg = np.zeros(256)
     assert not np.any(correlate_direct(seg, small_dict))
-    assert np.max(np.abs(correlate_spectral(seg, small_sdict))) < 1e-12
+    assert np.max(np.abs(spectral_surface(seg, small_sdict))) < 1e-12
 
 
 def test_autocorrelation_peak_is_unit_and_global_max(small_dict):
@@ -258,7 +258,7 @@ def test_spectral_matches_direct(small_dict, small_sdict):
     for _ in range(5):
         seg = rng.standard_normal(256)
         a = correlate_direct(seg, small_dict)
-        b = correlate_spectral(seg, small_sdict)
+        b = spectral_surface(seg, small_sdict)
         assert np.max(np.abs(a - b)) < 1e-6
 
 
@@ -275,7 +275,7 @@ def test_spectral_matches_direct_when_kernel_len_differs_from_width(kernel_len):
     for _ in range(3):
         seg = rng.standard_normal(width)
         a = correlate_direct(seg, d)
-        b = correlate_spectral(seg, sdict)
+        b = spectral_surface(seg, sdict)
         assert b.shape == (6, width + 1)
         assert np.max(np.abs(a - b)) < 1e-12
 
@@ -292,7 +292,7 @@ def test_spectral_matches_direct_at_lag_window_bound():
     for _ in range(3):
         seg = rng.standard_normal(width)
         a = correlate_direct(seg, d)
-        b = correlate_spectral(seg, sdict)
+        b = spectral_surface(seg, sdict)
         assert np.max(np.abs(a - b)) < 1e-12
     with pytest.raises(LengthTooSmall):
         kernel_spectra(d, 1024, signal_len=width)
@@ -328,8 +328,8 @@ def test_pruned_pick_equals_full_surface_pick(width, select, kind, seed):
         tau = int(rng.integers(-(width // 2), 1))
         x += rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0]) * shift_kernel(
             d.kernels[m], tau, width)
-    full = correlate_spectral(x, sdict)
-    rows, kept = correlate_spectral(x, sdict, select)
+    full = spectral_surface(x, sdict)
+    rows, kept = correlate_spectral(x, sdict, select, {})
     assert np.all(np.diff(rows) > 0)
 
     def pick(values, rows=None):  # (m, tau, s bytes)
@@ -402,9 +402,9 @@ def test_carried_ceiling_keeps_the_full_surface_pick(width, select, kind, expone
         for i in range(16):
             if kind == "zeroed" and i in (4, 5):  # to zero, then somewhere else
                 x = np.zeros(width) if i == 4 else _atoms(d, rng, width, 2)
-            full = correlate_spectral(x, sdict)
-            today = pick(*correlate_spectral(x, sdict, select)[::-1])
-            rows, kept = correlate_spectral(x, sdict, select, carry=carry)
+            full = spectral_surface(x, sdict)
+            today = pick(*correlate_spectral(x, sdict, select, {})[::-1])
+            rows, kept = correlate_spectral(x, sdict, select, carry)
             expected, got = pick(full), pick(kept, rows)
             if not math.isfinite(expected[2]):
                 # encode_segment's NumericError, naming today's pick; the
@@ -431,7 +431,7 @@ def test_spectral_finds_shifted_kernel(small_dict, small_sdict):
     kernel = small_dict.kernels[7]  # highest center: shortest support
     shifted = shift_kernel(kernel, tau, 256)
     assert abs(np.linalg.norm(shifted) - 1.0) < 1e-9  # shift stayed in support
-    surface = correlate_spectral(shifted, small_sdict)
+    surface = spectral_surface(shifted, small_sdict)
     m, j = np.unravel_index(np.argmax(np.abs(surface)), surface.shape)
     assert (m, j - 128) == (7, tau)
 
@@ -494,7 +494,7 @@ def test_pruned_surface_keeps_tied_rows_and_drops_small_ones(fmt):
     d = replace(d, kernels=kernels)
     sdict = kernel_spectra(d, default_fft_len(width, width), signal_len=width)
     x = 2.0 * shift_kernel(kernels[3], -10, width)
-    rows, values = correlate_spectral(x, sdict, "abs")
+    rows, values = correlate_spectral(x, sdict, "abs", {})
     if fmt is not None:
         cfg = EncoderConfig(width=width, arithmetic="fixed", fixed_format=fmt)
         resid_raw, correlate, _ = encoder._fixed_datapath(Segment(x), d, None, cfg, None)
@@ -515,8 +515,8 @@ def test_signed_pruning_keeps_every_row_when_all_values_are_negative():
         num_kernels=6, kernel_len=width))
     sdict = kernel_spectra(d, default_fft_len(width, width), signal_len=width)
     x = -0.1 - rng.uniform(size=width)
-    assert np.all(correlate_spectral(x, sdict) < 0)
-    rows, values = correlate_spectral(x, sdict, "signed")
+    assert np.all(spectral_surface(x, sdict) < 0)
+    rows, values = correlate_spectral(x, sdict, "signed", {})
     assert rows.tolist() == list(range(6))
     assert np.all(values < 0)
 

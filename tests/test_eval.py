@@ -64,13 +64,6 @@ def test_temporal_average_matches_bin_count_oracle():
     assert np.all(vec >= 0) and np.all(vec <= 1)
 
 
-def test_count_mode_counts_spikes():
-    table = build_channel_table(2, [1.0])
-    events = [_event(t=0, channel=1, levels=1), _event(t=1, channel=1, levels=1)]
-    vec = temporal_average(events, duration=4, bin_width=4, table=table, mode="count")
-    assert vec[1] == 2.0
-
-
 # ----- precision / recall / F1 -----
 
 def test_perfect_counts_give_ones():

@@ -24,7 +24,6 @@ from spikecodec.encoder import (
     _kernel_supports,
     _rmax_limit,
     correlate_direct,
-    correlate_spectral,
     encode_segment,
     select_code,
     shift_kernel,
@@ -45,7 +44,7 @@ from spikecodec.fixedpoint import (
 )
 from spikecodec.pipeline import make_audio_clip
 
-from conftest import column_zero_dictionary
+from conftest import column_zero_dictionary, spectral_surface
 
 FMT = FixedFormat(total_bits=34, frac_bits=24)
 
@@ -534,7 +533,7 @@ def test_fft_screen_error_is_far_inside_the_slack(width, kind):
         for _ in range(3):
             resid_raw = quantize_array(_screen_residual(d, fmt, kind, rng), fmt)
             r = dequantize_array(resid_raw, fmt)
-            c_gemm, c_fft = correlate_direct(r, dequantized), correlate_spectral(r, sdict)
+            c_gemm, c_fft = correlate_direct(r, dequantized), spectral_surface(r, sdict)
             error = fmt.scale * np.max(np.abs(c_fft - c_gemm), axis=1)
             rmax = int(np.max(np.abs(resid_raw)))
             float_term = 1e-9 * rmax * supports.kabs / fmt.scale

@@ -150,7 +150,7 @@ def test_csv_round_trip_preserves_fields(tmp_path):
     path = tmp_path / "ev.csv"
     with open(path, "w", newline="\n") as fh:
         write_events_csv(EV, fh, with_raw=True)
-    back = parse_events(str(path))
+    back = parse_events(str(path), build_channel_table(40))
     assert len(back) == 1
     ev = back[0]
     assert (ev.t, ev.channel, ev.m, ev.level) == (984, 28, 9, 1)
@@ -167,7 +167,7 @@ def test_jsonl_round_trip_is_exact(tmp_path):
         "t_samples": 984, "channel": 28, "kernel": 9, "level": 1,
         "intensity_center": 0.4115, "raw_intensity": 3.0,
     }
-    back = parse_events(str(path))
+    back = parse_events(str(path), build_channel_table(40))
     assert back[0].raw_intensity == 3.0
 
 
@@ -222,12 +222,13 @@ def round_trip_path(tmp_path_factory):
 @given(drawn=_codesets(), seed=st.integers(0, 2**32 - 1))
 def test_emit_write_parse_round_trip(round_trip_path, drawn, seed):
     width, codesets = drawn
-    events = emit_stream(codesets, build_channel_table(40), width)
+    table = build_channel_table(40)
+    events = emit_stream(codesets, table, width)
     # written in any order: decode groups by segment, keeping file order
     events = events[np.random.default_rng(seed).permutation(len(events))]
     with open(round_trip_path, "w", newline="\n") as fh:
         write_events_csv(events, fh, with_raw=True)
-    rebuilt = codes_from_events(parse_events(round_trip_path), width)
+    rebuilt = codes_from_events(parse_events(round_trip_path, table), width)
     back = [c for cs in rebuilt for c in cs.tolist()]
     key = functools.partial(_as_written, width)
     assert sorted(back) == sorted(key(*c) for cs in codesets for c in cs.tolist())
@@ -248,10 +249,11 @@ def test_encoded_clip_round_trips_through_event_file(round_trip_path, backend,
     cfg = EncoderConfig(max_codes=8, width=width, backend=backend)
     x = make_audio_clip(3 * width + width // 3, seed=seed)
     codesets = encode_signal(x, d, cfg)
-    events = emit_stream(codesets, build_channel_table(d.num_kernels), width)
+    table = build_channel_table(d.num_kernels)
+    events = emit_stream(codesets, table, width)
     with open(round_trip_path, "w", newline="\n") as fh:
         write_events_csv(events, fh, with_raw=True)
-    rebuilt = codes_from_events(parse_events(round_trip_path), width)
+    rebuilt = codes_from_events(parse_events(round_trip_path, table), width)
     back = sorted(tuple(c) for cs in rebuilt for c in cs.tolist())
     assert back == sorted(_as_written(width, *c) for cs in codesets
                           for c in cs.tolist())
@@ -865,6 +867,10 @@ def _config_args(tmp_path, text):
     # JSONL carries the center exactly
     (lambda tmp: _decode_jsonl_args(
         tmp, JSONL_RECORD.replace("0.4115", "0.41150000000000003")), 3),
+    # 512 samples and half of another: the tail is not dropped silently
+    (lambda tmp: _encode_args(tmp, "part.f32", bytes(2050)), 3),
+    # eval builds the channel table before any dictionary or file
+    (lambda tmp: _train_args(tmp, "--kernels", "0"), 2),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
@@ -883,7 +889,8 @@ def _config_args(tmp_path, text):
         "jsonl-mixed-raw", "channel-contradicts-level", "level-outside-table",
         "center-not-the-level-center", "channel-contradicts-level-quantized",
         "level-outside-table-quantized", "center-not-the-level-center-quantized",
-        "jsonl-channel-contradicts-level", "jsonl-center-not-exact"])
+        "jsonl-channel-contradicts-level", "jsonl-center-not-exact",
+        "f32-partial-sample", "eval-kernels-zero"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     out = _cli(*make_argv(tmp_path))
     assert out.returncode == code, out.stderr

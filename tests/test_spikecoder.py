@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spikecodec.errors import InvalidCenters, InvalidConfig, ZeroIntensity
+from spikecodec.errors import InvalidConfig, ZeroIntensity
 from spikecodec.spikecoder import (
     DEFAULT_CENTERS,
     build_channel_table,
@@ -30,33 +30,21 @@ def brute_nearest_log_center(intensity, centers):
 
 
 def test_default_table_has_120_channels():
-    table = build_channel_table(40, DEFAULT_CENTERS)
+    table = build_channel_table(40)
     assert table.total_channels == 120
     assert table.levels == 3
 
 
-def test_single_channel_table():
-    assert build_channel_table(1, [1.0]).total_channels == 1
-
-
 def test_channel_ids_enumerate_kernel_major():
-    table = build_channel_table(3, [0.1, 10.0])
-    assert table.total_channels == 6
+    table = build_channel_table(3)
+    assert table.total_channels == 9
     seen = set()
     for m in range(3):
-        for level in range(2):
-            event = one_event(m, 0.1 if level == 0 else 10.0, table, width=64)
-            assert event.channel == m * 2 + level
+        for level, center in enumerate(DEFAULT_CENTERS):
+            event = one_event(m, center, table, width=64)
+            assert event.channel == m * 3 + level
             seen.add(event.channel)
-    assert seen == set(range(6))
-
-
-@pytest.mark.parametrize(
-    "centers", [[0.1, 0.1, 1.0], [1.0, 0.5], [-1.0, 2.0], [0.0, 1.0], []]
-)
-def test_bad_centers_rejected(centers):
-    with pytest.raises(InvalidCenters):
-        build_channel_table(4, centers)
+    assert seen == set(range(9))
 
 
 def test_center_intensity_maps_to_its_level():
