@@ -66,14 +66,20 @@ def by_segment(codes: np.ndarray) -> list[np.ndarray]:
     return [codes[lo:hi] for lo, hi in zip(edges, edges[1:])] if len(codes) else []
 
 
+def _kernel_bank(dictionary: Dictionary, width: int) -> np.ndarray:
+    """[m, W/2 - tau] = shift_kernel(kernel m, tau, width): a read-only view of
+    windows over the kernels' samples below 3W/2, zero-padded to (kernels, 2W)."""
+    half, kept = width // 2, min(dictionary.kernel_len, width // 2 + width)
+    padded = np.pad(dictionary.kernels[:, :kept], ((0, 0), (half, half + width - kept)))
+    padded.flags.writeable = False  # and so is a view over it
+    return np.ndarray((len(padded), 2 * half + 1, width), padded.dtype, padded, 0,
+                      (padded.strides[0], padded.itemsize, padded.itemsize))
+
+
 def _atoms(codes: np.ndarray, dictionary: Dictionary, width: int) -> np.ndarray:
-    """s_i * shift_kernel(kernel m_i, tau_i, width) of each code as one
-    C-ordered (codes, W) array, each row filled by one slice copy."""
-    atoms, kernels = np.zeros((len(codes), width)), dictionary.kernels
-    for row, m, tau in zip(atoms, codes["m"].tolist(), codes["tau"].tolist()):
-        lo, hi = max(0, tau), min(width, tau + dictionary.kernel_len)
-        if hi > lo:
-            row[lo:hi] = kernels[m, lo - tau : hi - tau]
+    """Row i: s_i * shift_kernel(kernel m_i, tau_i, width), a C-ordered gather."""
+    bank = dictionary.table(("bank", width), lambda: _kernel_bank(dictionary, width))
+    atoms = bank[codes["m"], width // 2 - codes["tau"]]
     atoms *= codes["s"][:, None]
     return atoms
 
@@ -88,12 +94,10 @@ def reconstruct(
     metric: str = "log",
 ) -> np.ndarray:
     """Sum s_i * shift_kernel(kernel m_i, tau_i) at each segment offset,
-    each cut at `total_len`.
-
-    Each sample sums its segment's codes in list order from +0.0, as adding
-    one code at a time would: a segment's scaled atoms are summed along the
-    code axis, which is not the contiguous one (numpy sums that one
-    pairwise), and the sum is added to the zeroed span."""
+    each cut at `total_len`. Each sample sums its segment's codes in list
+    order from +0.0, as adding one code at a time would: a segment's scaled
+    atoms are summed along the code axis, which is not the contiguous one
+    (numpy sums that one pairwise), and the sum is added to the zeroed span."""
     try:
         out = np.zeros(total_len)
     except MemoryError:

@@ -16,8 +16,8 @@ digits. Without it, decoding falls back to the channel center magnitudes.
 from __future__ import annotations
 
 import json
-import math
 import os
+import re
 import threading
 import time
 import wave
@@ -191,73 +191,69 @@ def write_events(events: np.ndarray, cfg: RunConfig) -> None:
 
 
 def parse_events(path: str, table: ChannelTable) -> np.recarray:
-    """Read an event file (csv or jsonl) back into an EVENT_DTYPE record
-    array. Raises CorruptFile on a csv header or field count, or a JSONL
-    record's keys, that the writers do not write (every JSONL record has
-    raw_intensity exactly when the first one does), a malformed record, a
+    """Read an event file (csv or jsonl) into an EVENT_DTYPE record array
+    with one `np.loadtxt` call. Raises CorruptFile, naming the file line, on
+    a csv header or field count, or JSONL record keys, that the writers do
+    not write (raw_intensity in every record or none), a malformed record, a
     negative time, a non-finite intensity, a zero raw intensity, a
     nonpositive center, a channel other than kernel * levels + level of the
     reader's `table`, a level outside it, or a center other than its
     level's as the writers write it."""
-    events = []
     try:
         with open(path) as fh:
-            first = fh.readline()
-            jsonl = first.lstrip().startswith("{")
-            if jsonl:
-                keys = None  # the header's, plus raw_intensity if the first has it
-                for line in [first] + fh.readlines():
-                    if not line.strip():
-                        continue
-                    rec = json.loads(line)
-                    keys = keys or EVENT_HEADER.split(",") + [
-                        "raw_intensity"] * ("raw_intensity" in rec)
-                    if sorted(rec) != sorted(keys):
-                        raise ValueError(f"record keys {sorted(rec)}, expected {keys}")
-                    # each value's JSON text takes the csv checks: 70.9, true, "1" fail
-                    fields = [json.dumps(rec[k]) for k in keys]
-                    events.append(_event_from_fields(*fields))
-            elif first:
-                header = first.rstrip("\r\n")
-                if header not in (EVENT_HEADER, EVENT_HEADER + ",raw_intensity"):
-                    raise CorruptFile(f"unexpected event header in {path!r}")
-                columns = header.count(",") + 1
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    parts = line.split(",")
-                    if len(parts) != columns:
-                        raise ValueError(f"{len(parts)} fields in {line.strip()!r}")
-                    events.append(_event_from_fields(*parts))
-        # record dtype from the start: a record-array view then converts nothing
-        events = np.array(events, (np.record, EVENT_DTYPE))
-        # JSONL writes centers exactly, csv to 6 digits
-        centers = [c if jsonl else float(_fmt_intensity(c)) for c in table.centers]
-        level, n = events["level"], len(centers)
-        # a level outside [0, n) reads the NaN past the last center
-        center = np.array([*centers, np.nan])[np.minimum(level.view(np.uint64), n)]
-        wrong = ((events["channel"] != events["m"] * n + level)
-                 | (events["magnitude_level_center"] != center)).nonzero()[0]
-        if len(wrong):
-            raise ValueError(f"event {events[wrong[0]].tolist()} contradicts "
-                             f"{n} levels with centers {centers}")
-        return events.view(np.recarray)
+            text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path!r}: {exc}")
-    # TypeError: a JSONL record that is not an object, or a null or list field
-    except (ValueError, KeyError, OverflowError, TypeError) as exc:
-        raise CorruptFile(f"bad event record in {path!r}: {exc}")
+    except UnicodeDecodeError as exc:  # its bytes are the whole file
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CorruptFile(f"bad event record in {path!r} line {line}: {exc}") from None
+    # blank lines after the first become empty ones, which loadtxt skips
+    lines = re.sub(r"\n[^\S\n]+$", "\n", text, flags=re.M).split("\n")
+    header, jsonl = lines[0], lines[0].lstrip().startswith("{")
 
+    def bad(index, exc):  # records are the nonblank lines after the csv header
+        line = [n for n, row in enumerate(lines, 1) if row][index + (not jsonl)]
+        return CorruptFile(f"bad event record in {path!r} line {line}: {exc}")
 
-def _event_from_fields(t, channel, kernel, level, center, raw=None) -> tuple:
-    t, center = int(t), float(center)
-    # sign information only survives in the raw column
-    raw = float(raw) if raw is not None else center
-    if t < 0 or not (math.isfinite(center) and math.isfinite(raw)):
-        raise ValueError(f"negative time {t} or non-finite intensity {center}, {raw}")
-    if center <= 0 or raw == 0:  # emit_stream writes neither
-        raise ValueError(f"intensity center {center} or raw intensity {raw}")
-    return t, int(channel), int(kernel), int(level), center, raw
+    rows, raw = lines[1:], header.endswith(",raw_intensity")
+    if jsonl:  # each value's JSON text takes the csv checks: 70.9, true, "1" fail
+        rows, keys = [], None
+        for record in filter(None, lines):
+            try:  # TypeError: a record that is not an object
+                rec = json.loads(record)
+                raw = raw if keys else "raw_intensity" in rec  # as the first record
+                keys = keys or EVENT_HEADER.split(",") + ["raw_intensity"] * raw
+                if sorted(rec) != sorted(keys):
+                    raise ValueError(f"record keys {sorted(rec)}, expected {keys}")
+                rows.append(",".join(json.dumps(rec[k]) for k in keys))
+            except (ValueError, TypeError) as exc:
+                raise bad(len(rows), exc) from None
+    elif text and header not in (EVENT_HEADER, EVENT_HEADER + ",raw_intensity"):
+        raise CorruptFile(f"unexpected event header in {path!r}")
+    dtype = (np.record, EVENT_DTYPE[list(EVENT_DTYPE.names[: 5 + raw])])
+    try:  # with no rows loadtxt would warn
+        events = np.loadtxt(rows, dtype, delimiter=",", comments=None,
+                            ndmin=1) if any(rows) else np.empty(0, dtype)
+    except ValueError as exc:  # numpy's row is the last; from 0 if a column follows
+        row = re.match(r"(?s).* at row (\d+)(,?)", str(exc))
+        raise bad(int(row[1]) - (not row[2]), exc) from None
+    events = events.view((np.record, EVENT_DTYPE))  # records: no conversion
+    if not raw:  # sign information only survives in the raw column
+        events["raw_intensity"] = events["magnitude_level_center"]
+    # JSONL writes centers exactly, csv to 6 digits
+    centers = [c if jsonl else float(_fmt_intensity(c)) for c in table.centers]
+    level, n = events["level"], len(centers)
+    # a level outside [0, n) reads the NaN past the last center
+    expected = np.array([*centers, np.nan])[np.minimum(level.view(np.uint64), n)]
+    center, intensity = events["magnitude_level_center"], events["raw_intensity"]
+    wrong = ((events["t"] < 0) | ~(np.isfinite(center) & np.isfinite(intensity))
+             | (center <= 0) | (intensity == 0)  # emit_stream writes neither
+             | (events["channel"] != events["m"] * n + level)
+             | (center != expected)).nonzero()[0]
+    if len(wrong):
+        raise bad(wrong[0], f"event {events[wrong[0]].tolist()} has a negative time, "
+                  f"a bad intensity or contradicts {n} levels with centers {centers}")
+    return events.view(np.recarray)
 
 
 def codes_from_events(events: np.ndarray, width: int) -> list[np.recarray]:

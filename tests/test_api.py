@@ -62,4 +62,4 @@ def test_numpy_is_the_only_runtime_dependency(tmp_path):
     assert imported - set(sys.stdlib_module_names) == {"numpy", "spikecodec"}
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    assert project["dependencies"] == ["numpy>=1.24"]
+    assert project["dependencies"] == ["numpy>=2.4"]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikecodec.decoder import (
@@ -114,6 +114,11 @@ def _outcome(fn, *args, **kwargs):
 @settings(max_examples=300, deadline=None)
 @given(decode=_decodes(), bad=st.lists(st.tuples(
     st.integers(0, 5), st.sampled_from(["segment", "kernel", "shift"])), max_size=2))
+# shifts of +/-W/2, segment 1 in two code sets, a last segment cut 3 samples
+# short, quantized, and segment 2's -0.0 atoms, which sum to -0.0 by themselves
+@example(decode=(DICTS[16, 16], 16, 45, [
+    codes((0, 0, -8, 1.5), (1, 4, 8, -2.0)),
+    codes((1, 1, -8, 3.0), (2, 1, 3, -0.0), (2, 1, 3, -0.0))], True, "log"), bad=[])
 def test_reconstruct_equals_the_per_code_loop_byte_for_byte(decode, bad):
     d, width, total_len, codesets, quantized, metric = decode
     for i, field in bad:  # out-of-range codes at drawn places in the list

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -750,6 +751,12 @@ def _decode_text_args(tmp_path, text):
     return ["decode", str(events), "-o", str(tmp_path / "x.f32"), *SMALL_FLAGS]
 
 
+def _decode_bytes_args(tmp_path, data):
+    argv = _decode_args(tmp_path)
+    (tmp_path / "ev.csv").write_bytes(data)
+    return argv
+
+
 def _decode_args_with_rows(tmp_path, row):
     # no raw column: the decoder takes the center as the intensity
     return _decode_text_args(tmp_path, f"{EVENT_HEADER}\n{row}\n")
@@ -871,6 +878,13 @@ def _config_args(tmp_path, text):
     (lambda tmp: _encode_args(tmp, "part.f32", bytes(2050)), 3),
     # eval builds the channel table before any dictionary or file
     (lambda tmp: _train_args(tmp, "--kernels", "0"), 2),
+    (lambda tmp: _decode_args(tmp), 0),  # loadtxt warns on a body with no rows
+    (lambda tmp: _decode_text_args(
+        tmp, f"{EVENT_HEADER}\n64,10,3,1,0.411500\n \t \n64,10,3,1,0.411500\n"), 0),
+    (lambda tmp: _decode_row_args(tmp, "64,10,3,1.0,0.411500,0.411500"), 3),
+    # int() reads 256; the event reader takes ASCII digits only
+    (lambda tmp: _decode_row_args(tmp, "2_56,10,3,1,0.411500,0.411500"), 3),
+    (lambda tmp: _decode_bytes_args(tmp, f"{EVENT_HEADER}\n".encode() + b"\xff\n"), 3),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
@@ -890,7 +904,9 @@ def _config_args(tmp_path, text):
         "center-not-the-level-center", "channel-contradicts-level-quantized",
         "level-outside-table-quantized", "center-not-the-level-center-quantized",
         "jsonl-channel-contradicts-level", "jsonl-center-not-exact",
-        "f32-partial-sample", "eval-kernels-zero"])
+        "f32-partial-sample", "eval-kernels-zero", "csv-header-only",
+        "csv-whitespace-line", "csv-float-in-int-column", "csv-underscore-int",
+        "csv-not-utf8"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     out = _cli(*make_argv(tmp_path))
     assert out.returncode == code, out.stderr
@@ -951,6 +967,163 @@ def test_mutated_event_line_never_escapes_cli(encoded_lines, name, data):
     argv = ["decode", str(mutated), "-o", str(out_dir / "x.f32"),
             "--length", "512", *SMALL_FLAGS]
     assert cli.main(argv) in (0, 3, 4)
+
+
+# ----- the per-line event parser, kept as the oracle of the array one -----
+
+def _event_from_fields(t, channel, kernel, level, center, raw=None) -> tuple:
+    t, center = int(t), float(center)
+    # sign information only survives in the raw column
+    raw = float(raw) if raw is not None else center
+    if t < 0 or not (math.isfinite(center) and math.isfinite(raw)):
+        raise ValueError(f"negative time {t} or non-finite intensity {center}, {raw}")
+    if center <= 0 or raw == 0:  # emit_stream writes neither
+        raise ValueError(f"intensity center {center} or raw intensity {raw}")
+    return t, int(channel), int(kernel), int(level), center, raw
+
+
+def _parse_events_oracle(path, table):
+    """`parse_events` one line at a time: `int()` and `float()` of each field
+    (which also read 2_56 as 256), then the contradicting-columns check."""
+    events = []
+    try:
+        with open(path) as fh:
+            first = fh.readline()
+            jsonl = first.lstrip().startswith("{")
+            if jsonl:
+                keys = None  # the header's, plus raw_intensity if the first has it
+                for line in [first] + fh.readlines():
+                    if not line.strip():
+                        continue
+                    rec = json.loads(line)
+                    keys = keys or EVENT_HEADER.split(",") + [
+                        "raw_intensity"] * ("raw_intensity" in rec)
+                    if sorted(rec) != sorted(keys):
+                        raise ValueError(f"record keys {sorted(rec)}, expected {keys}")
+                    events.append(_event_from_fields(*[json.dumps(rec[k]) for k in keys]))
+            elif first:
+                header = first.rstrip("\r\n")
+                if header not in (EVENT_HEADER, EVENT_HEADER + ",raw_intensity"):
+                    raise CorruptFile(f"unexpected event header in {path!r}")
+                for line in fh:
+                    if not line.strip():
+                        continue
+                    parts = line.split(",")
+                    if len(parts) != header.count(",") + 1:
+                        raise ValueError(f"{len(parts)} fields in {line.strip()!r}")
+                    events.append(_event_from_fields(*parts))
+        events = np.array(events, (np.record, EVENT_DTYPE))
+        centers = [c if jsonl else float(pipeline._fmt_intensity(c))
+                   for c in table.centers]
+        level, n = events["level"], len(centers)
+        center = np.array([*centers, np.nan])[np.minimum(level.view(np.uint64), n)]
+        if ((events["channel"] != events["m"] * n + level)
+                | (events["magnitude_level_center"] != center)).any():
+            raise ValueError("columns contradict the table")
+        return events.view(np.recarray)
+    except (ValueError, KeyError, OverflowError, TypeError) as exc:
+        raise CorruptFile(f"bad event record in {path!r}: {exc}")
+
+
+def _parsed_or_none(parse, path, table):
+    try:
+        return parse(str(path), table)
+    except CorruptFile:
+        return None
+
+
+EVENT_FORMATS = {"csv": (write_events_csv, False), "csv-raw": (write_events_csv, True),
+                 "jsonl": (write_events_jsonl, False),
+                 "jsonl-raw": (write_events_jsonl, True)}
+
+
+@st.composite
+def _emitted_events(draw):
+    """emit_stream's events for up to 30 random codes: (events, table)."""
+    kernels, width = draw(st.integers(1, 6)), draw(st.sampled_from([2, 8, 256]))
+    s = st.one_of(st.floats(-1e300, 1e300, allow_nan=False),
+                  st.sampled_from([5e-324, -2.5e-310, 1.7976931348623157e308]))
+    rows = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, kernels - 1),
+                                   st.integers(-(width // 2), width // 2), s),
+                         max_size=30))
+    table = build_channel_table(kernels)
+    metric = draw(st.sampled_from(["log", "linear"]))
+    return emit_stream([codes(*rows)], table, width, metric), table
+
+
+@settings(max_examples=200, deadline=None)
+@given(emitted=_emitted_events(), fmt=st.sampled_from(sorted(EVENT_FORMATS)))
+def test_parse_events_equals_the_per_line_oracle(tmp_path_factory, emitted, fmt):
+    events, table = emitted
+    path = tmp_path_factory.mktemp("oracle") / "events"
+    write, with_raw = EVENT_FORMATS[fmt]
+    with open(path, "w", newline="\n") as fh:
+        write(events, fh, with_raw)
+    got = parse_events(str(path), table)
+    want = _parse_events_oracle(str(path), table)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# MUTATION_CHARS and MUTATION_TOKENS plus the blanks, underscores, line
+# breaks, comment marks and spellings that int() and float() take or skip
+PARSE_MUTATION_CHARS = MUTATION_CHARS + " \t_#\n"
+PARSE_MUTATION_TOKENS = MUTATION_TOKENS + ["1.0", "2_56", " 64 ", "-64", "+3", "NaN",
+                                           "1 at row 99", "x at row 0"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(name=st.sampled_from(["ev.csv", "ev-plain.csv", "ev.jsonl"]), data=st.data())
+def test_mutated_event_line_parses_as_the_oracle_or_is_rejected(encoded_lines, name,
+                                                                 data):
+    # parse_events may reject what the oracle accepts (2_56, a float in an
+    # int column), never the reverse, and what both accept is the same array
+    out_dir, lines = encoded_lines[0], list(encoded_lines[1][name.replace("-plain", "")])
+    if name == "ev-plain.csv":  # the same events without the raw column
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    line = lines[i]
+    # one whole field, JSON key or JSON value is replaced
+    lo = data.draw(st.sampled_from(
+        [0] + [k + 1 for k, c in enumerate(line) if c in ",:"]), label="start")
+    hi = min([k for k, c in enumerate(line) if c in ",}" and k >= lo] + [len(line)])
+    text = data.draw(st.one_of(st.sampled_from(PARSE_MUTATION_TOKENS),
+                               st.text(PARSE_MUTATION_CHARS, max_size=8)), label="text")
+    lines[i] = line[:lo] + text + line[hi:]
+    mutated = out_dir / f"parse-mutated-{name}"
+    mutated.write_text("\n".join(lines) + "\n")
+    table = build_channel_table(6)
+    got = _parsed_or_none(parse_events, mutated, table)
+    if got is not None:
+        want = _parsed_or_none(_parse_events_oracle, mutated, table)
+        assert want is not None and got.tobytes() == want.tobytes()
+
+
+ROW = "64,10,3,1,0.411500"  # kernel 3 at level 1 of 3, as 6 kernels read it
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"{EVENT_HEADER}\n{ROW}\n\n64,1x,3,1,0.411500\n", 4),
+    (f"{EVENT_HEADER}\n\n{ROW}\n  \n64,10,3,1\n{ROW}\n", 5),
+    (f"{EVENT_HEADER}\n{ROW}\n\t\n{ROW}\n-64,10,3,1,0.411500\n", 5),
+    (f"{JSONL_RECORD}\n\n{JSONL_RECORD.replace('64', '70.9')}\n", 3),
+    (f"{JSONL_RECORD}\n{JSONL_RECORD.replace('3,', '[3, 4],')}\n", 2),
+    (f"{JSONL_RECORD}\n \n{JSONL_RECORD}\n{JSONL_RECORD.replace('10', '11')}\n", 4),
+    (JSONL_RECORD + "\n" + JSONL_RECORD.replace("}", ', "junk": 7}') + "\n", 2),
+    # numpy's message quotes the bad field, which may itself read "at row N"
+    (f"{EVENT_HEADER}\n{ROW}\n64,1 at row 99,3,1,0.411500\n", 3),
+    ("\n".join([JSONL_RECORD, JSONL_RECORD.replace("3,", '"x at row 0",'),
+                JSONL_RECORD, ""]), 2),
+    (f"{EVENT_HEADER}\n{ROW}\n\n".encode() + b"64,1\xff,3,1,0.411500\n", 4),
+], ids=["csv-conversion", "csv-field-count", "csv-field-check", "jsonl-conversion",
+        "jsonl-field-count", "jsonl-field-check", "jsonl-keys", "csv-field-quotes-a-row",
+        "jsonl-value-quotes-a-row", "csv-not-utf8"])
+def test_parse_error_names_the_file_line(tmp_path, text, line):
+    # loadtxt counts rows of the body, from 0 in a conversion error and from 1
+    # in a field-count error, and skips blank lines; the header is line 1
+    path = tmp_path / "events"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(CorruptFile, match=f"{path.name}' line {line}: "):
+        parse_events(str(path), build_channel_table(6))
 
 
 def _mixed_cli_steps(out_dir, signal_csv):
