@@ -61,7 +61,8 @@ SHARED_FLAGS = {
     "backend": dict(choices=["direct", "spectral"], default=EncoderConfig.backend,
                     help="correlation backend (default %(default)s); with --fixed "
                     "both run one datapath and write the same events"),
-    "fixed": dict(metavar="B:F", help="run the fixed-point datapath, e.g. 34:24"),
+    "fixed": dict(metavar="B:F", help="run the fixed-point datapath, e.g. 34:24; "
+                  "needs 0 < F < B <= 53 and B + F <= 62"),
     "select": dict(choices=["abs", "signed"], default=EncoderConfig.select,
                    help="pick the largest |c| or the largest c (default %(default)s)"),
     "itp": dict(choices=["log", "linear"], default=RunConfig.itp_metric,
@@ -262,6 +263,7 @@ def _cmd_eval(args) -> int:
     p, r, f1, macro = evaluate.prf1(counts)
     accuracy = evaluate.mlp_accuracy(model, features, labels)
     print(f"classes: {class_names}")
+    print("training-set scores: the model is scored on the files it trained on")
     for i, name in enumerate(class_names):
         print(f"  {name}: P={p[i]:.4f} R={r[i]:.4f} F1={f1[i]:.4f}")
     print(f"macro: P={macro[0]:.4f} R={macro[1]:.4f} F1={macro[2]:.4f} "

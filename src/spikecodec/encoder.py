@@ -261,8 +261,8 @@ def encode_segment(
     # inf or nan is the NumericError below, not a warning (errstate is per thread)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_codes):
-            # kept: the rows `values` holds (None: all); native: what subtract reads
-            native, kept, values = correlate(residual)
+            # kept: the rows `values` holds (None: all)
+            kept, values = correlate(residual)
             m, tau, s = select_code(values, cfg.select, kept)
             if not math.isfinite(s):
                 raise NumericError(f"segment {segment.segment_index}: picked intensity "
@@ -270,7 +270,7 @@ def encode_segment(
             if s == 0 or abs(s) < cfg.halt_threshold:
                 break
             rows.append((segment.segment_index, m, tau, s))
-            residual = subtract(residual, m, tau, s, native)
+            residual = subtract(residual, m, tau, s)
     return np.array(rows, CODE_DTYPE).view(np.recarray)
 
 
@@ -284,10 +284,10 @@ def _float_datapath(segment, dictionary, sdict, cfg, stats):
 
     def correlate(residual: np.ndarray):
         if cfg.backend == "direct":
-            return None, None, correlate_direct(residual, dictionary)
-        return None, *correlate_spectral(residual, sdict, cfg.select, carry)
+            return None, correlate_direct(residual, dictionary)
+        return correlate_spectral(residual, sdict, cfg.select, carry)
 
-    def subtract(residual: np.ndarray, m: int, tau: int, s: float, _native):
+    def subtract(residual: np.ndarray, m: int, tau: int, s: float):
         return subtract_component(residual, m, tau, s, dictionary)
 
     return segment.samples, correlate, subtract
@@ -296,13 +296,12 @@ def _float_datapath(segment, dictionary, sdict, cfg, stats):
 # ----- fixed-point datapath -----
 
 class _Supports(NamedTuple):
-    """Per raw kernel row: nonzero support [lo, hi), max |k| (uint64),
-    sum |k| (Python ints), and the largest max |r| for which no running sum
-    of the row can leave the word (`_rmax_limit`); all exact at 64 bits."""
+    """Per raw kernel row: nonzero support [lo, hi), sum |k|, and the
+    largest max |r| for which no running sum of the row can leave the word
+    (`_rmax_limit`)."""
 
     lo: np.ndarray
     hi: np.ndarray
-    kmax: np.ndarray
     kabs: np.ndarray
     rmax_limit: np.ndarray
 
@@ -315,46 +314,42 @@ class _Screen(NamedTuple):
     slack: np.ndarray  # the slack's fixed part, (hi - lo) / 2 + 1
     float_slack: np.ndarray  # its float term per unit of max |r|, 1e-9 sum |k| / 2^F
     kernels: np.ndarray  # the raw kernels over their common support
-    kmax: int  # the largest max |k| of all rows
 
 
 def _rmax_limit(n: int, kabs: int, fmt: FixedFormat) -> int:
     """Largest max |r| for which no running sum of a kernel row with n
     support columns and sum |k| = kabs can leave the word, in exact ints:
     ((rmax * kabs) >> F) + n <= raw_max, which bounds every running sum
-    since |round(p / 2**F)| <= (|p| >> F) + 1. Capped at int64's maximum;
-    -1 for an all-zero row, and above 53 bits, where the screen's float
-    ranks are inexact, so that every row there is loose."""
-    if kabs == 0 or fmt.total_bits > 53:
+    since |round(p / 2**F)| <= (|p| >> F) + 1. Below 2**(B - 1 + F) <= 2**61;
+    -1 for an all-zero row."""
+    if kabs == 0:
         return -1
-    return min((((fmt.raw_max - n + 1) << fmt.frac_bits) - 1) // kabs, (1 << 63) - 1)
+    return (((fmt.raw_max - n + 1) << fmt.frac_bits) - 1) // kabs
 
 
 def _kernel_supports(kernels_raw: np.ndarray, fmt: FixedFormat) -> _Supports:
-    """`_Supports` of the raw kernels; (0, 0, 0, 0, -1) for an all-zero row."""
-    mag = np.abs(kernels_raw).view(np.uint64)  # |int64's minimum| is 2**63 here
+    """`_Supports` of the raw kernels; (0, 0, 0, -1) for an all-zero row."""
+    mag = np.abs(kernels_raw)
     nonzero = mag > 0
     lo = np.argmax(nonzero, axis=1)
     last = mag.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
     hi = np.where(nonzero.any(axis=1), last, 0)
-    kmax, kabs = mag.max(axis=1, initial=0), mag.sum(axis=1, dtype=object)
+    kabs = mag.sum(axis=1)
     limit = [_rmax_limit(int(b - a), int(s), fmt) for a, b, s in zip(lo, hi, kabs)]
-    return _Supports(lo, hi, kmax, kabs, np.array(limit, np.int64))
+    return _Supports(lo, hi, kabs, np.array(limit, np.int64))
 
 
-def _summed_entries(resid_raw, lo, hi, kernels, ms, js, frac_bits, wide):
+def _summed_entries(resid_raw, lo, hi, kernels, ms, js, frac_bits):
     """Exact entries (ms[i], js[i]) of rows whose running sums cannot leave
     the word, so that their terms sum in any order: entry (m, j) sums the
     products of kernels[m], the kernel over columns [lo, hi), with row j of
-    `_residual_windows`, in chunks of about 2**20 products. They are Python
-    ints when `wide`, as int64 cannot hold every product."""
+    `_residual_windows`, in chunks of about 2**20 products."""
     windows = _residual_windows(resid_raw, lo, hi)
     out = np.empty(len(ms), np.int64)
     step = (1 << 20) // (hi - lo) + 1
     for i in range(0, len(ms), step):
         chunk = slice(i, i + step)
-        rows = windows[js[chunk]]
-        products = (rows.astype(object) if wide else rows) * kernels[ms[chunk]]
+        products = windows[js[chunk]] * kernels[ms[chunk]]
         out[chunk] = np.add.reduce(rescale_half_even_array(products, frac_bits), 1)
     return out
 
@@ -376,11 +371,12 @@ def _correlate_fixed_direct(
     the word, so its entries are plain sums (`_summed_entries`). Every
     other (loose) row is computed in full with the overflow policy applied
     at every step, by a column scan over `_residual_windows`, and returned.
-    Both run on Python ints where int64 is too narrow. Both backends run it
-    in fixed point, so they give the same integers.
+    int64 holds every product, |r k| <= 2**61 (`_fixed_tables`), and every
+    acc + term. Both backends run it in fixed point, so they give the same
+    integers.
     """
     w, num = len(resid_raw), len(kernels_raw)
-    rmax = max(int(resid_raw.max()), -int(resid_raw.min()))  # exact at raw_min
+    rmax = int(np.abs(resid_raw).max())
     if rmax == 0:
         return np.arange(num), np.zeros((num, w + 1), np.int64)
     loose = (rmax > supports.rmax_limit).nonzero()[0]
@@ -389,11 +385,8 @@ def _correlate_fixed_direct(
         windows = _residual_windows(resid_raw, 0, kernels_raw.shape[1])
     for i, m in enumerate(loose):  # a column scan, all shifts at once
         span = slice(supports.lo[m], supports.hi[m])
-        cols, krow = windows[:, span], kernels_raw[m, span]
-        # int64 holds acc + term while |acc| <= 2**61 and |term| <= 2**61 + 1
-        if fmt.total_bits > 62 or rmax * int(supports.kmax[m]) >= (1 << 62):
-            cols = cols.astype(object)
-        for term in rescale_half_even_array(cols * krow, fmt.frac_bits).T:
+        products = windows[:, span] * kernels_raw[m, span]
+        for term in rescale_half_even_array(products, fmt.frac_bits).T:
             loose_values[i] = apply_overflow_array(loose_values[i] + term, fmt, stats)
     if len(loose) == num:
         return loose, loose_values
@@ -425,17 +418,21 @@ def _correlate_fixed_direct(
                      np.int64)
     values[rows.searchsorted(loose)] = loose_values
     values[rows.searchsorted(ms), js] = _summed_entries(
-        resid_raw, *table.sdict.support, table.kernels, ms, js, fmt.frac_bits,
-        rmax * table.kmax >= (1 << 62))
+        resid_raw, *table.sdict.support, table.kernels, ms, js, fmt.frac_bits)
     return rows, values
 
 
 def _fixed_tables(dictionary: Dictionary, fmt: FixedFormat, width: int) -> tuple:
     """What the fixed datapath reads of a dictionary under one format and
     width: the raw kernels, the (saturations, wraps) of quantizing them,
-    their `_Supports` and their `_Screen`."""
+    their `_Supports` and their `_Screen`. Raises InvalidConfig unless every
+    raw tap |k| <= 2**F, as unit-norm kernels' are: then every product
+    r k or s k is at most 2**(B - 1 + F) <= 2**61 in magnitude."""
     counts = SaturationStats()
     kernels_raw = quantize_array(dictionary.kernels, fmt, counts)
+    if np.abs(kernels_raw).max(initial=0) > fmt.scale:
+        raise InvalidConfig(f"fixed point needs kernel taps of magnitude at "
+                            f"most 1.0, got {np.abs(dictionary.kernels).max()}")
     kernels_raw.flags.writeable = False
     overflows = (counts.saturations, counts.wraps)
     supports = _kernel_supports(kernels_raw, fmt)
@@ -443,8 +440,8 @@ def _fixed_tables(dictionary: Dictionary, fmt: FixedFormat, width: int) -> tuple
     lo, hi = dequantized.support
     return kernels_raw, overflows, supports, _Screen(
         kernel_spectra(dequantized, signal_len=width),
-        (supports.hi - supports.lo) / 2 + 1, 1e-9 * supports.kabs.astype(float) / fmt.scale,
-        kernels_raw[:, lo:hi], int(supports.kmax.max()))
+        (supports.hi - supports.lo) / 2 + 1, 1e-9 * supports.kabs / fmt.scale,
+        kernels_raw[:, lo:hi])
 
 
 def _fixed_datapath(segment, dictionary, _sdict, cfg, stats):
@@ -462,20 +459,12 @@ def _fixed_datapath(segment, dictionary, _sdict, cfg, stats):
     def correlate(resid_raw: np.ndarray):
         rows, surface_raw = _correlate_fixed_direct(
             resid_raw, kernels_raw, supports, fmt, stats, screen_table, cfg.select)
-        return (rows, surface_raw), rows, dequantize_array(surface_raw, fmt)
+        return rows, dequantize_array(surface_raw, fmt)
 
-    def subtract(resid_raw: np.ndarray, m: int, tau: int, _s, native):
-        # the raw pick, not s requantized: inexact past 53 bits
-        rows, surface_raw = native
-        s_raw = int(surface_raw[rows.searchsorted(m), tau + segment.width // 2])
+    def subtract(resid_raw: np.ndarray, m: int, tau: int, s: float):
+        # s is the dequantized raw pick, exact: s 2^F gives it back
         shifted = shift_kernel(kernels_raw[m], tau, segment.width)
-        # int64 holds r - scaled while |scaled| <= 2**61 (the row's max |k|
-        # bounds the shifted one's) and, below 64 bits, |r| <= 2**62
-        wide = abs(s_raw) * int(supports.kmax[m]) >= (1 << 62) or fmt.total_bits == 64
-        if wide:  # the same arithmetic on Python ints
-            resid_raw, shifted = resid_raw.astype(object), shifted.astype(object)
-        scaled = rescale_half_even_array(s_raw * shifted, fmt.frac_bits)
-        resid_raw = apply_overflow_array(resid_raw - scaled, fmt, stats)
-        return resid_raw.astype(np.int64) if wide else resid_raw
+        scaled = rescale_half_even_array(int(s * fmt.scale) * shifted, fmt.frac_bits)
+        return apply_overflow_array(resid_raw - scaled, fmt, stats)
 
     return quantize_array(segment.samples, fmt, stats), correlate, subtract

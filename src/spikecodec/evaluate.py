@@ -87,6 +87,8 @@ def prf1(counts: ConfusionCounts):
 
 # ----- multilayer perceptron -----
 
+HIDDEN = (256, 64)  # the two hidden layers' widths
+
 @dataclass(frozen=True)
 class MlpTrainConfig:
     epochs: int = 400
@@ -94,7 +96,6 @@ class MlpTrainConfig:
     learning_rate: float = 1e-3
     lr_decay: float = 0.9  # multiplicative, applied every decay_every epochs
     decay_every: int = 50
-    hidden: tuple[int, ...] = (256, 64)
     seed: int = 0
 
     def validate(self) -> None:
@@ -127,7 +128,7 @@ class MlpModel:
 def init_mlp(num_inputs: int, num_classes: int, cfg: MlpTrainConfig) -> MlpModel:
     """Fan-in-scaled uniform weight init, zero biases, seeded."""
     rng = np.random.default_rng(cfg.seed)
-    sizes = [num_inputs, *cfg.hidden, num_classes]
+    sizes = [num_inputs, *HIDDEN, num_classes]
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)

@@ -4,8 +4,9 @@ Models the encoder's hardware datapath: a 34-bit signed word with 24
 fractional bits by default, round-to-nearest-even at every rescale, and
 saturating (or optionally wrapping) overflow. Scalar ops (`quantize`,
 `macc`, `fixed_dot`) use exact Python integers and are the bit-level
-reference; the `*_array` helpers are vectorized equivalents used by the
-encoder's fixed mode, exact at any width on Python-int (object) arrays.
+reference; the `*_array` helpers are their int64 equivalents, used by the
+encoder's fixed mode: B <= 53 keeps every raw value an exact float, and
+B + F <= 62 every raw value times a kernel tap |k| <= 1.0 within 2^61.
 
 Accumulation order is ascending sample index throughout, so results are
 bit-reproducible across runs and platforms.
@@ -27,10 +28,11 @@ class FixedFormat:
     overflow: str = "saturate"  # or "wrap"
 
     def __post_init__(self):
-        if not (0 < self.frac_bits < self.total_bits <= 64):
+        if not (0 < self.frac_bits < self.total_bits <= 53
+                and self.total_bits + self.frac_bits <= 62):
             raise InvalidConfig(
-                f"need 0 < frac_bits < total_bits <= 64, got TOTAL:FRAC "
-                f"{self.total_bits}:{self.frac_bits}"
+                f"need 0 < frac_bits < total_bits <= 53 and total_bits + frac_bits "
+                f"<= 62, got TOTAL:FRAC {self.total_bits}:{self.frac_bits}"
             )
         if self.overflow not in ("saturate", "wrap"):
             raise InvalidConfig(f"unknown overflow policy {self.overflow!r}")
@@ -142,29 +144,29 @@ def macc(
 def quantize_array(
     x: np.ndarray, fmt: FixedFormat, stats: SaturationStats | None = None
 ) -> np.ndarray:
-    """Vectorized `quantize`: the same raw values, as int64, and counts."""
+    """Vectorized `quantize`: the same raw values, as int64, and counts. A
+    value past the word stays past it on its way into int64, so that
+    `apply_overflow_array` counts it: clipped to one step past the word, or,
+    under wrap, moved from |x 2^F| >= 2^B into [2^B, 2^(B+1)) with its sign
+    and its residue mod 2^B (np.fmod is exact)."""
     x = np.asarray(x, dtype=np.float64)
-    if fmt.total_bits <= 53:  # raw_min - 1 and raw_max + 1 are exact floats
-        # clip (infinities too) to one step past the word before scaling, so
-        # the product cannot overflow and the cast fits int64; counting happens
-        # on the ints. Exact scaling by 2^F commutes with the clip and with
-        # rint. Under wrap a finite value past the clip wraps whole, below.
-        clipped = np.clip(x, (fmt.raw_min - 1) / fmt.scale, (fmt.raw_max + 1) / fmt.scale)
-        if fmt.overflow == "saturate" or not (np.isfinite(x) & (x != clipped)).any():
-            scaled = np.rint(clipped * fmt.scale)
-            scaled = np.where(np.isnan(scaled), 0.0, scaled)
-            return apply_overflow_array(scaled.astype(np.int64), fmt, stats)
-    # exact at any width, in Python ints, with quantize's infinities
-    with np.errstate(over="ignore"):  # past the float: inf, as in quantize
-        scaled = np.rint(x * fmt.scale)
-    raw, finite = np.zeros(x.shape, object), np.isfinite(scaled)  # NaN -> 0
-    raw[scaled == np.inf], raw[scaled == -np.inf] = fmt.raw_max + 1, fmt.raw_min - 1
-    raw[finite] = [int(v) for v in scaled[finite].tolist()]
-    return np.asarray(apply_overflow_array(raw, fmt, stats), np.int64)  # 0-d: an int
+    lo, hi = fmt.raw_min - 1, fmt.raw_max + 1  # exact floats below 2^53
+    if fmt.overflow == "saturate":
+        # clip first, so that the product cannot overflow: exact scaling by
+        # 2^F commutes with the clip and with rint
+        scaled = np.rint(np.clip(x, lo / fmt.scale, hi / fmt.scale) * fmt.scale)
+        scaled = np.where(np.isnan(scaled), 0.0, scaled)
+    else:
+        with np.errstate(over="ignore"):  # past the float: inf, as in quantize
+            scaled = np.nan_to_num(np.rint(x * fmt.scale), nan=0.0, posinf=hi, neginf=lo)
+        span = 2.0 ** fmt.total_bits
+        scaled = np.where(np.abs(scaled) < span, scaled,
+                          np.fmod(scaled, span) + np.copysign(span, scaled))
+    return apply_overflow_array(scaled.astype(np.int64), fmt, stats)
 
 
 def dequantize_array(raw: np.ndarray, fmt: FixedFormat) -> np.ndarray:
-    # int64 raw / 2**frac is exact in float64 for |raw| < 2**53
+    # exact: every raw value is below 2**53
     return raw.astype(np.float64) / fmt.scale
 
 
@@ -186,12 +188,13 @@ def apply_overflow_array(
 
 
 def rescale_half_even_array(products: np.ndarray, frac_bits: int) -> np.ndarray:
-    """Vectorized `_round_half_even` over an int64 or Python-int product array.
+    """Vectorized `_round_half_even` over an int64 product array.
 
     Computes (p + half - 1 + ((p >> f) & 1)) >> f: adding half - 1 rounds
     every remainder above half up, and the quotient's low bit adds the one
-    more needed to lift an exact half to the even neighbour. Exact on Python
-    ints, and for |p| < 2**62, which every caller's headroom check guarantees.
+    more needed to lift an exact half to the even neighbour. Exact for
+    |p| < 2**62: every product of a raw value and a kernel tap, and
+    `fixed_dot`'s products under its headroom test.
     """
     out = products >> frac_bits  # arithmetic shift == floor division
     out &= 1

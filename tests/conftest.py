@@ -12,6 +12,7 @@ from spikecodec.dictionary import (
     kernel_spectra,
 )
 from spikecodec.encoder import CODE_DTYPE, _lag_transform
+from spikecodec.evaluate import MlpModel
 from spikecodec.spikecoder import EVENT_DTYPE
 
 
@@ -35,6 +36,15 @@ def column_zero_dictionary():
     kernels /= np.linalg.norm(kernels, axis=1)[:, None]
     return Dictionary(kernels, np.arange(1.0, 6.0), DictionaryConfig(
         num_kernels=5, kernel_len=length))
+
+
+def small_mlp(sizes, seed):
+    """An MlpModel with the given layer sizes, smaller than `init_mlp`'s
+    fixed hidden layers: fan-in-scaled uniform weights, seeded, zero biases."""
+    rng = np.random.default_rng(seed)
+    weights = [rng.uniform(-1 / np.sqrt(a), 1 / np.sqrt(a), (a, b))
+               for a, b in zip(sizes, sizes[1:])]
+    return MlpModel(weights, [np.zeros(b) for b in sizes[1:]])
 
 
 def events(*rows):

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from spikecodec import cli, fixedpoint
 from spikecodec.decoder import error_curve, reconstruct
@@ -28,6 +29,7 @@ from spikecodec.encoder import (
     encode_segment,
     shift_kernel,
 )
+from spikecodec.errors import InvalidConfig
 from spikecodec.evaluate import (
     MlpTrainConfig,
     init_mlp,
@@ -50,7 +52,7 @@ from spikecodec.pipeline import (
 )
 from spikecodec.spikecoder import DEFAULT_CENTERS, build_channel_table, nearest_level
 
-from conftest import max_in_support_shift
+from conftest import max_in_support_shift, small_mlp
 
 W = 2048
 
@@ -105,8 +107,9 @@ def test_criterion_2_fixed_point_backend_equivalence(tmp_path, capsys, monkeypat
     """In fixed point both backends run one datapath: byte-identical code
     arrays and equal overflow counts at every format, on noise and on a
     clip (loud enough to overflow, too); and CLI event files, raw intensity
-    included, byte for byte with the same overflow line. Past int64
-    headroom (48:36) the encoder makes no call of the scalar `macc`."""
+    included, byte for byte with the same overflow line. At the widest
+    word (53:9) the encoder makes no call of the scalar `macc`; a format
+    int64 cannot hold exactly (48:36) is rejected, exit 2 on the CLI."""
     start = time.perf_counter()
     macc_calls, macc = [], fixedpoint.macc
     monkeypatch.setattr(fixedpoint, "macc", lambda *a: macc_calls.append(1) or macc(*a))
@@ -116,7 +119,7 @@ def test_criterion_2_fixed_point_backend_equivalence(tmp_path, capsys, monkeypat
     signals = {"noise": np.random.default_rng(2).standard_normal(8 * width),
                "clip": clip, "loud clip": 300.0 * clip[4 * width : 6 * width]}
     for fmt in (FixedFormat(34, 24), FixedFormat(24, 14), FixedFormat(20, 10),
-                FixedFormat(16, 8), FixedFormat(20, 10, "wrap"), FixedFormat(48, 36)):
+                FixedFormat(16, 8), FixedFormat(20, 10, "wrap"), FixedFormat(53, 9)):
         for name, x in signals.items():
             runs = []
             for backend in ("direct", "spectral"):
@@ -126,10 +129,12 @@ def test_criterion_2_fixed_point_backend_equivalence(tmp_path, capsys, monkeypat
                 codesets = encode_signal(x, d, cfg, stats=stats)
                 runs.append(([cs.tobytes() for cs in codesets], stats))
             assert runs[0] == runs[1], f"{fmt} on {name}"
+    with pytest.raises(InvalidConfig, match="total_bits <= 53"):
+        FixedFormat(48, 36)
 
     signal = tmp_path / "clip.csv"
     write_waveform(make_audio_clip(4096, seed=0), str(signal))
-    for fixed, width in (("34:24", "256"), ("20:10", "256"), ("48:36", "128")):
+    for fixed, width in (("34:24", "256"), ("20:10", "256"), ("53:9", "128")):
         files, lines = [], []
         for backend in ("direct", "spectral"):
             out = tmp_path / f"{backend}.jsonl"
@@ -141,6 +146,9 @@ def test_criterion_2_fixed_point_backend_equivalence(tmp_path, capsys, monkeypat
             lines.append(capsys.readouterr().out.splitlines()[-1])
         assert files[0] == files[1], fixed
         assert lines[0] == lines[1] and lines[0].startswith("saturations "), fixed
+    out = tmp_path / "rejected.jsonl"
+    assert cli.main(["encode", str(signal), "-o", str(out), "--fixed", "48:36"]) == 2
+    assert not out.exists() and "total_bits <= 53" in capsys.readouterr().err
     assert not macc_calls
     _report("criterion 2 (fixed-point backend equivalence, 6 formats)",
             time.perf_counter() - start)
@@ -310,7 +318,7 @@ def test_criterion_8_mlp_health():
     probs = mlp_forward(model, rng.standard_normal((64, 120)))
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
-    check = init_mlp(10, 3, MlpTrainConfig(hidden=(8, 6), seed=1))
+    check = small_mlp([10, 8, 6, 3], seed=1)
     x = rng.standard_normal((5, 10))
     y = np.array([0, 1, 2, 1, 0])
     _, grads_w, _ = mlp_loss_and_grads(check, x, y)

@@ -20,7 +20,7 @@ from spikecodec.evaluate import (
 )
 from spikecodec.spikecoder import build_channel_table
 
-from conftest import events as event_array
+from conftest import events as event_array, small_mlp
 
 
 def _event(t, channel, levels=3):
@@ -135,21 +135,21 @@ def test_zeroed_model_outputs_uniform_probabilities():
 
 
 def test_probabilities_sum_to_one():
-    model = init_mlp(32, 5, MlpTrainConfig(hidden=(16, 8), seed=2))
+    model = small_mlp([32, 16, 8, 5], seed=2)
     rng = np.random.default_rng(3)
     probs = mlp_forward(model, rng.standard_normal((50, 32)))
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
 
 def test_shape_mismatch_rejected():
-    model = init_mlp(16, 2, MlpTrainConfig(hidden=(8,)))
+    model = small_mlp([16, 8, 2], seed=0)
     with pytest.raises(ShapeMismatch):
         mlp_forward(model, np.zeros(17))
 
 
 def test_gradients_match_central_differences():
     # oracle: (L(w+eps) - L(w-eps)) / 2 eps at 20 random coordinates
-    model = init_mlp(10, 3, MlpTrainConfig(hidden=(8, 6), seed=1))
+    model = small_mlp([10, 8, 6, 3], seed=1)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((5, 10))
     y = np.array([0, 1, 2, 1, 0])
@@ -213,7 +213,7 @@ def test_training_is_deterministic():
 
 
 def test_model_save_load_round_trip():
-    model = init_mlp(12, 3, MlpTrainConfig(hidden=(7, 5), seed=8))
+    model = small_mlp([12, 7, 5, 3], seed=8)
     buf = io.StringIO()
     save_model(model, buf)
     buf.seek(0)

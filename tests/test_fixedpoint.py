@@ -47,6 +47,24 @@ from spikecodec.pipeline import make_audio_clip
 from conftest import column_zero_dictionary, spectral_surface
 
 FMT = FixedFormat(total_bits=34, frac_bits=24)
+# every (B, F, policy) FixedFormat accepts: 0 < F < B <= 53, B + F <= 62
+ACCEPTED_FORMATS = [FixedFormat(b, f, overflow) for b in range(2, 54)
+                    for f in range(1, min(b, 63 - b)) for overflow in ("saturate", "wrap")]
+# formats int64 cannot hold exactly, which earlier versions ran on Python
+# ints; a test row that names one checks that it is rejected
+REJECTED_FORMATS = {"48:36", "52:40", "62:58", "63:59", "64:60", "64:60-wrap"}
+
+
+def _accepted_format(name):
+    """The FixedFormat that "B:F" or "B:F-wrap" names, or None for a name
+    in REJECTED_FORMATS, once FixedFormat is seen to reject it."""
+    total, frac = map(int, name.removesuffix("-wrap").split(":"))
+    overflow = "wrap" if name.endswith("-wrap") else "saturate"
+    if name not in REJECTED_FORMATS:
+        return FixedFormat(total, frac, overflow)
+    with pytest.raises(InvalidConfig, match="total_bits <= 53 and total_bits"):
+        FixedFormat(total, frac, overflow)
+    return None
 
 
 def test_quantize_zero_and_one():
@@ -130,22 +148,20 @@ def test_quantize_array_matches_scalar_including_ties():
     raw = quantize_array(values, FMT)
     for v, r in zip(values, raw):
         assert quantize(float(v), FMT).raw == r
-    # under wrap a value past the word wraps whole, however far it lies:
-    # 600.0 at 20:10 is -434176, not raw_min
-    # past 53 bits raw_min - 1 is no float: 56:30 and 60:4-wrap miscounted
-    # -inf and -1e300 in an int64 pass; from 63 bits raw_max + 1 is no int64
+    # every accepted format and policy: under wrap a value past the word
+    # wraps whole, however far it lies (600.0 at 20:10 is -434176, not
+    # raw_min), 1.7e308 times 2^F is inf, and 2^B and its multiples wrap
+    # to zero but still count
     rng = np.random.default_rng(4)
-    for fmt in (FixedFormat(10, 4, "wrap"), FixedFormat(20, 10, "wrap"),
-                FixedFormat(34, 24, "wrap"), FMT, FixedFormat(56, 30),
-                FixedFormat(60, 4, "wrap"), FixedFormat(63, 59), FixedFormat(64, 60),
-                FixedFormat(64, 60, "wrap"), FixedFormat(64, 4, "wrap")):
+    for fmt in ACCEPTED_FORMATS:
         edge = (fmt.raw_max + 1) / fmt.scale
         values = np.concatenate([
-            [600.0, 1000.3, -700.2, 1e300, -1e300, np.inf, -np.inf, np.nan],
-            edge * np.array([1.0, -1.0, 2.0, -2.0, 3.5]),
-            edge + np.array([-1.5, -0.5, 0.5, 1.5]) * fmt.lsb,
-            rng.choice([-1, 1], 2000) * edge * 10.0 ** rng.uniform(-2, 6, 2000),
-        ])
+            [600.0, 1000.3, -700.2, 1e300, -1e300, 1.7e308, -1.7e308,
+             np.inf, -np.inf, np.nan],
+            edge * np.array([1.0, -1.0, 2.0, -2.0, 3.5, 2.0**60]),
+            (edge + np.array([-1.5, -0.5, 0.5, 1.5]) * fmt.lsb) * [[1.0], [-1.0]],
+            rng.choice([-1, 1], 16) * edge * 10.0 ** rng.uniform(-2, 290, 16),
+        ], axis=None)
         stats, scalar_stats = SaturationStats(), SaturationStats()
         raw = quantize_array(values, fmt, stats)
         assert raw.tolist() == [quantize(v, fmt, scalar_stats).raw for v in values]
@@ -167,13 +183,13 @@ def test_fixed_dot_matches_scalar_macc_chain():
 
 
 def test_fixed_dot_headroom_fallback_matches_scalar():
-    # operands big enough that int64 products would overflow the fast path,
-    # and int64's minimum, which np.abs leaves negative
-    fmt = FixedFormat(total_bits=64, frac_bits=32)
+    # operands big enough that int64 products would overflow the fast path:
+    # at 53:9, the widest word, raw_min squared is 2**104
+    fmt = FixedFormat(total_bits=53, frac_bits=9)
     for a, b in [
         ([(1 << 40) + 12345, -(1 << 41) + 7, 1 << 39],
          [(1 << 40) - 999, (1 << 38) + 3, -(1 << 40)]),
-        ([fmt.raw_min, 1], [2, 0]),
+        ([fmt.raw_min, 1], [fmt.raw_min, 0]),
     ]:
         a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
         acc = FixedValue(0, fmt)
@@ -232,7 +248,8 @@ def _fixed_surface_oracle(resid_raw, kernels_raw, fmt, stats):
         (256, FMT, 1.0, False),  # real-scale input
         (128, FMT, 400.0, True),  # saturating rows take the exact fallback
         (256, FixedFormat(20, 10, "wrap"), 300.0, True),
-        (64, FixedFormat(48, 36), 1.0, False),  # the gather multiplies Python ints
+        (64, FixedFormat(53, 9), 1.0, False),  # the widest word
+        (64, FixedFormat(40, 22), 1e6, True),  # B + F = 62: |r k| up to 2**61
     ],
 )
 def test_fixed_direct_surface_matches_scalar_oracle(
@@ -245,31 +262,13 @@ def test_fixed_direct_surface_matches_scalar_oracle(
     for select in ("abs", "signed"):
         stats = _check_screened_pick(d, resid_raw, fmt, select)
         assert (stats.saturations + stats.wraps > 0) == overflow_counted
-    if fmt.total_bits == 48:  # int64 cannot hold the products
-        rmax = int(np.max(np.abs(resid_raw)))
-        assert rmax * _fixed_tables(d, fmt, width)[3].kmax >= 1 << 62
-
-
-def test_fixed_direct_reads_int64_min_as_the_largest_magnitude():
-    # np.abs leaves int64's minimum, 64 bits' raw_min, negative: max |r| must
-    # still read 2**63, so every nonzero row is loose and computed in full
-    width, fmt = 64, FixedFormat(64, 4)
-    kernels_raw, _, supports, table = _fixed_tables(_screen_setup(width), fmt, width)
-    resid_raw = np.resize(np.array([1, -1, 0], np.int64), width)
-    resid_raw[width // 2] = fmt.raw_min
-    rows, values = _correlate_fixed_direct(resid_raw, kernels_raw, supports, fmt,
-                                           None, table, "abs")
-    oracle = _fixed_surface_oracle(resid_raw, kernels_raw, fmt, None)
-    nonzero = np.flatnonzero(supports.kmax)
-    assert len(nonzero) and np.all(np.isin(nonzero, rows))
-    assert np.array_equal(values[np.searchsorted(rows, nonzero)], oracle[nonzero])
 
 
 @pytest.mark.parametrize("fmt, taps", [
-    (FixedFormat(64, 63), [-1.0]),  # int64's minimum, |k| = 2**63
-    (FixedFormat(64, 60), [1 / 16] * 256),  # unit norm, sum |k| = 2**64
-], ids=["64:63-minimum", "64:60-boxcar"])
-def test_fixed_direct_encodes_64_bit_kernels_exactly(fmt, taps):
+    (FixedFormat(31, 30), [-1.0]),  # raw_min, |k| = 2**F: the tap limit
+    (FixedFormat(53, 9), [1 / 16] * 256),  # unit norm, sum |k| = 2**13
+], ids=["31:30-minimum", "53:9-boxcar"])
+def test_fixed_direct_encodes_kernels_at_the_tap_limit_exactly(fmt, taps):
     # a 0.5-scaled shifted copy of kernel 0 encodes to that one code, and
     # the residual is then exactly zero; kernel 1 is a decoy
     width = 512
@@ -284,30 +283,48 @@ def test_fixed_direct_encodes_64_bit_kernels_exactly(fmt, taps):
     assert codes.tolist() == [(0, 0, -100, 0.5)]
 
 
-@pytest.mark.parametrize("fmt", [
-    FixedFormat(64, 60), FixedFormat(64, 60, "wrap"), FixedFormat(63, 59),
-    FixedFormat(62, 58), FMT, FixedFormat(20, 10, "wrap"),
-], ids=["64:60", "64:60-wrap", "63:59", "62:58", "34:24", "20:10-wrap"])
-def test_fixed_subtract_equals_exact_integer_arithmetic(fmt):
-    # at 64 bits r - round(s k / 2^F) can leave int64 before the overflow
-    # policy sees it; a 7.9 sine at 64:60 saturates its first pick
+def test_fixed_point_rejects_a_kernel_tap_past_one():
+    # int64 holds every product r k only while |k| <= 1.0 (2^F raw), as it
+    # is for unit-norm kernels; the float datapath takes any kernel
+    width = 64
+    kernels = np.zeros((2, width))
+    kernels[:, 40] = [-1.0, 1.5]
+    d = Dictionary(kernels, np.array([1.0, 2.0]), DictionaryConfig(
+        num_kernels=2, kernel_len=width))
+    x = shift_kernel(kernels[0], -8, width)
+    cfg = EncoderConfig(max_codes=2, width=width, arithmetic="fixed", fixed_format=FMT)
+    with pytest.raises(InvalidConfig, match="magnitude at most 1.0, got 1.5"):
+        encode_segment(Segment(x), d, None, cfg)
+    assert len(encode_segment(Segment(x), d, None, replace(cfg, arithmetic="float")))
+    d = replace(d, kernels=kernels[:1])
+    assert encode_segment(Segment(x), d, None, cfg).tolist() == [(0, 0, -8, 1.0)]
+
+
+@pytest.mark.parametrize("name", [
+    "64:60", "64:60-wrap", "63:59", "62:58", "34:24", "20:10-wrap", "53:9", "40:22",
+    "40:22-wrap",
+])
+def test_fixed_subtract_equals_exact_integer_arithmetic(name):
+    # r - round(s k / 2^F) before the overflow policy, with the word's ends
+    # in r and s: |s k| reaches 2**(B - 1 + F), 2**61 at 53:9 and 40:22
+    fmt = _accepted_format(name)
+    if fmt is None:
+        return
     width = 128
     d = build_dictionary(DictionaryConfig(num_kernels=6, kernel_len=width))
     cfg = EncoderConfig(max_codes=4, width=width, arithmetic="fixed", fixed_format=fmt)
     stats = SaturationStats()
     resid_raw, correlate, subtract = encoder._fixed_datapath(
         Segment(7.9 * np.sin(0.3 * np.arange(width))), d, None, cfg, stats)
-    native, kept, values = correlate(resid_raw)
-    m, tau, _ = select_code(values, cfg.select, kept)
-    s_raw = int(native[1][np.searchsorted(kept, m), tau + width // 2])
+    kept, values = correlate(resid_raw)
+    m, tau, s = select_code(values, cfg.select, kept)
+    s_raw = int(s * fmt.scale)
     kernels_raw = _fixed_tables(d, fmt, width)[0]
     extremes = np.resize(np.array([fmt.raw_max, fmt.raw_min, 0, 1]), width)
     for resid in (resid_raw, extremes):
         for m, tau, s_raw in [(m, tau, s_raw), (2, -17, fmt.raw_max), (4, 30, fmt.raw_min)]:
-            surface = np.zeros((d.num_kernels, width + 1), np.int64)
-            surface[m, tau + width // 2] = s_raw
             before, exact_stats = (stats.saturations, stats.wraps), SaturationStats()
-            got = subtract(resid, m, tau, None, (np.arange(d.num_kernels), surface))
+            got = subtract(resid, m, tau, s_raw / fmt.scale)
             shifted = shift_kernel(kernels_raw[m], tau, width).tolist()
             exact = [fixedpoint._apply_overflow(r - round(Fraction(s_raw * k, fmt.scale)),
                                                 fmt, exact_stats)
@@ -319,19 +336,15 @@ def test_fixed_subtract_equals_exact_integer_arithmetic(fmt):
 
 def _word_test(rmax, n, kabs, fmt):
     """The no-overflow test of a kernel row with n support columns and
-    sum |k| = kabs: the bound on every running sum fits the word. Above 53
-    bits every row fails it, as the screen's float ranks are inexact."""
-    return fmt.total_bits <= 53 and kabs > 0 and (
-        ((rmax * kabs) >> fmt.frac_bits) + n <= fmt.raw_max)
+    sum |k| = kabs: the bound on every running sum fits the word."""
+    return kabs > 0 and ((rmax * kabs) >> fmt.frac_bits) + n <= fmt.raw_max
 
 
 @settings(max_examples=200, deadline=None)
-@given(total_bits=st.integers(8, 64), data=st.data())
-def test_rmax_limit_selects_the_rows_the_word_test_selects(total_bits, data):
-    # the limit is capped at int64's maximum, and max |r| is tested up to
-    # 2**63 - 1: row 1, one tap of 1, passes 2**63 uncapped at formats up
-    # to 53 bits with a wide fraction, as at 40:30
-    fmt = FixedFormat(total_bits, data.draw(st.integers(1, total_bits - 1)))
+@given(fmt=st.sampled_from(ACCEPTED_FORMATS), data=st.data())
+def test_rmax_limit_selects_the_rows_the_word_test_selects(fmt, data):
+    # kernel taps |k| <= 2^F, as `_fixed_tables` requires, and max |r| over
+    # the whole word: every limit is below 2**62 with no cap
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     length = data.draw(st.integers(1, 300))
     kernels_raw = np.zeros((6, length), np.int64)
@@ -339,32 +352,34 @@ def test_rmax_limit_selects_the_rows_the_word_test_selects(total_bits, data):
     for krow in kernels_raw[2:]:  # row 0 stays all zero
         lo = int(rng.integers(length))
         hi = int(rng.integers(lo + 1, length + 1))
-        krow[lo:hi] = rng.integers(-(1 << 40), 1 << 40, hi - lo) >> rng.integers(41)
+        taps = rng.integers(-fmt.scale, fmt.scale + 1, hi - lo)
+        krow[lo:hi] = taps >> rng.integers(fmt.frac_bits + 1)
         krow[lo] = krow[hi - 1] = 1  # the support's ends are nonzero
     supports = _kernel_supports(kernels_raw, fmt)
-    reference = []  # (lo, hi, kmax, kabs) as exact ints, row by row
+    reference = []  # (lo, hi, kabs) as exact ints, row by row
     for krow in kernels_raw:
         nonzero = np.flatnonzero(krow)
         lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if len(nonzero) else (0, 0)
-        mags = [abs(int(k)) for k in krow[lo:hi]]
-        reference.append((lo, hi, max(mags, default=0), sum(mags)))
-    assert [tuple(map(int, row)) for row in zip(*supports[:4])] == reference
+        reference.append((lo, hi, sum(abs(int(k)) for k in krow[lo:hi])))
+    assert [tuple(map(int, row)) for row in zip(*supports[:3])] == reference
     limits = supports.rmax_limit.tolist()
-    rmaxes = {0, 1, (1 << 63) - 1, data.draw(st.integers(0, (1 << 63) - 1))}
-    rmaxes |= {r + d for r in limits for d in (0, 1) if 0 <= r + d < 1 << 63}
+    assert max(limits) < 1 << 62
+    rmaxes = {0, 1, -fmt.raw_min, data.draw(st.integers(0, -fmt.raw_min))}
+    rmaxes |= {r + d for r in limits for d in (0, 1) if 0 <= r + d}
     for rmax in rmaxes:
         assert (rmax <= supports.rmax_limit).tolist() == [
-            _word_test(rmax, hi - lo, kabs, fmt) for lo, hi, _, kabs in reference
+            _word_test(rmax, hi - lo, kabs, fmt) for lo, hi, kabs in reference
         ]
-    # one row of exact ints, drawn directly; sum |k| can pass int64
+    # one row of exact ints, drawn directly: n taps of at most 2^F
     n = data.draw(st.integers(1, 1 << 20))
-    kabs = data.draw(st.integers(1, 1 << 70))
+    kabs = data.draw(st.integers(1, n * fmt.scale))
     limit = _rmax_limit(n, kabs, fmt)
-    assert limit < 1 << 63
-    for rmax in (0, limit, limit + 1, data.draw(st.integers(0, (1 << 63) - 1))):
-        if 0 <= rmax < 1 << 63:
+    assert limit < 1 << 62
+    for rmax in (0, limit, limit + 1, data.draw(st.integers(0, -fmt.raw_min))):
+        if rmax >= 0:
             assert (rmax <= limit) == _word_test(rmax, n, kabs, fmt)
-    assert _rmax_limit(1, 1, FixedFormat(40, 30)) == (1 << 63) - 1
+    # the largest limit of any accepted format and nonzero row
+    assert _rmax_limit(1, 1, FixedFormat(53, 9)) == (1 << 61) - (1 << 9) - 1
 
 
 @functools.cache
@@ -526,7 +541,7 @@ def test_fft_screen_error_is_far_inside_the_slack(width, kind):
     for fmt in SCREEN_FORMATS.values():
         kernels_raw = quantize_array(d.kernels, fmt)
         supports = _kernel_supports(kernels_raw, fmt)
-        nonzero = supports.kmax > 0
+        nonzero = supports.kabs > 0
         dequantized = replace(d, kernels=dequantize_array(kernels_raw, fmt))
         sdict = kernel_spectra(dequantized, signal_len=width)
         rng = np.random.default_rng(width)
@@ -554,15 +569,16 @@ def test_screen_fits_kernels_nonzero_from_column_zero(monkeypatch):
 
 @pytest.mark.parametrize("fmt, width", [
     *((fmt, width) for width in (64, 128) for fmt in [*SCREEN_FORMATS, "48:36"]),
-    ("52:40", 64), ("64:60", 64),
+    ("52:40", 64), ("64:60", 64), ("53:9", 64), ("40:22", 64),
 ])
 @pytest.mark.parametrize("kind", ["clip", "saturating"])
 def test_screened_pursuit_equals_the_scalar_oracle_pursuit(monkeypatch, width, fmt,
                                                            kind):
-    # 48:36 and 52:40 gather rows bounded past int64 headroom in Python
-    # ints; at 64:60 every row is loose, scanned in Python ints
+    # the widest word (53:9) and B + F = 62 (40:22), where |r k| reaches 2**61
+    fmt = _accepted_format(fmt)
+    if fmt is None:
+        return
     d = _screen_setup(width)
-    fmt = SCREEN_FORMATS.get(fmt) or parse_format(fmt)
     x = (make_audio_clip(width, seed=width) if kind == "clip" else
          _screen_residual(d, fmt, kind, np.random.default_rng(width)))
     # past int64 headroom the oracle's every entry is a scalar MAC chain
@@ -632,6 +648,14 @@ def test_format_validation_and_parsing():
         FixedFormat(total_bits=8, frac_bits=8)
     with pytest.raises(InvalidConfig):
         FixedFormat(total_bits=70, frac_bits=8)
+    # int64 must hold every raw value as an exact float and every product
+    # of a raw value and a kernel tap: B <= 53 and B + F <= 62
+    for total, frac in ((54, 4), (32, 31), (48, 36)):
+        with pytest.raises(InvalidConfig, match="total_bits <= 53 and total_bits "
+                                                r"\+ frac_bits <= 62"):
+            FixedFormat(total, frac)
+    assert FixedFormat(53, 9).raw_min == -(1 << 52)
+    assert FixedFormat(40, 22).raw_max == (1 << 39) - 1
     fmt = parse_format("34:24")
     assert (fmt.total_bits, fmt.frac_bits) == (34, 24)
     with pytest.raises(InvalidConfig):

@@ -885,6 +885,9 @@ def _config_args(tmp_path, text):
     # int() reads 256; the event reader takes ASCII digits only
     (lambda tmp: _decode_row_args(tmp, "2_56,10,3,1,0.411500,0.411500"), 3),
     (lambda tmp: _decode_bytes_args(tmp, f"{EVENT_HEADER}\n".encode() + b"\xff\n"), 3),
+    # formats int64 cannot hold exactly: B <= 53 and B + F <= 62
+    *[(lambda tmp, fixed=fixed: _encode_args(tmp, "s.csv", b"0.1,0.2", "--fixed", fixed),
+       2) for fixed in ("48:36", "54:4", "32:31")],
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
@@ -906,7 +909,7 @@ def _config_args(tmp_path, text):
         "jsonl-channel-contradicts-level", "jsonl-center-not-exact",
         "f32-partial-sample", "eval-kernels-zero", "csv-header-only",
         "csv-whitespace-line", "csv-float-in-int-column", "csv-underscore-int",
-        "csv-not-utf8"])
+        "csv-not-utf8", "fixed-48:36", "fixed-54:4", "fixed-32:31"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     out = _cli(*make_argv(tmp_path))
     assert out.returncode == code, out.stderr
@@ -1264,6 +1267,10 @@ def test_cli_eval_trains_on_event_directory(tmp_path):
                "--kernels", "10", "--width", "256", "--model-out", str(model_path))
     assert out.returncode == 0, out.stderr
     assert "macro:" in out.stdout
+    # the scores are on the training files, and the line before them says so
+    lines = out.stdout.splitlines()
+    assert lines[lines.index("training-set scores: the model is scored on the files "
+                             "it trained on") + 1].startswith("  high: P=")
     header = model_path.read_text().splitlines()
     assert header[0] == "# mlp-weights v1"
     assert header[1] == "# layers: 30 256 64 2"
