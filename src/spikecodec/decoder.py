@@ -8,21 +8,12 @@ the sign), which exposes the information lost in the spike representation.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dictionary import Dictionary
 from .encoder import CODE_DTYPE
-from .errors import CodeOutOfBounds, InvalidConfig, LengthMismatch, NumericError
+from .errors import CodeOutOfBounds, InvalidConfig, NumericError
 from .spikecoder import ChannelTable, nearest_level
-
-
-@dataclass
-class ReconstructionReport:
-    l2_error: float
-    snr_db: float
 
 
 def _checked_codes(codesets, dictionary: Dictionary, width: int, total_len: int,
@@ -109,23 +100,6 @@ def reconstruct(
         span = out[seg * width : (seg + 1) * width]
         span += _atoms(cs, dictionary, width).sum(axis=0)[: len(span)]
     return out
-
-
-def reconstruction_error(x: np.ndarray, x_hat: np.ndarray) -> ReconstructionReport:
-    """L2 error and SNR of a reconstruction against the reference signal."""
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x.shape != x_hat.shape:
-        raise LengthMismatch(f"length mismatch: {x.shape} vs {x_hat.shape}")
-    err = float(np.linalg.norm(x - x_hat))
-    ref = float(np.linalg.norm(x))
-    if err == 0.0:
-        snr = math.inf
-    elif ref == 0.0:
-        snr = -math.inf
-    else:
-        snr = 20.0 * math.log10(ref / err)
-    return ReconstructionReport(l2_error=err, snr_db=snr)
 
 
 def error_curve(

@@ -15,10 +15,6 @@ class InvalidConfig(ConfigError):
     pass
 
 
-class InvalidCenters(ConfigError):
-    pass
-
-
 class InputError(SpikeCodecError):
     """File and format problems (CLI exit code 3)."""
 
@@ -44,10 +40,6 @@ class DimensionMismatch(NumericError):
 
 
 class LengthTooSmall(NumericError):
-    pass
-
-
-class LengthMismatch(NumericError):
     pass
 
 

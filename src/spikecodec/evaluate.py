@@ -241,17 +241,3 @@ def save_model(model: MlpModel, fh) -> None:
             fh.write(f"{float(v)!r}\n")
         for v in b:
             fh.write(f"{float(v)!r}\n")
-
-
-def load_model(fh) -> MlpModel:
-    header = [fh.readline() for _ in range(3)]
-    sizes = [int(tok) for tok in header[1].split(":")[1].split()]
-    values = np.array([float(line) for line in fh if line.strip()])
-    weights, biases = [], []
-    pos = 0
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        weights.append(values[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
-        pos += fan_in * fan_out
-        biases.append(values[pos : pos + fan_out])
-        pos += fan_out
-    return MlpModel(weights=weights, biases=biases)

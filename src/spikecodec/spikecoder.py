@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import CODE_DTYPE
-from .errors import InvalidCenters, InvalidConfig, ZeroIntensity
+from .errors import InvalidConfig, ZeroIntensity
 
 # three logarithmically distributed per-kernel center intensities
 DEFAULT_CENTERS = (0.0065, 0.4115, 25.8744)
@@ -49,7 +49,7 @@ EVENT_DTYPE = np.dtype([
 def build_channel_table(num_kernels: int) -> ChannelTable:
     """`num_kernels` kernels of `DEFAULT_CENTERS` levels each."""
     if num_kernels < 1:
-        raise InvalidCenters(f"need at least one kernel, got {num_kernels}")
+        raise InvalidConfig(f"need at least one kernel, got {num_kernels}")
     return ChannelTable(centers=DEFAULT_CENTERS, num_kernels=num_kernels)
 
 

@@ -15,6 +15,11 @@ from spikecodec.encoder import CODE_DTYPE, _lag_transform
 from spikecodec.evaluate import MlpModel
 from spikecodec.spikecoder import EVENT_DTYPE
 
+# the scalar fixed-point chain of test_fixedpoint.py: `spikecodec.fixedpoint`
+# holds none of these names, so the encoder has no scalar path to reach
+SCALAR_CHAIN = {"FixedValue", "_round_half_even", "_apply_overflow", "quantize",
+                "dequantize", "macc", "fixed_dot"}
+
 
 def codes(*rows):
     """One segment's code array from (segment_index, m, tau, s) rows."""

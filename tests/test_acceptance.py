@@ -52,7 +52,7 @@ from spikecodec.pipeline import (
 )
 from spikecodec.spikecoder import DEFAULT_CENTERS, build_channel_table, nearest_level
 
-from conftest import max_in_support_shift, small_mlp
+from conftest import SCALAR_CHAIN, max_in_support_shift, small_mlp
 
 W = 2048
 
@@ -103,16 +103,16 @@ def test_criterion_2_backend_equivalence():
             time.perf_counter() - start)
 
 
-def test_criterion_2_fixed_point_backend_equivalence(tmp_path, capsys, monkeypatch):
+def test_criterion_2_fixed_point_backend_equivalence(tmp_path, capsys):
     """In fixed point both backends run one datapath: byte-identical code
     arrays and equal overflow counts at every format, on noise and on a
     clip (loud enough to overflow, too); and CLI event files, raw intensity
-    included, byte for byte with the same overflow line. At the widest
-    word (53:9) the encoder makes no call of the scalar `macc`; a format
-    int64 cannot hold exactly (48:36) is rejected, exit 2 on the CLI."""
+    included, byte for byte with the same overflow line. `fixedpoint` holds
+    no scalar chain, so the encoder cannot reach one, at the widest word
+    (53:9) either; a format int64 cannot hold exactly (48:36) is rejected,
+    exit 2 on the CLI."""
     start = time.perf_counter()
-    macc_calls, macc = [], fixedpoint.macc
-    monkeypatch.setattr(fixedpoint, "macc", lambda *a: macc_calls.append(1) or macc(*a))
+    assert not SCALAR_CHAIN & vars(fixedpoint).keys()
     width = 128
     d = build_dictionary(DictionaryConfig(num_kernels=16, kernel_len=width))
     clip = make_audio_clip(8 * width, seed=4)
@@ -149,7 +149,6 @@ def test_criterion_2_fixed_point_backend_equivalence(tmp_path, capsys, monkeypat
     out = tmp_path / "rejected.jsonl"
     assert cli.main(["encode", str(signal), "-o", str(out), "--fixed", "48:36"]) == 2
     assert not out.exists() and "total_bits <= 53" in capsys.readouterr().err
-    assert not macc_calls
     _report("criterion 2 (fixed-point backend equivalence, 6 formats)",
             time.perf_counter() - start)
 

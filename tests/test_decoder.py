@@ -1,22 +1,48 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spikecodec.decoder import (
-    error_curve,
-    reconstruct,
-    reconstruction_error,
-)
+from spikecodec.decoder import error_curve, reconstruct
 from spikecodec.dictionary import Dictionary, DictionaryConfig
 from spikecodec.encoder import EncoderConfig, Segment, encode_segment, shift_kernel
-from spikecodec.errors import CodeOutOfBounds, LengthMismatch
+from spikecodec.errors import CodeOutOfBounds, NumericError
 from spikecodec.pipeline import encode_signal, make_audio_clip
 from spikecodec.spikecoder import build_channel_table, nearest_level
 
 from conftest import codes
+
+
+# ----- the error report of a reconstruction, which the tests below use -----
+
+class LengthMismatch(NumericError):
+    pass
+
+
+@dataclass
+class ReconstructionReport:
+    l2_error: float
+    snr_db: float
+
+
+def reconstruction_error(x: np.ndarray, x_hat: np.ndarray) -> ReconstructionReport:
+    """L2 error and SNR of a reconstruction against the reference signal."""
+    x = np.asarray(x, dtype=np.float64)
+    x_hat = np.asarray(x_hat, dtype=np.float64)
+    if x.shape != x_hat.shape:
+        raise LengthMismatch(f"length mismatch: {x.shape} vs {x_hat.shape}")
+    err = float(np.linalg.norm(x - x_hat))
+    ref = float(np.linalg.norm(x))
+    if err == 0.0:
+        snr = math.inf
+    elif ref == 0.0:
+        snr = -math.inf
+    else:
+        snr = 20.0 * math.log10(ref / err)
+    return ReconstructionReport(l2_error=err, snr_db=snr)
 
 
 # ----- the per-code decoder, kept as the oracle of the array one -----

@@ -7,9 +7,9 @@ import pytest
 from spikecodec.errors import DegenerateData, ShapeMismatch
 from spikecodec.evaluate import (
     ConfusionCounts,
+    MlpModel,
     MlpTrainConfig,
     init_mlp,
-    load_model,
     mlp_accuracy,
     mlp_forward,
     mlp_loss_and_grads,
@@ -21,6 +21,21 @@ from spikecodec.evaluate import (
 from spikecodec.spikecoder import build_channel_table
 
 from conftest import events as event_array, small_mlp
+
+
+def load_model(fh) -> MlpModel:
+    """The model `save_model` wrote to `fh`."""
+    header = [fh.readline() for _ in range(3)]
+    sizes = [int(tok) for tok in header[1].split(":")[1].split()]
+    values = np.array([float(line) for line in fh if line.strip()])
+    weights, biases = [], []
+    pos = 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        weights.append(values[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        pos += fan_in * fan_out
+        biases.append(values[pos : pos + fan_out])
+        pos += fan_out
+    return MlpModel(weights=weights, biases=biases)
 
 
 def _event(t, channel, levels=3):

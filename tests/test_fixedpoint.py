@@ -1,5 +1,5 @@
 import functools
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,20 +31,15 @@ from spikecodec.encoder import (
 from spikecodec.errors import DimensionMismatch, InvalidConfig, LengthTooSmall
 from spikecodec.fixedpoint import (
     FixedFormat,
-    FixedValue,
     SaturationStats,
-    dequantize,
     dequantize_array,
-    fixed_dot,
-    macc,
     parse_format,
-    quantize,
     quantize_array,
     rescale_half_even_array,
 )
 from spikecodec.pipeline import make_audio_clip
 
-from conftest import column_zero_dictionary, spectral_surface
+from conftest import SCALAR_CHAIN, column_zero_dictionary, spectral_surface
 
 FMT = FixedFormat(total_bits=34, frac_bits=24)
 # every (B, F, policy) FixedFormat accepts: 0 < F < B <= 53, B + F <= 62
@@ -53,6 +48,125 @@ ACCEPTED_FORMATS = [FixedFormat(b, f, overflow) for b in range(2, 54)
 # formats int64 cannot hold exactly, which earlier versions ran on Python
 # ints; a test row that names one checks that it is rejected
 REJECTED_FORMATS = {"48:36", "52:40", "62:58", "63:59", "64:60", "64:60-wrap"}
+
+
+# ----- the scalar chain on exact Python ints, kept as the oracle of the int64 one -----
+
+
+def _lsb(fmt: FixedFormat) -> float:
+    return 2.0 ** (-fmt.frac_bits)
+
+
+@dataclass(frozen=True)
+class FixedValue:
+    raw: int
+    fmt: FixedFormat
+
+    def __post_init__(self):
+        if not self.fmt.raw_min <= self.raw <= self.fmt.raw_max:
+            raise InvalidConfig(
+                f"raw {self.raw} outside {self.fmt.total_bits}-bit range"
+            )
+
+
+def _round_half_even(numer: int, frac_bits: int) -> int:
+    """Round-to-nearest-even of numer / 2**frac_bits, exact integer math."""
+    q, r = divmod(numer, 1 << frac_bits)
+    half = 1 << (frac_bits - 1)
+    if r > half or (r == half and (q & 1)):
+        q += 1
+    return q
+
+
+def _apply_overflow(raw: int, fmt: FixedFormat, stats: SaturationStats | None) -> int:
+    if fmt.raw_min <= raw <= fmt.raw_max:
+        return raw
+    if fmt.overflow == "saturate":
+        if stats is not None:
+            stats.saturations += 1
+        return fmt.raw_max if raw > fmt.raw_max else fmt.raw_min
+    if stats is not None:
+        stats.wraps += 1
+    span = 1 << fmt.total_bits
+    return (raw - fmt.raw_min) % span + fmt.raw_min
+
+
+def quantize(
+    x: float, fmt: FixedFormat = FixedFormat(), stats: SaturationStats | None = None
+) -> FixedValue:
+    """Round-to-nearest-even of x * 2**frac_bits, overflow per format policy.
+
+    Never raises: NaN quantizes to zero; x * 2**frac_bits = +/-inf is
+    raw_max + 1 or raw_min - 1, and so saturates, or wraps to the far end.
+    """
+    x = float(x)
+    if x != x:  # NaN
+        return FixedValue(raw=0, fmt=fmt)
+    scaled = x * fmt.scale  # power-of-two scaling is exact in binary fp
+    if scaled == float("inf"):
+        raw = _apply_overflow(fmt.raw_max + 1, fmt, stats)
+    elif scaled == float("-inf"):
+        raw = _apply_overflow(fmt.raw_min - 1, fmt, stats)
+    else:
+        raw = _apply_overflow(round(scaled), fmt, stats)
+    return FixedValue(raw=raw, fmt=fmt)
+
+
+def dequantize(v: FixedValue) -> float:
+    return v.raw / v.fmt.scale
+
+
+def macc(
+    acc: FixedValue,
+    a: FixedValue,
+    b: FixedValue,
+    stats: SaturationStats | None = None,
+) -> FixedValue:
+    """acc + a*b, product rescaled to frac_bits with round-to-nearest-even.
+
+    All three operands must share one format. Uses exact integer arithmetic;
+    overflow of the accumulate follows the format policy.
+    """
+    if not (acc.fmt == a.fmt == b.fmt):
+        raise DimensionMismatch("macc operands must share one FixedFormat")
+    term = _round_half_even(a.raw * b.raw, acc.fmt.frac_bits)
+    raw = _apply_overflow(acc.raw + term, acc.fmt, stats)
+    return FixedValue(raw=raw, fmt=acc.fmt)
+
+
+def fixed_dot(
+    a_raw: np.ndarray,
+    b_raw: np.ndarray,
+    fmt: FixedFormat,
+    stats: SaturationStats | None = None,
+) -> int:
+    """Dot product with per-term rescale and per-step accumulate overflow.
+
+    Fast path: exact int64 products and a cumulative-sum overflow check.
+    Falls back to the scalar `macc` chain when int64 headroom is insufficient
+    or any running sum leaves the representable range (per-step saturation
+    then matters).
+    """
+    a_raw = np.asarray(a_raw, dtype=np.int64)
+    b_raw = np.asarray(b_raw, dtype=np.int64)
+    if a_raw.shape != b_raw.shape:
+        raise DimensionMismatch("fixed_dot operands must have equal length")
+    if a_raw.size == 0:
+        return 0
+    # not np.abs, which leaves int64's minimum negative
+    amax = max(int(a_raw.max()), -int(a_raw.min()))
+    bmax = max(int(b_raw.max()), -int(b_raw.min()))
+    if amax == 0 or bmax == 0:
+        return 0
+    if amax * bmax < (1 << 62) // a_raw.size:
+        terms = rescale_half_even_array(a_raw * b_raw, fmt.frac_bits)
+        running = np.cumsum(terms)
+        if fmt.raw_min <= int(running.min()) and int(running.max()) <= fmt.raw_max:
+            return int(running[-1])
+    acc = FixedValue(0, fmt)
+    for ai, bi in zip(a_raw.tolist(), b_raw.tolist()):
+        acc = macc(acc, FixedValue(ai, fmt), FixedValue(bi, fmt), stats)
+    return acc.raw
 
 
 def _accepted_format(name):
@@ -159,7 +273,7 @@ def test_quantize_array_matches_scalar_including_ties():
             [600.0, 1000.3, -700.2, 1e300, -1e300, 1.7e308, -1.7e308,
              np.inf, -np.inf, np.nan],
             edge * np.array([1.0, -1.0, 2.0, -2.0, 3.5, 2.0**60]),
-            (edge + np.array([-1.5, -0.5, 0.5, 1.5]) * fmt.lsb) * [[1.0], [-1.0]],
+            (edge + np.array([-1.5, -0.5, 0.5, 1.5]) * _lsb(fmt)) * [[1.0], [-1.0]],
             rng.choice([-1, 1], 16) * edge * 10.0 ** rng.uniform(-2, 290, 16),
         ], axis=None)
         stats, scalar_stats = SaturationStats(), SaturationStats()
@@ -326,8 +440,8 @@ def test_fixed_subtract_equals_exact_integer_arithmetic(name):
             before, exact_stats = (stats.saturations, stats.wraps), SaturationStats()
             got = subtract(resid, m, tau, s_raw / fmt.scale)
             shifted = shift_kernel(kernels_raw[m], tau, width).tolist()
-            exact = [fixedpoint._apply_overflow(r - round(Fraction(s_raw * k, fmt.scale)),
-                                                fmt, exact_stats)
+            exact = [_apply_overflow(r - round(Fraction(s_raw * k, fmt.scale)), fmt,
+                                     exact_stats)
                      for r, k in zip(resid.tolist(), shifted)]
             assert got.tolist() == exact
             assert (stats.saturations - before[0], stats.wraps - before[1]) == (
@@ -414,7 +528,7 @@ def _screen_residual(d, fmt, kind, rng, w=None):
     v = shift_kernel(d.kernels[m2], t2, w)
     cu, cv = correlate_direct(u, d), correlate_direct(v, d)
     j1, j2 = t1 + w // 2, t2 + w // 2
-    eps = rng.uniform(-1, 1) * (w // 2) * fmt.lsb
+    eps = rng.uniform(-1, 1) * (w // 2) * _lsb(fmt)
     b = (a * (cu[m1, j1] - cu[m2, j2]) + eps) / (cv[m2, j2] - cv[m1, j1])
     return a * u + b * v
 
@@ -497,15 +611,15 @@ def test_screened_pick_on_kernels_nonzero_from_column_zero(fmt, select, kind):
 
 def _check_screened_pick(d, resid_raw, fmt, select):
     """The screened correlation against `_fixed_surface_oracle`, with no
-    call of the scalar `macc`; returns its overflow counts."""
+    scalar chain in `spikecodec.fixedpoint` for it to call; returns its
+    overflow counts."""
+    assert not SCALAR_CHAIN & vars(fixedpoint).keys()
     width = len(resid_raw)
     kernels_raw, _, supports, table = _fixed_tables(d, fmt, width)
-    stats, oracle_stats, macc_calls = SaturationStats(), SaturationStats(), []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fixedpoint, "macc", lambda *a: macc_calls.append(1) or macc(*a))
-        rows, values = _correlate_fixed_direct(
-            resid_raw, kernels_raw, supports, fmt, stats, table, select
-        )
+    stats, oracle_stats = SaturationStats(), SaturationStats()
+    rows, values = _correlate_fixed_direct(
+        resid_raw, kernels_raw, supports, fmt, stats, table, select
+    )
     oracle = _fixed_surface_oracle(resid_raw, kernels_raw, fmt, oracle_stats)
     assert np.all(np.diff(rows) > 0)
     # every row that may overflow is computed and returned in full
@@ -528,7 +642,6 @@ def _check_screened_pick(d, resid_raw, fmt, select):
     inexact = values[values != oracle[rows]]
     assert np.all(rank(inexact) < rank(pick(oracle)[2]))
     assert np.all(rank(np.delete(oracle, rows, axis=0)) < rank(pick(oracle)[2]))
-    assert not macc_calls
     return stats
 
 
