@@ -16,9 +16,7 @@ digits. Without it, decoding falls back to the channel center magnitudes.
 from __future__ import annotations
 
 import json
-import os
 import re
-import threading
 import time
 import wave
 from dataclasses import dataclass, field, replace
@@ -279,40 +277,12 @@ def encode_signal(
     cfg: EncoderConfig,
     stats: SaturationStats | None = None,
 ) -> list[np.recarray]:
-    """Segment and encode a whole signal, one thread per available CPU; the
-    codes do not depend on the thread count. Re-raises the first failure.
-    Overflow counts go to `stats`, counted per segment, summed in order."""
-    segments = segment_stream(samples, cfg.width)
-    codesets = [None] * len(segments)
-    counts = [SaturationStats() for _ in segments]
-    failures: dict[int, BaseException] = {}
-    pending, lock = iter(range(len(segments))), threading.Lock()
-
-    def take():  # in order, none after a failure: as a serial loop stops
-        with lock:
-            return None if failures else next(pending, None)
-
-    def work():
-        for i in iter(take, None):
-            try:
-                codesets[i] = encode_segment(segments[i], dictionary, None, cfg,
-                                             counts[i])
-            except BaseException as exc:
-                failures[i] = exc
-
-    workers = min(len(segments), len(os.sched_getaffinity(0)))
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    work()
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[min(failures)]
-    if stats is not None:
-        stats.saturations += sum(c.saturations for c in counts)
-        stats.wraps += sum(c.wraps for c in counts)
-    return codesets
+    """Segment and encode a whole signal, the segments in order on the
+    calling thread. The first failing segment's error propagates; `stats`
+    then keeps what was counted up to the failure, the earlier segments'
+    overflow counts included."""
+    return [encode_segment(seg, dictionary, None, cfg, stats)
+            for seg in segment_stream(samples, cfg.width)]
 
 
 # ----- synthetic clip and benchmark -----

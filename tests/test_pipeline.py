@@ -296,30 +296,9 @@ def test_bench_with_zero_budget():
         assert r.segments_per_second > 0
 
 
-# ----- encode_signal across threads -----
+# ----- encode_signal -----
 
 PAR_WIDTH = 128
-
-
-@pytest.fixture
-def force_cpus(monkeypatch):
-    """force_cpus(n): encode_signal sees n available CPUs. Returns the list
-    of threads started from then on."""
-    started = []
-
-    class CountedThread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", CountedThread)
-
-    def force(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        started.clear()
-        return started
-
-    return force
 
 
 @pytest.fixture(scope="module")
@@ -341,60 +320,53 @@ def _par_config(backend="spectral", fixed=None):
     )
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("fixed", [None, FixedFormat(34, 24)],
                          ids=["float", "34:24"])
 @pytest.mark.parametrize("backend", ["direct", "spectral"])
-def test_encode_signal_equals_serial_loop(par_dict, force_cpus, backend, fixed,
-                                          workers):
+def test_encode_signal_equals_serial_loop(par_dict, backend, fixed):
     cfg = _par_config(backend, fixed)
     x = _five_segments()
     serial = [encode_segment(seg, par_dict, None, cfg)
               for seg in segment_stream(x, PAR_WIDTH)]
     assert sum(len(cs) for cs in serial) == 16  # 4 codes, silent one none
-    started = force_cpus(workers)
     assert [cs.tolist() for cs in encode_signal(x, par_dict, cfg)] == [
         cs.tolist() for cs in serial]
-    assert len(started) == workers - 1  # the caller takes its own share
 
 
-def test_single_segment_starts_no_thread(par_dict, force_cpus):
-    started = force_cpus(3)
-    x = make_audio_clip(PAR_WIDTH, seed=3)
-    assert len(encode_signal(x, par_dict, _par_config())) == 1
-    assert started == []
+def test_encode_signal_starts_no_thread(par_dict, monkeypatch):
+    # BLAS owns the CPUs: however many the process may use, the segments
+    # are encoded on the calling thread
+    calls = {"start": 0}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    _count_calls(monkeypatch, calls, threading.Thread, "start")
+    assert len(encode_signal(_five_segments(), par_dict, _par_config())) == 5
+    assert calls == {"start": 0}
 
 
 def _fail_on(monkeypatch, errors):
-    """encode_segment raises errors[i] on segment i. An earlier failing
-    segment waits until the last one has started, so that all fail."""
-    real = pipeline.encode_segment
-    last_started = threading.Event()
+    """encode_segment raises errors[i] on segment i. Returns the list of
+    segment indices it was called on."""
+    real, called = pipeline.encode_segment, []
 
     def flaky(segment, *args, **kwargs):
-        i = segment.segment_index
-        if i == max(errors):
-            last_started.set()
-        elif i in errors:
-            last_started.wait(timeout=10)
-        if i in errors:
-            raise errors[i]
+        called.append(segment.segment_index)
+        if segment.segment_index in errors:
+            raise errors[segment.segment_index]
         return real(segment, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "encode_segment", flaky)
+    return called
 
 
 @pytest.mark.parametrize("failing", [(3,), (1, 3)], ids=["one", "two"])
-def test_encode_signal_reraises_first_failing_segment(
-        par_dict, monkeypatch, force_cpus, failing):
+def test_encode_signal_reraises_first_failing_segment(par_dict, monkeypatch,
+                                                      failing):
     errors = {i: NumericError(f"segment {i}") for i in failing}
-    _fail_on(monkeypatch, errors)
-    force_cpus(3)
-    before = threading.active_count()
+    called = _fail_on(monkeypatch, errors)
     with pytest.raises(NumericError) as raised:
         encode_signal(_five_segments(), par_dict, _par_config())
-    assert raised.value is errors[min(failing)]  # the serial loop's error
-    assert threading.active_count() == before
+    assert raised.value is errors[min(failing)]
+    assert called == list(range(min(failing) + 1))  # none after it is encoded
 
 
 @pytest.mark.parametrize("scale, fmt, overflows", [
@@ -402,7 +374,7 @@ def test_encode_signal_reraises_first_failing_segment(
     (300.0, FixedFormat(20, 10, "wrap"), 380),
 ], ids=["34:24-saturating", "20:10-wrap"])
 def test_overflow_counts_do_not_depend_on_thread_count(
-        tmp_path, capsys, par_dict, force_cpus, scale, fmt, overflows):
+        tmp_path, capsys, par_dict, scale, fmt, overflows):
     # the inputs and totals of test_encoder_output_pinned_per_mode
     cfg = _par_config("direct", fmt)
     x = scale * make_audio_clip(4 * PAR_WIDTH, seed=3)
@@ -410,11 +382,9 @@ def test_overflow_counts_do_not_depend_on_thread_count(
     for seg in segment_stream(x, PAR_WIDTH):
         encode_segment(seg, par_dict, None, cfg, serial)
     assert serial.saturations + serial.wraps == overflows
-    for workers in (1, 3):
-        force_cpus(workers)
-        stats = SaturationStats()
-        encode_signal(x, par_dict, cfg, stats=stats)
-        assert stats == serial
+    stats = SaturationStats()
+    encode_signal(x, par_dict, cfg, stats=stats)
+    assert stats == serial
     if fmt.overflow == "saturate":  # the only policy --fixed selects
         signal = tmp_path / "loud.csv"
         write_waveform(x, str(signal))
@@ -457,9 +427,7 @@ def _count_calls(monkeypatch, calls, module, name, label=None, when=None):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_dictionary_tables_are_built_once(tmp_path, monkeypatch, force_cpus):
-    # three workers race on each table's first use (`Dictionary.table`)
-    force_cpus(3)
+def test_dictionary_tables_are_built_once(tmp_path, monkeypatch):
     d = build_dictionary.__wrapped__(
         DictionaryConfig(num_kernels=8, kernel_len=PAR_WIDTH))
     calls = {"_kernel_supports": 0, "kernel_spectra": 0, "kernel quantize": 0}
@@ -592,18 +560,14 @@ def _five_segment_wav(tmp_path):
     return path
 
 
-def test_cli_encode_failure_on_a_thread_exits_4(tmp_path, monkeypatch, capsys,
-                                                force_cpus):
+def test_cli_encode_failure_exits_4(tmp_path, monkeypatch, capsys):
     wav = _five_segment_wav(tmp_path)
     _fail_on(monkeypatch, {3: NumericError("segment 3")})
-    force_cpus(3)
-    before = threading.active_count()
     argv = ["encode", str(wav), "-o", str(tmp_path / "ev.csv"), *SMALL_FLAGS]
     assert cli.main(argv) == 4
     err = capsys.readouterr().err
     assert "numeric error: segment 3" in err
     assert "Traceback" not in err
-    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("command", ["encode", "decode"])
@@ -622,12 +586,11 @@ def test_cli_out_of_memory_exits_4(tmp_path, monkeypatch, capsys, command):
 
 
 @pytest.mark.parametrize("backend", ["direct", "spectral"])
-def test_cli_event_bytes_do_not_depend_on_thread_count(tmp_path, force_cpus,
-                                                       backend):
+def test_cli_event_bytes_do_not_depend_on_thread_count(tmp_path, backend):
+    # an identical config gives a byte-identical event file
     wav = _five_segment_wav(tmp_path)
     outputs = []
-    for i, workers in enumerate([1, 3, 3]):
-        force_cpus(workers)
+    for i in range(3):
         events = tmp_path / f"ev{i}.csv"
         assert cli.main(["encode", str(wav), "-o", str(events),
                          "--with-raw-intensity", "--backend", backend,
