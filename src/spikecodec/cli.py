@@ -18,14 +18,7 @@ from . import evaluate
 from .decoder import reconstruct
 from .dictionary import DictionaryConfig, build_dictionary, dump_dictionary_csv
 from .encoder import EncoderConfig
-from .errors import (
-    ConfigError,
-    CorruptFile,
-    InputError,
-    InvalidConfig,
-    IoError,
-    SpikeCodecError,
-)
+from .errors import InvalidConfig, IoError, SpikeCodecError
 from .fixedpoint import FixedFormat, SaturationStats, parse_format
 from .pipeline import (
     RunConfig,
@@ -234,9 +227,11 @@ def _cmd_eval(args) -> int:
                 if not line or line.startswith("#"):
                     continue
                 if "," not in line:
-                    raise CorruptFile(f"labels line {line!r} has no comma")
+                    raise IoError(f"labels line {line!r} has no comma")
                 stem, label = [p.strip() for p in line.split(",", 1)]
-                labels_by_stem[stem] = label
+                if labels_by_stem.setdefault(stem, label) != label:
+                    raise IoError(f"labels line {line!r} relabels {stem!r}, which "
+                                  f"an earlier line labels {labels_by_stem[stem]!r}")
     except OSError as exc:
         raise IoError(f"cannot read labels {args.labels!r}: {exc}")
 
@@ -261,7 +256,7 @@ def _cmd_eval(args) -> int:
     preds = np.argmax(evaluate.mlp_forward(model, features), axis=1)
     counts = evaluate.ConfusionCounts.from_predictions(labels, preds, len(class_names))
     p, r, f1, macro = evaluate.prf1(counts)
-    accuracy = evaluate.mlp_accuracy(model, features, labels)
+    accuracy = float(np.mean(preds == labels))
     print(f"classes: {class_names}")
     print("training-set scores: the model is scored on the files it trained on")
     for i, name in enumerate(class_names):
@@ -349,13 +344,13 @@ def main(argv=None) -> int:
         if args.config:  # the file's flags go first, so explicit flags win
             args = parser.parse_args([argv[0], *_config_flags(args.config), *argv[1:]])
         return args.func(args)
-    except ConfigError as exc:
+    except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except InputError as exc:
+    except IoError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except SpikeCodecError as exc:  # NumericError and the rest
+    except SpikeCodecError as exc:  # NumericError and the base class
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
     except MemoryError:

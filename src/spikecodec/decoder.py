@@ -12,7 +12,7 @@ import numpy as np
 
 from .dictionary import Dictionary
 from .encoder import CODE_DTYPE
-from .errors import CodeOutOfBounds, InvalidConfig, NumericError
+from .errors import InvalidConfig, NumericError
 from .spikecoder import ChannelTable, nearest_level
 
 
@@ -20,7 +20,7 @@ def _checked_codes(codesets, dictionary: Dictionary, width: int, total_len: int,
                    quantized: bool, table: ChannelTable | None, metric: str):
     """All codes split by segment (`by_segment`), with s replaced in
     quantized mode by its channel center (keeping the sign). Raises
-    CodeOutOfBounds for the first code in list order that does not fit the
+    NumericError for the first code in list order that does not fit the
     dictionary or the width, or whose segment starts at or past the output
     length; a segment that runs past it is cut there."""
     if quantized and table is None:
@@ -36,7 +36,7 @@ def _checked_codes(codesets, dictionary: Dictionary, width: int, total_len: int,
              | (codes["m"].view(u) >= dictionary.num_kernels)
              | ((codes["tau"] + width // 2).view(u) > width // 2 * 2)).nonzero()[0]
     if len(wrong):
-        raise CodeOutOfBounds(
+        raise NumericError(
             f"code {tuple(codes[wrong[0]].tolist())} out of range for "
             f"{dictionary.num_kernels} kernels, W={width}, {total_len} samples"
         )

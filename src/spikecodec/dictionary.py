@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InvalidConfig, LengthTooSmall
+from .errors import InvalidConfig, NumericError
 
 GAMMATONE_ORDER = 4
 BANDWIDTH_SCALE = 1.019
@@ -198,7 +198,7 @@ def kernel_spectra(
     if fft_len is None:
         fft_len = _fft_len(bound)
     if fft_len < bound:
-        raise LengthTooSmall(f"fft_len {fft_len} below lag-window bound {bound}")
+        raise NumericError(f"fft_len {fft_len} below lag-window bound {bound}")
     base = fft_len // 3 if fft_len % 3 == 0 else fft_len
     if base & (base - 1) != 0:
         raise InvalidConfig(f"fft_len must be 2^a or 3*2^a, got {fft_len}")

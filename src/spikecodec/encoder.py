@@ -32,7 +32,7 @@ from .dictionary import (
     _lag_window_bound,
     kernel_spectra,
 )
-from .errors import DimensionMismatch, InvalidConfig, NumericError, ShiftOutOfRange
+from .errors import InvalidConfig, NumericError
 from .fixedpoint import (
     FixedFormat,
     SaturationStats,
@@ -54,11 +54,11 @@ class Segment:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
-            raise DimensionMismatch("segment samples must be one-dimensional")
+            raise NumericError("segment samples must be one-dimensional")
         if self.width is None:
             self.width = len(self.samples)
         if len(self.samples) != self.width:
-            raise DimensionMismatch(
+            raise NumericError(
                 f"segment has {len(self.samples)} samples, expected {self.width}"
             )
 
@@ -105,7 +105,7 @@ def _residual_windows(samples: np.ndarray, lo: int, hi: int) -> np.ndarray:
     (lo - W/2)+ + W + hi - lo, and the copy is (W/2 - lo)+ + W + (hi - W/2)+ long."""
     w = len(samples)
     if w % 2:
-        raise DimensionMismatch(f"correlation needs an even width, got {w}")
+        raise NumericError(f"correlation needs an even width, got {w}")
     padded = np.concatenate([np.zeros(max(0, w // 2 - lo), samples.dtype), samples,
                              np.zeros(max(0, hi - w // 2), samples.dtype)])
     windows = np.ndarray((w + 1, hi - lo), padded.dtype, padded,
@@ -161,8 +161,8 @@ def correlate_spectral(
     w, n = len(residual), sdict.fft_len
     bound = _lag_window_bound(w, *sdict.support)
     if w % 2 or n < bound:
-        raise DimensionMismatch(f"correlation needs an even width (got {w}) and "
-                                f"fft_len {n} at or above the lag-window bound {bound}")
+        raise NumericError(f"correlation needs an even width (got {w}) and "
+                           f"fft_len {n} at or above the lag-window bound {bound}")
     spectrum, transform = _lag_transform(residual, sdict)
     magnitudes = np.zeros((len(spectrum), 2))  # |R| and |R - R'|
     np.abs(spectrum, out=magnitudes[:, 0])
@@ -212,7 +212,7 @@ def shift_kernel(kernel: np.ndarray, tau: int, width: int) -> np.ndarray:
     (logical shift with zero fill).
     """
     if abs(tau) > width // 2:
-        raise ShiftOutOfRange(f"|tau| = {abs(tau)} exceeds {width // 2}")
+        raise NumericError(f"|tau| = {abs(tau)} exceeds {width // 2}")
     kernel = np.asarray(kernel)
     out = np.zeros(width, dtype=kernel.dtype)
     dst_lo = max(0, tau)
@@ -227,7 +227,7 @@ def subtract_component(
 ) -> np.ndarray:
     """New residual = residual - s * shift_kernel(kernel m, tau)."""
     if not (0 <= m < dictionary.num_kernels):
-        raise DimensionMismatch(f"kernel index {m} out of range")
+        raise NumericError(f"kernel index {m} out of range")
     return residual - s * shift_kernel(dictionary.kernels[m], tau, len(residual))
 
 
@@ -253,7 +253,7 @@ def encode_segment(
     """
     cfg.validate()
     if segment.width != cfg.width:
-        raise DimensionMismatch(
+        raise NumericError(
             f"segment width {segment.width} != config width {cfg.width}")
     datapath = _fixed_datapath if cfg.arithmetic == "fixed" else _float_datapath
     residual, correlate, subtract = datapath(segment, dictionary, sdict, cfg, stats)

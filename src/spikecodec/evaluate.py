@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CodeOutOfBounds, DegenerateData, InvalidConfig, ShapeMismatch
+from .errors import InvalidConfig, NumericError
 from .spikecoder import EVENT_DTYPE, ChannelTable
 
 
@@ -23,16 +23,16 @@ def temporal_average(
 ) -> np.ndarray:
     """Per-channel share of time bins that hold at least one spike of an
     EVENT_DTYPE array, so entries lie in [0, 1]. Events at or beyond
-    `duration` are ignored. Raises CodeOutOfBounds for a channel outside
+    `duration` are ignored. Raises NumericError for a channel outside
     the table.
     """
     if duration <= 0 or bin_width <= 0:
-        raise DegenerateData("duration and bin_width must be positive")
+        raise NumericError("duration and bin_width must be positive")
     events = np.asarray(events, EVENT_DTYPE)
     t, channel = events["t"], events["channel"]
     bad = (channel < 0) | (channel >= table.total_channels)
     if np.any(bad):
-        raise CodeOutOfBounds(
+        raise NumericError(
             f"channel {channel[bad][0]} outside [0, {table.total_channels})"
         )
     n_bins = -(-duration // bin_width)  # ceil
@@ -159,7 +159,7 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     if single:
         x = x[np.newaxis, :]
     if x.shape[1] != model.weights[0].shape[0]:
-        raise ShapeMismatch(
+        raise NumericError(
             f"feature length {x.shape[1]} != input width {model.weights[0].shape[0]}"
         )
     probs, _ = _forward_batch(model, x)
@@ -191,18 +191,18 @@ def mlp_train(
 ) -> MlpModel:
     """Mini-batch gradient descent; deterministic for a fixed seed.
 
-    Raises DegenerateData when fewer than two classes are present or any
+    Raises NumericError when fewer than two classes are present or any
     class index up to the maximum label is unrepresented.
     """
     cfg.validate()
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=int)
     if features.ndim != 2 or len(features) != len(labels):
-        raise ShapeMismatch("features must be (n, d) with one label per row")
+        raise NumericError("features must be (n, d) with one label per row")
     num_classes = int(labels.max()) + 1 if labels.size else 0
     present = np.unique(labels)
     if num_classes < 2 or len(present) < num_classes:
-        raise DegenerateData(
+        raise NumericError(
             f"need every class 0..{num_classes - 1} represented, got {present}"
         )
 
@@ -224,11 +224,6 @@ def mlp_train(
             n_batches += 1
         model.loss_history.append(epoch_loss / n_batches)
     return model
-
-
-def mlp_accuracy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
-    probs = mlp_forward(model, np.asarray(features, dtype=np.float64))
-    return float(np.mean(np.argmax(probs, axis=1) == np.asarray(labels)))
 
 
 def save_model(model: MlpModel, fh) -> None:

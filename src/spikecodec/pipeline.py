@@ -26,13 +26,7 @@ import numpy as np
 from .decoder import by_segment
 from .dictionary import Dictionary, DictionaryConfig, build_dictionary
 from .encoder import CODE_DTYPE, EncoderConfig, Segment, encode_segment
-from .errors import (
-    CorruptFile,
-    InvalidConfig,
-    IoError,
-    NumericError,
-    UnsupportedFormat,
-)
+from .errors import InvalidConfig, IoError, NumericError
 from .fixedpoint import SaturationStats
 from .spikecoder import EVENT_DTYPE, ChannelTable
 
@@ -60,13 +54,13 @@ def detect_format(path: str) -> str:
         return "csv"
     if lower.endswith(".f32") or lower.endswith(".raw"):
         return "raw-f32"
-    raise UnsupportedFormat(f"cannot infer input format from {path!r}")
+    raise IoError(f"cannot infer input format from {path!r}")
 
 
 def read_input(cfg: RunConfig) -> tuple[np.ndarray, float | None]:
     """Load the configured input; returns (samples, sample_rate_or_None).
 
-    Raises NumericError when a sample is NaN or infinite, and CorruptFile
+    Raises NumericError when a sample is NaN or infinite, and IoError
     when a raw-f32 file's size is not a whole number of samples.
     """
     fmt = cfg.input_format or detect_format(cfg.input_path)
@@ -81,14 +75,14 @@ def read_input(cfg: RunConfig) -> tuple[np.ndarray, float | None]:
             try:
                 samples = np.array([float(v) for v in values])
             except ValueError as exc:
-                raise CorruptFile(f"non-numeric csv value: {exc}")
+                raise IoError(f"non-numeric csv value: {exc}")
         elif fmt == "raw-f32":
             data = np.fromfile(cfg.input_path, dtype=np.uint8)
             if len(data) % 4:
-                raise CorruptFile(f"{cfg.input_path!r} ends inside a float32 sample")
+                raise IoError(f"{cfg.input_path!r} ends inside a float32 sample")
             samples = data.view("<f4").astype(np.float64)
         else:
-            raise UnsupportedFormat(f"unknown input format {fmt!r}")
+            raise IoError(f"unknown input format {fmt!r}")
     except OSError as exc:
         raise IoError(f"cannot read {cfg.input_path!r}: {exc}")
     if not np.all(np.isfinite(samples)):
@@ -100,7 +94,7 @@ def _read_wav16(path: str) -> tuple[np.ndarray, float]:
     try:
         with wave.open(path, "rb") as wf:
             if wf.getsampwidth() != 2:
-                raise UnsupportedFormat(
+                raise IoError(
                     f"wav16 requires 16-bit PCM, got {8 * wf.getsampwidth()}-bit"
                 )
             rate = wf.getframerate()
@@ -108,9 +102,9 @@ def _read_wav16(path: str) -> tuple[np.ndarray, float]:
             expected = 2 * channels * wf.getnframes()
             frames = wf.readframes(wf.getnframes())
     except (wave.Error, EOFError) as exc:
-        raise CorruptFile(f"bad wav file {path!r}: {exc}")
+        raise IoError(f"bad wav file {path!r}: {exc}")
     if len(frames) < expected:
-        raise CorruptFile(f"wav file {path!r} is shorter than its header declares")
+        raise IoError(f"wav file {path!r} is shorter than its header declares")
     data = np.frombuffer(frames, dtype="<i2").astype(np.float64)
     if channels > 1:
         data = data.reshape(-1, channels).mean(axis=1)
@@ -183,14 +177,14 @@ def write_events(events: np.ndarray, cfg: RunConfig) -> None:
             elif cfg.output_format == "csv":
                 write_events_csv(events, fh, cfg.with_raw_intensity)
             else:
-                raise UnsupportedFormat(f"unknown output format {cfg.output_format!r}")
+                raise IoError(f"unknown output format {cfg.output_format!r}")
     except OSError as exc:
         raise IoError(f"cannot write {cfg.output_path!r}: {exc}")
 
 
 def parse_events(path: str, table: ChannelTable) -> np.recarray:
     """Read an event file (csv or jsonl) into an EVENT_DTYPE record array
-    with one `np.loadtxt` call. Raises CorruptFile, naming the file line, on
+    with one `np.loadtxt` call. Raises IoError, naming the file line, on
     a csv header or field count, or JSONL record keys, that the writers do
     not write (raw_intensity in every record or none), a malformed record, a
     negative time, a non-finite intensity, a zero raw intensity, a
@@ -204,14 +198,14 @@ def parse_events(path: str, table: ChannelTable) -> np.recarray:
         raise IoError(f"cannot read {path!r}: {exc}")
     except UnicodeDecodeError as exc:  # its bytes are the whole file
         line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise CorruptFile(f"bad event record in {path!r} line {line}: {exc}") from None
+        raise IoError(f"bad event record in {path!r} line {line}: {exc}") from None
     # blank lines after the first become empty ones, which loadtxt skips
     lines = re.sub(r"\n[^\S\n]+$", "\n", text, flags=re.M).split("\n")
     header, jsonl = lines[0], lines[0].lstrip().startswith("{")
 
     def bad(index, exc):  # records are the nonblank lines after the csv header
         line = [n for n, row in enumerate(lines, 1) if row][index + (not jsonl)]
-        return CorruptFile(f"bad event record in {path!r} line {line}: {exc}")
+        return IoError(f"bad event record in {path!r} line {line}: {exc}")
 
     rows, raw = lines[1:], header.endswith(",raw_intensity")
     if jsonl:  # each value's JSON text takes the csv checks: 70.9, true, "1" fail
@@ -227,7 +221,7 @@ def parse_events(path: str, table: ChannelTable) -> np.recarray:
             except (ValueError, TypeError) as exc:
                 raise bad(len(rows), exc) from None
     elif text and header not in (EVENT_HEADER, EVENT_HEADER + ",raw_intensity"):
-        raise CorruptFile(f"unexpected event header in {path!r}")
+        raise IoError(f"unexpected event header in {path!r}")
     dtype = (np.record, EVENT_DTYPE[list(EVENT_DTYPE.names[: 5 + raw])])
     try:  # with no rows loadtxt would warn
         events = np.loadtxt(rows, dtype, delimiter=",", comments=None,

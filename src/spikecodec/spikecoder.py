@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import CODE_DTYPE
-from .errors import InvalidConfig, ZeroIntensity
+from .errors import InvalidConfig, NumericError
 
 # three logarithmically distributed per-kernel center intensities
 DEFAULT_CENTERS = (0.0065, 0.4115, 25.8744)
@@ -66,7 +66,7 @@ def nearest_level(intensity, table: ChannelTable, metric: str = "log"):
         raise InvalidConfig(f"unknown itp metric {metric!r}")
     mag = np.abs(np.asarray(intensity, dtype=np.float64))
     if np.any(mag == 0.0):
-        raise ZeroIntensity("zero intensity maps to no spike")
+        raise NumericError("zero intensity maps to no spike")
     centers = np.asarray(table.centers)
     if metric == "log":
         dist = np.abs(np.log(mag)[..., None] - np.log(centers))

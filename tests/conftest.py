@@ -12,7 +12,7 @@ from spikecodec.dictionary import (
     kernel_spectra,
 )
 from spikecodec.encoder import CODE_DTYPE, _lag_transform
-from spikecodec.evaluate import MlpModel
+from spikecodec.evaluate import MlpModel, mlp_forward
 from spikecodec.spikecoder import EVENT_DTYPE
 
 # the scalar fixed-point chain of test_fixedpoint.py: `spikecodec.fixedpoint`
@@ -50,6 +50,12 @@ def small_mlp(sizes, seed):
     weights = [rng.uniform(-1 / np.sqrt(a), 1 / np.sqrt(a), (a, b))
                for a, b in zip(sizes, sizes[1:])]
     return MlpModel(weights, [np.zeros(b) for b in sizes[1:]])
+
+
+def mlp_accuracy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
+    """The share of rows whose most probable class is their label."""
+    probs = mlp_forward(model, np.asarray(features, dtype=np.float64))
+    return float(np.mean(np.argmax(probs, axis=1) == np.asarray(labels)))
 
 
 def events(*rows):

@@ -33,7 +33,6 @@ from spikecodec.errors import InvalidConfig
 from spikecodec.evaluate import (
     MlpTrainConfig,
     init_mlp,
-    mlp_accuracy,
     mlp_forward,
     mlp_loss_and_grads,
     mlp_train,
@@ -52,7 +51,7 @@ from spikecodec.pipeline import (
 )
 from spikecodec.spikecoder import DEFAULT_CENTERS, build_channel_table, nearest_level
 
-from conftest import SCALAR_CHAIN, max_in_support_shift, small_mlp
+from conftest import SCALAR_CHAIN, max_in_support_shift, mlp_accuracy, small_mlp
 
 W = 2048
 

@@ -1,6 +1,7 @@
 """The package's public names and the README library example."""
 
 import ast
+import builtins
 import json
 import pathlib
 import re
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 import spikecodec
+from spikecodec import cli, errors
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -30,6 +32,47 @@ def test_all_equals_readme_import_block():
 
 def test_readme_library_example_runs():
     exec(compile(_library_example(), str(README), "exec"), {})
+
+
+def test_readme_lists_every_error_class_with_its_exit_code(tmp_path, monkeypatch,
+                                                            capsys):
+    # the Library section names each class as `Name` (exit code)
+    library = re.search(r"## Library\n(.*?)\n## ", README.read_text(), re.S).group(1)
+    listed = {name: int(code) for name, code in re.findall(r"`(\w+)` \((\d)\)", library)}
+    defined = {name for name, obj in vars(errors).items() if isinstance(obj, type)
+               and issubclass(obj, Exception) and obj.__module__ == errors.__name__}
+    assert sorted(listed) == sorted(defined)
+    for name, code in listed.items():
+        def fail(*args, error=getattr(errors, name)):
+            raise error("failed")
+
+        monkeypatch.setattr(cli, "build_dictionary", fail)
+        assert cli.main(["dict-dump", "-o", str(tmp_path / "k.csv")]) == code, name
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _undefined_camelcase(readme, sources):
+    """The CamelCase names that `readme` shows in backticks and that no class,
+    function or module-level assignment of `sources` and no builtin defines."""
+    defined = set(dir(builtins))
+    for text in sources:
+        tree = ast.parse(text)
+        defined |= {node.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        defined |= {n.id for node in tree.body
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for n in ast.walk(node) if isinstance(n, ast.Name)}
+    shown = {name for span in re.findall(r"`+([^`]+)`+", readme)
+             for name in re.findall(r"\b[A-Z][a-z0-9]\w*", span)}
+    return sorted(shown - defined)
+
+
+def test_readme_camelcase_names_are_defined():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert _undefined_camelcase(README.read_text(), sources) == []
+    # a class that README still names after src/ dropped it is found
+    assert _undefined_camelcase("`LengthMismatch` and `Segment`", sources) == [
+        "LengthMismatch"]
 
 
 # Imports every module, encodes and decodes through the CLI, and prints the

@@ -16,7 +16,7 @@ from spikecodec.dictionary import (
     dump_dictionary_csv,
     kernel_spectra,
 )
-from spikecodec.errors import InvalidConfig, LengthTooSmall
+from spikecodec.errors import InvalidConfig, NumericError
 
 from conftest import column_zero_dictionary
 
@@ -197,7 +197,7 @@ def test_support_is_the_nonzero_column_range(width):
 
 def test_fft_len_bounds():
     d = _delta_dictionary(length=256)
-    with pytest.raises(LengthTooSmall):
+    with pytest.raises(NumericError, match="below lag-window bound"):
         kernel_spectra(d, 256)  # below the lag-window bound 3 * 256 / 2
     with pytest.raises(InvalidConfig):
         kernel_spectra(d, 600)  # neither 2^a nor 3 * 2^a

@@ -28,7 +28,7 @@ from spikecodec.encoder import (
     select_code,
     shift_kernel,
 )
-from spikecodec.errors import DimensionMismatch, InvalidConfig, LengthTooSmall
+from spikecodec.errors import InvalidConfig, NumericError
 from spikecodec.fixedpoint import (
     FixedFormat,
     SaturationStats,
@@ -128,7 +128,7 @@ def macc(
     overflow of the accumulate follows the format policy.
     """
     if not (acc.fmt == a.fmt == b.fmt):
-        raise DimensionMismatch("macc operands must share one FixedFormat")
+        raise NumericError("macc operands must share one FixedFormat")
     term = _round_half_even(a.raw * b.raw, acc.fmt.frac_bits)
     raw = _apply_overflow(acc.raw + term, acc.fmt, stats)
     return FixedValue(raw=raw, fmt=acc.fmt)
@@ -150,7 +150,7 @@ def fixed_dot(
     a_raw = np.asarray(a_raw, dtype=np.int64)
     b_raw = np.asarray(b_raw, dtype=np.int64)
     if a_raw.shape != b_raw.shape:
-        raise DimensionMismatch("fixed_dot operands must have equal length")
+        raise NumericError("fixed_dot operands must have equal length")
     if a_raw.size == 0:
         return 0
     # not np.abs, which leaves int64's minimum negative
@@ -217,7 +217,7 @@ def test_macc_one_times_one():
 
 
 def test_macc_requires_matching_formats():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(NumericError, match="must share one FixedFormat"):
         macc(FixedValue(0, FMT), FixedValue(0, FMT), FixedValue(0, FixedFormat(16, 8)))
 
 
@@ -674,7 +674,7 @@ def test_screen_fits_kernels_nonzero_from_column_zero(monkeypatch):
     width, length = 100, 60
     d = column_zero_dictionary()
     assert d.support == (0, length)
-    with pytest.raises(LengthTooSmall):
+    with pytest.raises(NumericError, match="below lag-window bound"):
         kernel_spectra(d, default_fft_len(width, length), width)
     _check_pursuit_against_oracle(monkeypatch, d, make_audio_clip(2 * width, seed=60),
                                   width, FMT)

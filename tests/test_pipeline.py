@@ -19,7 +19,7 @@ from spikecodec import cli, encoder, pipeline
 from spikecodec.decoder import reconstruct
 from spikecodec.dictionary import Dictionary, DictionaryConfig, build_dictionary
 from spikecodec.encoder import EncoderConfig, encode_segment
-from spikecodec.errors import CorruptFile, NumericError, UnsupportedFormat
+from spikecodec.errors import InvalidConfig, IoError, NumericError, SpikeCodecError
 from spikecodec.fixedpoint import FixedFormat, SaturationStats
 from spikecodec.pipeline import (
     EVENT_HEADER,
@@ -83,21 +83,21 @@ def test_raw_f32_round_trip_is_bitwise(tmp_path):
 def test_unknown_extension_rejected(tmp_path):
     path = tmp_path / "sig.xyz"
     path.write_text("1,2")
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(IoError, match="cannot infer input format"):
         read_input(RunConfig(input_path=str(path)))
 
 
 def test_garbage_wav_rejected(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"not a wav at all")
-    with pytest.raises(CorruptFile):
+    with pytest.raises(IoError, match="bad wav file"):
         read_input(RunConfig(input_path=str(path)))
 
 
 def test_non_numeric_csv_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.1,zebra,0.3")
-    with pytest.raises(CorruptFile):
+    with pytest.raises(IoError, match="non-numeric csv value"):
         read_input(RunConfig(input_path=str(path)))
 
 
@@ -570,18 +570,30 @@ def test_cli_encode_failure_exits_4(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["encode", "decode"])
-def test_cli_out_of_memory_exits_4(tmp_path, monkeypatch, capsys, command):
+# each error class's exit code and stderr prefix; out of memory is named as such
+EXITS = [(MemoryError, 4, "numeric error: out of memory in {}"),
+         (InvalidConfig, 2, "config error: exhausted"),
+         (IoError, 3, "i/o error: exhausted"),
+         (NumericError, 4, "numeric error: exhausted"),
+         (SpikeCodecError, 4, "numeric error: exhausted")]
+
+
+@pytest.mark.parametrize("command, error, code, message", [
+    (command, *case) for case in EXITS for command in ("encode", "decode")
+], ids=[command if error is MemoryError else f"{command}-{error.__name__}"
+        for error, _, _ in EXITS for command in ("encode", "decode")])
+def test_cli_out_of_memory_exits_4(tmp_path, monkeypatch, capsys, command, error,
+                                   code, message):
     def exhausted(*args, **kwargs):
-        raise MemoryError
+        raise error("exhausted")
 
     monkeypatch.setattr(cli, "encode_signal", exhausted)
     monkeypatch.setattr(cli, "parse_events", exhausted)
     argv = (_encode_args(tmp_path, "s.csv", b"0.1,0.2") if command == "encode"
             else _decode_args(tmp_path))
-    assert cli.main(argv) == 4
+    assert cli.main(argv) == code
     err = capsys.readouterr().err
-    assert f"numeric error: out of memory in {command}" in err
+    assert message.format(command) in err
     assert "Traceback" not in err
 
 
@@ -692,6 +704,13 @@ def _train_args(tmp_path, *extra):
     for stem in ("clip_a", "clip_b"):
         (tmp_path / f"{stem}.csv").write_text(EVENT_HEADER + "\n")
     return _eval_args(tmp_path, "clip_a,x\nclip_b,y\n", "--epochs", "2", *extra)
+
+
+def _labels_args(tmp_path, labels_text):
+    # three event files without events: only the labels file can be bad
+    for stem in ("clip_a", "clip_b", "clip_c"):
+        (tmp_path / f"{stem}.csv").write_text(EVENT_HEADER + "\n")
+    return _eval_args(tmp_path, labels_text, "--epochs", "2")
 
 
 def _eval_row_args(tmp_path, row):
@@ -851,6 +870,9 @@ def _config_args(tmp_path, text):
     # formats int64 cannot hold exactly: B <= 53 and B + F <= 62
     *[(lambda tmp, fixed=fixed: _encode_args(tmp, "s.csv", b"0.1,0.2", "--fixed", fixed),
        2) for fixed in ("48:36", "54:4", "32:31")],
+    # a stem that a later line gives another label; the same label again is kept
+    (lambda tmp: _labels_args(tmp, "clip_a,x\nclip_b,y\nclip_c,x\nclip_a,y\n"), 3),
+    (lambda tmp: _labels_args(tmp, "clip_a,x\nclip_b,y\nclip_c,x\nclip_a,x\n"), 0),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
@@ -872,7 +894,8 @@ def _config_args(tmp_path, text):
         "jsonl-channel-contradicts-level", "jsonl-center-not-exact",
         "f32-partial-sample", "eval-kernels-zero", "csv-header-only",
         "csv-whitespace-line", "csv-float-in-int-column", "csv-underscore-int",
-        "csv-not-utf8", "fixed-48:36", "fixed-54:4", "fixed-32:31"])
+        "csv-not-utf8", "fixed-48:36", "fixed-54:4", "fixed-32:31",
+        "labels-stem-relabelled", "labels-line-repeated"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     out = _cli(*make_argv(tmp_path))
     assert out.returncode == code, out.stderr
@@ -970,7 +993,7 @@ def _parse_events_oracle(path, table):
             elif first:
                 header = first.rstrip("\r\n")
                 if header not in (EVENT_HEADER, EVENT_HEADER + ",raw_intensity"):
-                    raise CorruptFile(f"unexpected event header in {path!r}")
+                    raise IoError(f"unexpected event header in {path!r}")
                 for line in fh:
                     if not line.strip():
                         continue
@@ -988,13 +1011,15 @@ def _parse_events_oracle(path, table):
             raise ValueError("columns contradict the table")
         return events.view(np.recarray)
     except (ValueError, KeyError, OverflowError, TypeError) as exc:
-        raise CorruptFile(f"bad event record in {path!r}: {exc}")
+        raise IoError(f"bad event record in {path!r}: {exc}")
 
 
 def _parsed_or_none(parse, path, table):
     try:
         return parse(str(path), table)
-    except CorruptFile:
+    except IoError as exc:  # a malformed file, not one that cannot be read
+        if not str(exc).startswith(("bad event record", "unexpected event header")):
+            raise
         return None
 
 
@@ -1088,7 +1113,7 @@ def test_parse_error_names_the_file_line(tmp_path, text, line):
     # in a field-count error, and skips blank lines; the header is line 1
     path = tmp_path / "events"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
-    with pytest.raises(CorruptFile, match=f"{path.name}' line {line}: "):
+    with pytest.raises(IoError, match=f"{path.name}' line {line}: "):
         parse_events(str(path), build_channel_table(6))
 
 

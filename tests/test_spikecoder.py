@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spikecodec.errors import InvalidConfig, ZeroIntensity
+from spikecodec.errors import InvalidConfig, NumericError
 from spikecodec.spikecoder import (
     DEFAULT_CENTERS,
     build_channel_table,
@@ -56,7 +56,7 @@ def test_center_intensity_maps_to_its_level():
 
 def test_zero_intensity_raises():
     table = build_channel_table(4)
-    with pytest.raises(ZeroIntensity):
+    with pytest.raises(NumericError, match="zero intensity maps to no spike"):
         nearest_level(0.0, table)
 
 
