@@ -26,6 +26,7 @@ from .pipeline import (
     encode_signal,
     parse_events,
     read_input,
+    read_text,
     run_bench,
     write_events,
     write_waveform,
@@ -80,25 +81,25 @@ def _shared_flags_parser() -> argparse.ArgumentParser:
 def _config_flags(path: str) -> list[str]:
     """The key=value lines of a config file as --key=value flags, each
     checked as that flag is; an error names the file and the line."""
-    flags = []
     try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, sep, value = line.partition("=")
-                key = key.strip().replace("_", "-")
-                if not sep or key not in SHARED_FLAGS:
-                    raise InvalidConfig(f"{path} line {lineno}: want key=value with "
-                                        f"a shared flag's key, got {raw.rstrip()!r}")
-                flags.append(f"--{key}={value.strip()}")
-                try:
-                    _shared_flags_parser().parse_args(flags[-1:])
-                except argparse.ArgumentError as exc:
-                    raise InvalidConfig(f"{path} line {lineno}: {exc}")
+        text = read_text(path, "config line")
     except OSError as exc:
         raise IoError(f"cannot read config file {path!r}: {exc}")
+    flags = []
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip().replace("_", "-")
+        if not sep or key not in SHARED_FLAGS:
+            raise InvalidConfig(f"{path} line {lineno}: want key=value with "
+                                f"a shared flag's key, got {raw.rstrip()!r}")
+        flags.append(f"--{key}={value.strip()}")
+        try:
+            _shared_flags_parser().parse_args(flags[-1:])
+        except argparse.ArgumentError as exc:
+            raise InvalidConfig(f"{path} line {lineno}: {exc}")
     return flags
 
 
@@ -219,21 +220,21 @@ def _cmd_eval(args) -> int:
         raise InvalidConfig(f"bad --lr-decay {args.lr_decay!r}, want F@E")
     train_cfg.validate()  # before any file is read
 
-    labels_by_stem = {}
     try:
-        with open(args.labels) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "," not in line:
-                    raise IoError(f"labels line {line!r} has no comma")
-                stem, label = [p.strip() for p in line.split(",", 1)]
-                if labels_by_stem.setdefault(stem, label) != label:
-                    raise IoError(f"labels line {line!r} relabels {stem!r}, which "
-                                  f"an earlier line labels {labels_by_stem[stem]!r}")
+        text = read_text(args.labels, "labels line")
     except OSError as exc:
         raise IoError(f"cannot read labels {args.labels!r}: {exc}")
+    labels_by_stem = {}
+    for line in text.split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "," not in line:
+            raise IoError(f"labels line {line!r} has no comma")
+        stem, label = [p.strip() for p in line.split(",", 1)]
+        if labels_by_stem.setdefault(stem, label) != label:
+            raise IoError(f"labels line {line!r} relabels {stem!r}, which "
+                          f"an earlier line labels {labels_by_stem[stem]!r}")
 
     class_names = sorted(set(labels_by_stem.values()))
     features, labels = [], []

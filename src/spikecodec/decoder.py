@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dictionary import Dictionary
+from .dictionary import Dictionary, check_memory
 from .encoder import CODE_DTYPE
 from .errors import InvalidConfig, NumericError
 from .spikecoder import ChannelTable, nearest_level
@@ -59,12 +59,18 @@ def by_segment(codes: np.ndarray) -> list[np.ndarray]:
 
 def _kernel_bank(dictionary: Dictionary, width: int) -> np.ndarray:
     """[m, W/2 - tau] = shift_kernel(kernel m, tau, width): a read-only view of
-    windows over the kernels' samples below 3W/2, zero-padded to (kernels, 2W)."""
-    half, kept = width // 2, min(dictionary.kernel_len, width // 2 + width)
-    padded = np.pad(dictionary.kernels[:, :kept], ((0, 0), (half, half + width - kept)))
-    padded.flags.writeable = False  # and so is a view over it
-    return np.ndarray((len(padded), 2 * half + 1, width), padded.dtype, padded, 0,
-                      (padded.strides[0], padded.itemsize, padded.itemsize))
+    2W-wide windows over one flat zero-padded buffer, row m's from m * pitch.
+    The pitch keeps the neighbouring rows' kernels out of row m's windows, so
+    that rows share their zeros."""
+    kernels, half, (lo, hi) = dictionary.kernels, width // 2, dictionary.support
+    hi = min(hi, half + width)  # a window reads a kernel below 3W/2 only
+    pitch = max(2 * width - half - lo, half + hi)  # <= 2W: M rows fit the buffer
+    flat = np.zeros((len(kernels) - 1) * pitch + 2 * width, kernels.dtype)
+    flat[: len(kernels) * pitch].reshape(-1, pitch)[:, half + lo : half + hi] = (
+        kernels[:, lo:hi])
+    flat.flags.writeable = False  # and so is a view over it
+    return np.ndarray((len(kernels), 2 * half + 1, width), flat.dtype, flat, 0,
+                      (pitch * flat.itemsize, flat.itemsize, flat.itemsize))
 
 
 def _atoms(codes: np.ndarray, dictionary: Dictionary, width: int) -> np.ndarray:
@@ -89,6 +95,7 @@ def reconstruct(
     order from +0.0, as adding one code at a time would: a segment's scaled
     atoms are summed along the code axis, which is not the contiguous one
     (numpy sums that one pairwise), and the sum is added to the zeroed span."""
+    check_memory(8 * total_len, f"{total_len} output samples")
     try:
         out = np.zeros(total_len)
     except MemoryError:

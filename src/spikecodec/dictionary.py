@@ -22,6 +22,7 @@ Waveforms are truncated at the buffer end and L2-normalized afterwards.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -131,22 +132,33 @@ class Dictionary:
 
 @dataclass(frozen=True)
 class SpectralDictionary:
-    """Forward DFTs of the zero-padded kernels, for the spectral backend."""
+    """The rfft bins of the zero-padded kernels' forward DFTs, for the
+    spectral backend and the fixed-point screen."""
 
-    spectra: np.ndarray  # (num_kernels, fft_len), complex
+    spectra: np.ndarray  # (num_kernels, fft_len // 2 + 1): fft rows' rfft bins
     fft_len: int
     support: tuple[int, int]  # the Dictionary's support
 
     @cached_property
     def bound(self) -> np.ndarray:
-        """(1 + 1e-9) |spectra| on the rfft bins, times irfft's weight per
+        """(1 + 1e-9) |spectra| (the rfft bins), times irfft's weight per
         bin (1/n at DC and Nyquist, 2/n elsewhere): row m times |rfft(r)|
         bounds every lag of row m's correlation with r, rounding included."""
         n = self.fft_len
         weights = np.full(n // 2 + 1, 2.0 / n)
         # DC and Nyquist; for odd n there is no Nyquist bin and both are bin 0
         weights[0] = weights[n // 2 * (1 - n % 2)] = 1.0 / n
-        return (1 + 1e-9) * np.abs(self.spectra[:, : n // 2 + 1]) * weights
+        return (1 + 1e-9) * np.abs(self.spectra) * weights
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise NumericError when `what` needs more than half of physical memory.
+    Checked before allocating: Linux overcommits, so such an allocation can
+    succeed and the kernel kill the process as its pages are written."""
+    bound = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    if nbytes > bound:
+        raise NumericError(f"{what} need {nbytes} bytes, past the bound of half "
+                           f"of physical memory, {bound} bytes")
 
 
 @lru_cache(maxsize=8)
@@ -160,8 +172,12 @@ def build_dictionary(config: DictionaryConfig = DictionaryConfig()) -> Dictionar
     ------
     InvalidConfig
         If the config violates its invariants or a kernel has zero energy.
+    NumericError
+        If the kernels need more than half of physical memory.
     """
     config.validate()
+    check_memory(config.num_kernels * config.kernel_len * 8,
+                 f"{config.num_kernels} kernels of {config.kernel_len} samples")
     centers = erb_space(config.freq_lo, config.freq_hi, config.num_kernels)
 
     onset = config.kernel_len // 2
@@ -188,10 +204,12 @@ def build_dictionary(config: DictionaryConfig = DictionaryConfig()) -> Dictionar
 def kernel_spectra(
     dictionary: Dictionary, fft_len: int | None = None, signal_len: int | None = None
 ) -> SpectralDictionary:
-    """Precompute kernel DFTs at `fft_len` bins, which must be 2^a or 3*2^a
+    """Precompute kernel DFTs of length `fft_len`, which must be 2^a or 3*2^a
     and at least `_lag_window_bound` for the kernels' nonzero columns and the
     segment width `signal_len` (default: the kernel length); by default the
-    smallest such length."""
+    smallest such length. Only the rfft bins are kept: the spectra have
+    shape (kernels, fft_len // 2 + 1), row m the first bins of
+    `np.fft.fft(kernel m, fft_len)` (rfft's bins differ in the last bits)."""
     if signal_len is None:
         signal_len = dictionary.kernel_len
     bound = _lag_window_bound(signal_len, *dictionary.support)
@@ -203,7 +221,9 @@ def kernel_spectra(
     if base & (base - 1) != 0:
         raise InvalidConfig(f"fft_len must be 2^a or 3*2^a, got {fft_len}")
 
-    spectra = np.fft.fft(dictionary.kernels, n=fft_len, axis=1)
+    spectra = np.empty((dictionary.num_kernels, fft_len // 2 + 1), complex)
+    for row, kernel in zip(spectra, dictionary.kernels):  # no (kernels, n) copy
+        row[:] = np.fft.fft(kernel, fft_len)[: len(row)]
     spectra.flags.writeable = False
     return SpectralDictionary(spectra, fft_len, dictionary.support)
 

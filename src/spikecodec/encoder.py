@@ -131,13 +131,12 @@ def _lag_transform(residual: np.ndarray, sdict: SpectralDictionary):
     that lag tau lands in bin W/2 - tau, and `transform(rows)`: those rows'
     W + 1 lags, an irfft of its products with the kernels' rfft bins."""
     w, n = len(residual), sdict.fft_len
-    spectra = sdict.spectra[:, : n // 2 + 1]
     rotated = np.zeros(n)
     rotated[: w // 2], rotated[n - w // 2 :] = residual[w // 2 :], residual[: w // 2]
     spectrum = np.conj(np.fft.rfft(rotated))
 
     def transform(rows):
-        return np.fft.irfft(spectrum * spectra[rows], n, axis=-1)[..., w::-1]
+        return np.fft.irfft(spectrum * sdict.spectra[rows], n, axis=-1)[..., w::-1]
 
     return spectrum, transform
 

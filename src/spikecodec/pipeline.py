@@ -69,8 +69,7 @@ def read_input(cfg: RunConfig) -> tuple[np.ndarray, float | None]:
         if fmt == "wav16":
             samples, rate = _read_wav16(cfg.input_path)
         elif fmt == "csv":
-            with open(cfg.input_path) as fh:
-                text = fh.read()
+            text = read_text(cfg.input_path, "csv value")
             values = [tok for tok in text.replace(",", " ").split() if tok]
             try:
                 samples = np.array([float(v) for v in values])
@@ -88,6 +87,18 @@ def read_input(cfg: RunConfig) -> tuple[np.ndarray, float | None]:
     if not np.all(np.isfinite(samples)):
         raise NumericError(f"{cfg.input_path!r} holds NaN or infinite samples")
     return samples, rate
+
+
+def read_text(path: str, record: str) -> str:
+    """The whole text of `path`. Raises IoError, naming the file and the line,
+    on bytes that are not UTF-8 (`record`: what a line holds); an OSError
+    passes to the caller."""
+    with open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:  # read() decodes the whole file at once
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise IoError(f"bad {record} in {path!r} line {line}: {exc}") from None
 
 
 def _read_wav16(path: str) -> tuple[np.ndarray, float]:
@@ -192,13 +203,9 @@ def parse_events(path: str, table: ChannelTable) -> np.recarray:
     reader's `table`, a level outside it, or a center other than its
     level's as the writers write it."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        text = read_text(path, "event record")
     except OSError as exc:
         raise IoError(f"cannot read {path!r}: {exc}")
-    except UnicodeDecodeError as exc:  # its bytes are the whole file
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise IoError(f"bad event record in {path!r} line {line}: {exc}") from None
     # blank lines after the first become empty ones, which loadtxt skips
     lines = re.sub(r"\n[^\S\n]+$", "\n", text, flags=re.M).split("\n")
     header, jsonl = lines[0], lines[0].lstrip().startswith("{")

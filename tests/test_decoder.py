@@ -6,14 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spikecodec.decoder import error_curve, reconstruct
-from spikecodec.dictionary import Dictionary, DictionaryConfig
+from spikecodec.decoder import _kernel_bank, error_curve, reconstruct
+from spikecodec.dictionary import Dictionary, DictionaryConfig, build_dictionary
 from spikecodec.encoder import EncoderConfig, Segment, encode_segment, shift_kernel
 from spikecodec.errors import NumericError
 from spikecodec.pipeline import encode_signal, make_audio_clip
 from spikecodec.spikecoder import build_channel_table, nearest_level
 
-from conftest import codes
+from conftest import codes, column_zero_dictionary
 
 
 # ----- the error report of a reconstruction, which the tests below use -----
@@ -176,6 +176,78 @@ def test_error_curve_equals_the_per_code_loop(decode, seed):
     kwargs = dict(quantized=quantized, table=table, metric=metric)
     assert (_outcome(error_curve, x, codesets, d, width, **kwargs)
             == _outcome(loop_error_curve, x, codesets, d, width, **kwargs))
+
+
+def _hand_built(kernels):
+    m = len(kernels)
+    return Dictionary(kernels, np.arange(1.0, m + 1.0), DictionaryConfig(
+        num_kernels=m, kernel_len=kernels.shape[1]))
+
+
+@pytest.mark.parametrize("width, dictionary", [
+    (2, lambda: build_dictionary(DictionaryConfig(num_kernels=5, kernel_len=2))),
+    (6, lambda: build_dictionary(DictionaryConfig(num_kernels=5, kernel_len=6))),
+    (256, lambda: build_dictionary(DictionaryConfig(num_kernels=8, kernel_len=256))),
+    # kernel_len below W/2, above 3W/2, where the bank keeps [lo, 3W/2), and
+    # above 3W, where the support starts past 3W/2 and the bank keeps none
+    (256, lambda: build_dictionary(DictionaryConfig(num_kernels=8, kernel_len=100))),
+    (256, lambda: build_dictionary(DictionaryConfig(num_kernels=8, kernel_len=500))),
+    (6, lambda: build_dictionary(DictionaryConfig(num_kernels=5, kernel_len=20))),
+    # support from column 0: past 3W/2 (pitch 2W), and within it (pitch 3W/2)
+    (6, lambda: _hand_built(np.random.default_rng(6).standard_normal((4, 11)))),
+    (100, column_zero_dictionary),
+    (6, lambda: _hand_built(np.zeros((3, 6)))),  # no support at all
+], ids=["W2", "W6", "W256", "W256-L100", "W256-L500", "W6-L20", "W6-dense-L11",
+        "W100-column-zero", "W6-zero-kernels"])
+def test_kernel_bank_rows_are_shifted_kernels(width, dictionary):
+    # neighbouring rows share one flat buffer's zeros: each window must
+    # still read its own kernel and zeros only
+    d = dictionary()
+    bank = _kernel_bank(d, width)
+    assert bank.shape == (d.num_kernels, width + 1, width)
+    for m in range(d.num_kernels):
+        for tau in range(-(width // 2), width // 2 + 1):
+            want = shift_kernel(d.kernels[m], tau, width)
+            assert bank[m, width // 2 - tau].tobytes() == want.tobytes(), (m, tau)
+    assert not bank.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        bank[0, 0, 0] = 1.0
+
+
+def _table_bytes(dictionary: Dictionary) -> int:
+    """nbytes of the kernels and of every array the dictionary's tables
+    hold, each buffer once: a view counts as the array it views."""
+    buffers = {}
+
+    def visit(value):
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            buffers[id(value)] = value.nbytes
+        elif isinstance(value, tuple):
+            for item in value:
+                visit(item)
+        elif hasattr(value, "__dict__"):  # a SpectralDictionary and its bound
+            for item in vars(value).values():
+                visit(item)
+
+    visit(dictionary.kernels)
+    for value in dictionary._tables.values():
+        visit(value)
+    return sum(buffers.values())
+
+
+def test_reference_point_table_bytes_are_pinned(full_dict):
+    # W=2048, 40 kernels, after one spectral encode and one decode: kernels
+    # 655,360 B, the rfft bins 983,680 B and their row bounds 491,840 B, and
+    # the decode bank at a 3W/2 pitch 991,232 B. All of the FFT bins and a
+    # 2W-wide row per kernel took 4,424,000 B; a table that regrows fails here
+    d = Dictionary(full_dict.kernels, full_dict.center_freqs, full_dict.config)
+    cfg = EncoderConfig(width=2048, backend="spectral")
+    codeset = encode_segment(Segment(make_audio_clip(2048, seed=0)), d, cfg=cfg)
+    reconstruct([codeset], d, 2048, 2048)
+    assert sorted(d._tables) == [("bank", 2048), ("spectra", 2048)]
+    assert _table_bytes(d) == 3_122_112
 
 
 def test_empty_codesets_reconstruct_to_silence(small_dict):

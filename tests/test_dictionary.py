@@ -168,20 +168,39 @@ def test_delta_kernel_has_flat_spectrum():
 
 
 def test_parseval_for_every_kernel(full_dict):
-    sd = kernel_spectra(full_dict, 4096)
-    spectral_energy = np.sum(np.abs(sd.spectra) ** 2, axis=1) / sd.fft_len
-    assert np.max(np.abs(spectral_energy - 1.0)) < 1e-9
+    # the rfft bins hold the whole energy of a real kernel: every bin but DC
+    # and Nyquist stands for itself and its conjugate
+    for fft_len in (4096, 3072):
+        sd = kernel_spectra(full_dict, fft_len)
+        assert sd.spectra.shape == (40, fft_len // 2 + 1)
+        weights = np.full(fft_len // 2 + 1, 2.0)
+        weights[[0, -1]] = 1.0
+        spectral_energy = np.abs(sd.spectra) ** 2 @ weights / fft_len
+        assert np.max(np.abs(spectral_energy - 1.0)) < 1e-9
 
 
 def test_spectra_match_naive_dft_oracle(full_dict):
     # oracle: explicit transform matrix X[k] = sum_n x[n] e^{-2pi i k n / N}
+    # at the first 4096 // 2 + 1 bins, the ones kept
     sd = kernel_spectra(full_dict, 4096)
     n = np.arange(full_dict.kernel_len)
-    k = np.arange(4096)
+    k = np.arange(4096 // 2 + 1)
     matrix = np.exp(-2j * np.pi * np.outer(n, k) / 4096.0)
     naive = full_dict.kernels @ matrix
     scale = np.max(np.abs(naive))
     assert np.max(np.abs(sd.spectra - naive)) / scale < 1e-9
+
+
+@pytest.mark.parametrize("width, fft_len", [(128, None), (256, None), (2048, None),
+                                            (2048, 4096)])
+def test_spectra_rows_are_fft_rows_bit_for_bit(width, fft_len):
+    # fft's bins, not rfft's, which differ in the last bits and would move lags
+    d = build_dictionary(DictionaryConfig(kernel_len=width))
+    sd = kernel_spectra(d, fft_len)
+    assert not sd.spectra.flags.writeable
+    n = sd.fft_len
+    for kernel, row in zip(d.kernels, sd.spectra, strict=True):
+        assert row.tobytes() == np.fft.fft(kernel, n)[: n // 2 + 1].tobytes()
 
 
 @pytest.mark.parametrize("width", [256, 2048])

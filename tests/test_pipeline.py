@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import threading
@@ -615,11 +616,15 @@ def test_cli_event_bytes_do_not_depend_on_thread_count(tmp_path, backend):
 
 # ----- command-line interface -----
 
-def _cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "spikecodec.cli", *argv],
-        capture_output=True, text=True,
-    )
+def _cli(*argv, address_space=None):
+    """Run the CLI in a child; with `address_space`, under that RLIMIT_AS in
+    bytes, and with BLAS on one thread, whose per-thread buffers would count."""
+    env = limit = None
+    if address_space is not None:
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space,) * 2)
+    return subprocess.run([sys.executable, "-m", "spikecodec.cli", *argv],
+                          capture_output=True, text=True, env=env, preexec_fn=limit)
 
 
 @pytest.fixture(scope="module")
@@ -694,7 +699,8 @@ def _encode_args(tmp_path, name, data, *extra):
 
 def _eval_args(tmp_path, labels_text, *extra):
     labels = tmp_path / "labels.csv"
-    labels.write_text(labels_text)
+    labels.write_bytes(labels_text if isinstance(labels_text, bytes)
+                       else labels_text.encode())
     return ["eval", "--features-from", str(tmp_path), "--labels", str(labels),
             *extra]
 
@@ -772,8 +778,20 @@ def _decode_jsonl_args(tmp_path, line, first=JSONL_RECORD):
 
 def _config_args(tmp_path, text):
     config = tmp_path / "run.cfg"
-    config.write_text(text)
+    config.write_bytes(text if isinstance(text, bytes) else text.encode())
     return _encode_args(tmp_path, "s.csv", b"0.1,0.2", "--config", str(config))
+
+
+def _huge_width_args(tmp_path):
+    # 8 kernels of 10**9 samples take 64 GB: past the memory bound of a host
+    # with less than 128 GB, which the CLI checks before it allocates; were
+    # the check missed, the 1 GiB address space fails the allocation at once
+    path = tmp_path / "n.f32"
+    path.write_bytes(bytes(4 * 4096))
+    return ["encode", str(path), "--width", "1000000000", "--kernels", "8"]
+
+
+_huge_width_args.address_space = 1 << 30
 
 
 @pytest.mark.parametrize("make_argv, code", [
@@ -807,7 +825,7 @@ def _config_args(tmp_path, text):
     (lambda tmp: _decode_args_with_rows(tmp, "64,5,1,2,0.000000"), 3),
     (lambda tmp: _decode_args_with_rows(tmp, "64,5,1,2,-0.411500"), 3),
     (lambda tmp: _decode_row_args(tmp, f"{10**20},10,3,1,0.411500,0.411500"), 3),
-    # an output of 10**18 samples fails to allocate at once
+    # an output of 10**18 samples passes the memory bound
     (lambda tmp: _decode_row_args(tmp, f"{10**18},10,3,1,0.411500,0.411500"), 4),
     (_decode_to_missing_dir("x.wav"), 3),
     (_decode_to_missing_dir("x.csv"), 3),
@@ -873,6 +891,11 @@ def _config_args(tmp_path, text):
     # a stem that a later line gives another label; the same label again is kept
     (lambda tmp: _labels_args(tmp, "clip_a,x\nclip_b,y\nclip_c,x\nclip_a,y\n"), 3),
     (lambda tmp: _labels_args(tmp, "clip_a,x\nclip_b,y\nclip_c,x\nclip_a,x\n"), 0),
+    # bytes that are not UTF-8 in a csv input, a config file and a labels file
+    (lambda tmp: _encode_args(tmp, "bad.csv", b"0.1,\xff"), 3),
+    (lambda tmp: _config_args(tmp, b"k=\xff\n"), 3),
+    (lambda tmp: _labels_args(tmp, b"clip_a,x\n\xff,y\n"), 3),
+    (_huge_width_args, 4),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
@@ -895,12 +918,31 @@ def _config_args(tmp_path, text):
         "f32-partial-sample", "eval-kernels-zero", "csv-header-only",
         "csv-whitespace-line", "csv-float-in-int-column", "csv-underscore-int",
         "csv-not-utf8", "fixed-48:36", "fixed-54:4", "fixed-32:31",
-        "labels-stem-relabelled", "labels-line-repeated"])
+        "labels-stem-relabelled", "labels-line-repeated", "csv-input-not-utf8",
+        "config-not-utf8", "labels-not-utf8", "width-past-memory"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
-    out = _cli(*make_argv(tmp_path))
+    limit = getattr(make_argv, "address_space", None)
+    out = _cli(*make_argv(tmp_path), address_space=limit)
     assert out.returncode == code, out.stderr
     assert "Traceback" not in out.stderr
     assert "Warning" not in out.stderr
+    if limit is not None:  # refused by the bound, not by a failed allocation
+        assert "past the bound of half of physical memory" in out.stderr
+
+
+@pytest.mark.parametrize("make_argv, where", [
+    (lambda tmp: _encode_args(tmp, "bad.csv", b"0.1\n0.2,\xff"),
+     "bad csv value in '{}' line 2: "),
+    (lambda tmp: _config_args(tmp, b"k=3\n\nwidth=\xff\n"),
+     "bad config line in '{}' line 3: "),
+    (lambda tmp: _labels_args(tmp, b"clip_a,x\n\xff,y\n"),
+     "bad labels line in '{}' line 2: "),
+], ids=["csv-input", "config", "labels"])
+def test_text_that_is_not_utf8_names_the_file_line(tmp_path, capsys, make_argv, where):
+    argv = make_argv(tmp_path)
+    bad = [a for a in argv if a.endswith(("bad.csv", "run.cfg", "labels.csv"))][-1]
+    assert cli.main(argv) == 3
+    assert where.format(bad) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fs", ["nan", "inf", "0", "-16000"])
