@@ -170,16 +170,12 @@ def _cmd_decode(args) -> int:
     if args.length is not None and args.length < 1:
         raise InvalidConfig(f"--length must be >= 1, got {args.length}")
     dictionary = build_dictionary(cfg.dictionary)
-    table = build_channel_table(dictionary.num_kernels)
-    events = parse_events(args.events, table)
+    events = parse_events(args.events, build_channel_table(dictionary.num_kernels))
     width = cfg.encoder.width
-    codesets = codes_from_events(events, width)
+    codesets = codes_from_events(events, width, args.quantized)
     n_segments = int(codesets[-1].segment_index[0]) + 1 if codesets else 0
     total_len = n_segments * width if args.length is None else args.length
-    x_hat = reconstruct(
-        codesets, dictionary, width, total_len,
-        quantized=args.quantized, table=table, metric=cfg.itp_metric,
-    )
+    x_hat = reconstruct(codesets, dictionary, width, total_len)
     write_waveform(x_hat, args.output, cfg.dictionary.sample_rate)
     print(f"reconstructed {total_len} samples from "
           f"{sum(len(cs) for cs in codesets)} codes -> {args.output}")
@@ -314,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output waveform (.wav, .csv or .f32)")
     dec.add_argument("--length", type=int, help="output length in samples")
     dec.add_argument("--quantized", action="store_true",
-                     help="reconstruct from channel centers instead of raw s")
+                     help="reconstruct from the file's channel centers")
 
     ben = command("bench", _cmd_bench, "time both backends on synthetic data")
     ben.add_argument("--segments", type=int, default=10)

@@ -1,9 +1,9 @@
 """Inverse transform: reconstruct a waveform from code sets.
 
 Reconstruction linearly superposes every code's scaled shifted kernel at its
-segment offset. By default the raw signed intensities are used; quantized
-mode substitutes the intensity-to-place center for each magnitude (keeping
-the sign), which exposes the information lost in the spike representation.
+segment offset, each scaled by the code's s as given: a quantized decode
+reads its codes with `pipeline.codes_from_events(..., quantized=True)`,
+whose s is the fired channel's center with the raw sign.
 """
 
 from __future__ import annotations
@@ -13,18 +13,13 @@ import numpy as np
 from .dictionary import Dictionary, check_memory
 from .encoder import CODE_DTYPE
 from .errors import InvalidConfig, NumericError
-from .spikecoder import ChannelTable, nearest_level
 
 
-def _checked_codes(codesets, dictionary: Dictionary, width: int, total_len: int,
-                   quantized: bool, table: ChannelTable | None, metric: str):
-    """All codes split by segment (`by_segment`), with s replaced in
-    quantized mode by its channel center (keeping the sign). Raises
-    NumericError for the first code in list order that does not fit the
-    dictionary or the width, or whose segment starts at or past the output
-    length; a segment that runs past it is cut there."""
-    if quantized and table is None:
-        raise InvalidConfig("quantized reconstruction needs a ChannelTable")
+def _checked_codes(codesets, dictionary: Dictionary, width: int, total_len: int):
+    """All codes split by segment (`by_segment`). Raises NumericError for
+    the first code in list order that does not fit the dictionary or the
+    width, or whose segment starts at or past the output length; a segment
+    that runs past it is cut there."""
     if width < 2:  # a (codes, 1) sum would run along the code axis
         raise InvalidConfig(f"width must be >= 2, got {width}")
     # a plain array of its own: field reads of a record array run Python code
@@ -40,11 +35,6 @@ def _checked_codes(codesets, dictionary: Dictionary, width: int, total_len: int,
             f"code {tuple(codes[wrong[0]].tolist())} out of range for "
             f"{dictionary.num_kernels} kernels, W={width}, {total_len} samples"
         )
-    if quantized:
-        s = codes["s"]
-        nonzero = s.nonzero()[0]
-        s[nonzero] = np.copysign(np.asarray(table.centers)[
-            nearest_level(s[nonzero], table, metric)], s[nonzero])
     return by_segment(codes)
 
 
@@ -82,13 +72,7 @@ def _atoms(codes: np.ndarray, dictionary: Dictionary, width: int) -> np.ndarray:
 
 
 def reconstruct(
-    codesets: list[np.ndarray],
-    dictionary: Dictionary,
-    width: int,
-    total_len: int,
-    quantized: bool = False,
-    table: ChannelTable | None = None,
-    metric: str = "log",
+    codesets: list[np.ndarray], dictionary: Dictionary, width: int, total_len: int
 ) -> np.ndarray:
     """Sum s_i * shift_kernel(kernel m_i, tau_i) at each segment offset,
     each cut at `total_len`. Each sample sums its segment's codes in list
@@ -96,13 +80,8 @@ def reconstruct(
     atoms are summed along the code axis, which is not the contiguous one
     (numpy sums that one pairwise), and the sum is added to the zeroed span."""
     check_memory(8 * total_len, f"{total_len} output samples")
-    try:
-        out = np.zeros(total_len)
-    except MemoryError:
-        raise NumericError(f"cannot allocate {total_len} output samples") from None
-    segments = _checked_codes(codesets, dictionary, width, total_len, quantized,
-                              table, metric)
-    for cs in segments:
+    out = np.zeros(total_len)
+    for cs in _checked_codes(codesets, dictionary, width, total_len):
         seg = int(cs["segment_index"][0])
         span = out[seg * width : (seg + 1) * width]
         span += _atoms(cs, dictionary, width).sum(axis=0)[: len(span)]
@@ -110,13 +89,7 @@ def reconstruct(
 
 
 def error_curve(
-    x: np.ndarray,
-    codesets: list[np.ndarray],
-    dictionary: Dictionary,
-    width: int,
-    quantized: bool = False,
-    table: ChannelTable | None = None,
-    metric: str = "log",
+    x: np.ndarray, codesets: list[np.ndarray], dictionary: Dictionary, width: int
 ) -> list[tuple[int, float]]:
     """L2 error after keeping only the first k codes of every segment,
     for k = 1..max codes per segment. A last segment shorter than `width`
@@ -127,8 +100,7 @@ def error_curve(
     curve reproduces the encoder's own residual trajectory.
     """
     x = np.asarray(x, dtype=np.float64)
-    segments = _checked_codes(codesets, dictionary, width, len(x), quantized,
-                              table, metric)
+    segments = _checked_codes(codesets, dictionary, width, len(x))
     residual = np.zeros(-(-len(x) // width) * width)
     residual[: len(x)] = x
     curve = []

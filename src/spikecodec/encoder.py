@@ -30,6 +30,7 @@ from .dictionary import (
     Dictionary,
     SpectralDictionary,
     _lag_window_bound,
+    check_memory,
     kernel_spectra,
 )
 from .errors import InvalidConfig, NumericError
@@ -275,8 +276,13 @@ def encode_segment(
 
 def _float_datapath(segment, dictionary, sdict, cfg, stats):
     """float64 residual. The public functions are looked up per call, so a
-    wrapper installed on them (a tracer) sees every call."""
-    if cfg.backend == "spectral" and sdict is None:
+    wrapper installed on them (a tracer) sees every call. Raises NumericError
+    before a direct correlation's window copy would pass the memory bound."""
+    if cfg.backend == "direct":
+        lo, hi = dictionary.support
+        check_memory((cfg.width + 1) * (hi - lo) * 8,
+                     f"{cfg.width + 1} correlation windows of {hi - lo} samples")
+    elif sdict is None:
         sdict = dictionary.table(("spectra", cfg.width), lambda: kernel_spectra(
             dictionary, signal_len=cfg.width))
     carry = {}  # the spectral row ceilings, this segment's own
@@ -426,7 +432,8 @@ def _fixed_tables(dictionary: Dictionary, fmt: FixedFormat, width: int) -> tuple
     width: the raw kernels, the (saturations, wraps) of quantizing them,
     their `_Supports` and their `_Screen`. Raises InvalidConfig unless every
     raw tap |k| <= 2**F, as unit-norm kernels' are: then every product
-    r k or s k is at most 2**(B - 1 + F) <= 2**61 in magnitude."""
+    r k or s k is at most 2**(B - 1 + F) <= 2**61 in magnitude; and
+    NumericError when a loose row's products would pass the memory bound."""
     counts = SaturationStats()
     kernels_raw = quantize_array(dictionary.kernels, fmt, counts)
     if np.abs(kernels_raw).max(initial=0) > fmt.scale:
@@ -435,6 +442,9 @@ def _fixed_tables(dictionary: Dictionary, fmt: FixedFormat, width: int) -> tuple
     kernels_raw.flags.writeable = False
     overflows = (counts.saturations, counts.wraps)
     supports = _kernel_supports(kernels_raw, fmt)
+    span = int((supports.hi - supports.lo).max(initial=0))
+    check_memory((width + 1) * span * 8, f"{width + 1} loose-row products of {span} "
+                 "columns")
     dequantized = replace(dictionary, kernels=dequantize_array(kernels_raw, fmt))
     lo, hi = dequantized.support
     return kernels_raw, overflows, supports, _Screen(

@@ -255,10 +255,13 @@ def parse_events(path: str, table: ChannelTable) -> np.recarray:
     return events.view(np.recarray)
 
 
-def codes_from_events(events: np.ndarray, width: int) -> list[np.recarray]:
+def codes_from_events(events: np.ndarray, width: int,
+                      quantized: bool = False) -> list[np.recarray]:
     """Rebuild per-segment CODE_DTYPE arrays, in segment order, from parsed
     events (inverse of emit_stream up to intensity quantization when raw
     values are absent). Within a segment codes keep their file order.
+    `quantized`: s is the center of the channel each event fired, with the
+    raw intensity's sign, as the file records it.
 
     A shift of exactly +W/2 shares its event time with the next segment's
     -W/2 and resolves to the latter; the schema carries no segment id.
@@ -268,7 +271,8 @@ def codes_from_events(events: np.ndarray, width: int) -> list[np.recarray]:
     codes = np.empty(len(events), (np.record, CODE_DTYPE))
     codes["segment_index"], tau = np.divmod(events["t"], width)
     codes["m"], codes["tau"] = events["m"], tau - width // 2
-    codes["s"] = events["raw_intensity"]
+    codes["s"] = (np.copysign(events["magnitude_level_center"], events["raw_intensity"])
+                  if quantized else events["raw_intensity"])
     return [cs.view(np.recarray) for cs in by_segment(codes)]
 
 

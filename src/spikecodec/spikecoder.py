@@ -22,8 +22,8 @@ DEFAULT_CENTERS = (0.0065, 0.4115, 25.8744)
 
 @dataclass(frozen=True)
 class ChannelTable:
-    centers: tuple[float, ...]
     num_kernels: int
+    centers = DEFAULT_CENTERS  # a class constant, not a field
 
     @property
     def levels(self) -> int:
@@ -50,7 +50,7 @@ def build_channel_table(num_kernels: int) -> ChannelTable:
     """`num_kernels` kernels of `DEFAULT_CENTERS` levels each."""
     if num_kernels < 1:
         raise InvalidConfig(f"need at least one kernel, got {num_kernels}")
-    return ChannelTable(centers=DEFAULT_CENTERS, num_kernels=num_kernels)
+    return ChannelTable(num_kernels)
 
 
 def nearest_level(intensity, table: ChannelTable, metric: str = "log"):

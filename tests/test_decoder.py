@@ -10,8 +10,8 @@ from spikecodec.decoder import _kernel_bank, error_curve, reconstruct
 from spikecodec.dictionary import Dictionary, DictionaryConfig, build_dictionary
 from spikecodec.encoder import EncoderConfig, Segment, encode_segment, shift_kernel
 from spikecodec.errors import NumericError
-from spikecodec.pipeline import encode_signal, make_audio_clip
-from spikecodec.spikecoder import build_channel_table, nearest_level
+from spikecodec.pipeline import codes_from_events, encode_signal, make_audio_clip
+from spikecodec.spikecoder import DEFAULT_CENTERS, build_channel_table, emit_stream
 
 from conftest import codes, column_zero_dictionary
 
@@ -47,7 +47,7 @@ def reconstruction_error(x: np.ndarray, x_hat: np.ndarray) -> ReconstructionRepo
 
 # ----- the per-code decoder, kept as the oracle of the array one -----
 
-def _loop_codes(codesets, dictionary, width, total_len, quantized, table, metric):
+def _loop_codes(codesets, dictionary, width, total_len):
     """(seg, m, tau, s) of every code in list order, checked one at a time."""
     rows = []
     for cs in codesets:
@@ -58,27 +58,22 @@ def _loop_codes(codesets, dictionary, width, total_len, quantized, table, metric
                     f"code {(seg, m, tau, s)} out of range for "
                     f"{dictionary.num_kernels} kernels, W={width}, {total_len} samples"
                 )
-            if quantized and s != 0.0:
-                s = math.copysign(table.centers[nearest_level(s, table, metric)], s)
             rows.append((seg, m, tau, s))
     return rows
 
 
-def loop_reconstruct(codesets, dictionary, width, total_len, quantized=False,
-                     table=None, metric="log"):
+def loop_reconstruct(codesets, dictionary, width, total_len):
     """One shifted kernel added per code, in list order."""
     out = np.zeros(total_len)
-    for seg, m, tau, s in _loop_codes(codesets, dictionary, width, total_len,
-                                      quantized, table, metric):
+    for seg, m, tau, s in _loop_codes(codesets, dictionary, width, total_len):
         span = out[seg * width : (seg + 1) * width]
         span += (s * shift_kernel(dictionary.kernels[m], tau, width))[: len(span)]
     return out
 
 
-def loop_error_curve(x, codesets, dictionary, width, quantized=False, table=None,
-                     metric="log"):
+def loop_error_curve(x, codesets, dictionary, width):
     """Every code's subtraction once per rank, rank = position in its code set."""
-    codes = _loop_codes(codesets, dictionary, width, len(x), quantized, table, metric)
+    codes = _loop_codes(codesets, dictionary, width, len(x))
     rank = [k for cs in codesets for k in range(len(cs))]
     residual = np.array(x, dtype=np.float64)
     curve = []
@@ -107,7 +102,7 @@ DICTS = {shape: _random_dictionary(*shape) for shape in SHAPES}
 
 @st.composite
 def _decodes(draw, one_set_per_segment=False):
-    """(dictionary, width, total_len, code sets, quantized, metric): up to 4
+    """(dictionary, width, total_len, code sets): up to 4
     segments, with code sets that share a segment, are empty or come out of
     segment order, up to 20 codes in a segment, shifts of exactly +/-W/2,
     intensities of both signs and zero, and a last segment that may be cut."""
@@ -126,8 +121,24 @@ def _decodes(draw, one_set_per_segment=False):
         codesets = [codes(*rows) for rows in draw(
             st.lists(st.lists(code, max_size=20), max_size=5))]
     total_len = n_seg * width - draw(st.integers(0, width - 1))
-    return (DICTS[width, kernel_len], width, total_len, codesets,
-            draw(st.booleans()), draw(st.sampled_from(["log", "linear"])))
+    return DICTS[width, kernel_len], width, total_len, codesets
+
+
+def _read_back(codesets, dictionary, width, itp):
+    """The code sets as a quantized decode reads them from their events,
+    emitted under the metric `itp`: grouped by segment, zero codes dropped,
+    each s the fired channel's center with its sign. None: as given."""
+    if itp is None:
+        return codesets
+    table = build_channel_table(dictionary.num_kernels)
+    return codes_from_events(emit_stream(codesets, table, width, itp), width,
+                             quantized=True)
+
+
+ITP = st.sampled_from([None, "log", "linear"])
+EDGE_CASES = (DICTS[16, 16], 16, 45, [
+    codes((0, 0, -8, 1.5), (1, 4, 8, -2.0)),
+    codes((1, 1, -8, 3.0), (2, 1, 3, -0.0), (2, 1, 3, -0.0))])
 
 
 def _outcome(fn, *args, **kwargs):
@@ -140,26 +151,25 @@ def _outcome(fn, *args, **kwargs):
 
 
 @settings(max_examples=300, deadline=None)
-@given(decode=_decodes(), bad=st.lists(st.tuples(
+@given(decode=_decodes(), itp=ITP, bad=st.lists(st.tuples(
     st.integers(0, 5), st.sampled_from(["segment", "kernel", "shift"])), max_size=2))
 # shifts of +/-W/2, segment 1 in two code sets, a last segment cut 3 samples
-# short, quantized, and segment 2's -0.0 atoms, which sum to -0.0 by themselves
-@example(decode=(DICTS[16, 16], 16, 45, [
-    codes((0, 0, -8, 1.5), (1, 4, 8, -2.0)),
-    codes((1, 1, -8, 3.0), (2, 1, 3, -0.0), (2, 1, 3, -0.0))], True, "log"), bad=[])
-def test_reconstruct_equals_the_per_code_loop_byte_for_byte(decode, bad):
-    d, width, total_len, codesets, quantized, metric = decode
+# short, and segment 2's -0.0 atoms, which sum to -0.0 by themselves; read
+# back quantized, the -0.0 codes emit no event
+@example(decode=EDGE_CASES, itp=None, bad=[])
+@example(decode=EDGE_CASES, itp="log", bad=[])
+def test_reconstruct_equals_the_per_code_loop_byte_for_byte(decode, itp, bad):
+    d, width, total_len, codesets = decode
+    codesets = _read_back(codesets, d, width, itp)
     for i, field in bad:  # out-of-range codes at drawn places in the list
         wrong = {"segment": (-(-total_len // width), 0, 0, 1.0),
                  "kernel": (0, d.num_kernels, 0, 2.0),
                  "shift": (0, 0, -(width // 2) - 1, 3.0)}[field]
         codesets = codesets[:i] + [codes(wrong)] + codesets[i:]
-    table = build_channel_table(d.num_kernels)
     given_bytes = [cs.tobytes() for cs in codesets]
     args = (codesets, d, width, total_len)
-    kwargs = dict(quantized=quantized, table=table, metric=metric)
-    got = _outcome(reconstruct, *args, **kwargs)
-    want = _outcome(loop_reconstruct, *args, **kwargs)
+    got = _outcome(reconstruct, *args)
+    want = _outcome(loop_reconstruct, *args)
     if isinstance(want, str):  # the same first code in list order
         assert got == want
     else:
@@ -168,14 +178,14 @@ def test_reconstruct_equals_the_per_code_loop_byte_for_byte(decode, bad):
 
 
 @settings(max_examples=150, deadline=None)
-@given(decode=_decodes(one_set_per_segment=True), seed=st.integers(0, 2**32 - 1))
-def test_error_curve_equals_the_per_code_loop(decode, seed):
-    d, width, total_len, codesets, quantized, metric = decode
+@given(decode=_decodes(one_set_per_segment=True), itp=ITP,
+       seed=st.integers(0, 2**32 - 1))
+def test_error_curve_equals_the_per_code_loop(decode, itp, seed):
+    d, width, total_len, codesets = decode
+    codesets = _read_back(codesets, d, width, itp)
     x = np.random.default_rng(seed).standard_normal(total_len)
-    table = build_channel_table(d.num_kernels)
-    kwargs = dict(quantized=quantized, table=table, metric=metric)
-    assert (_outcome(error_curve, x, codesets, d, width, **kwargs)
-            == _outcome(loop_error_curve, x, codesets, d, width, **kwargs))
+    assert (_outcome(error_curve, x, codesets, d, width)
+            == _outcome(loop_error_curve, x, codesets, d, width))
 
 
 def _hand_built(kernels):
@@ -353,7 +363,6 @@ def test_full_report_and_quantized_mode(small_dict):
     x = rng.standard_normal(256)
     cfg = EncoderConfig(max_codes=8, width=256)
     codesets = [encode_segment(Segment(x.copy()), small_dict, cfg=cfg)]
-    table = build_channel_table(small_dict.num_kernels)
 
     raw = reconstruction_error(x, reconstruct(codesets, small_dict, 256, len(x)))
     curve = error_curve(x, codesets, small_dict, 256)
@@ -361,9 +370,10 @@ def test_full_report_and_quantized_mode(small_dict):
     assert len(curve) == 8
     assert raw.l2_error == pytest.approx(curve[-1][1], rel=1e-9)
 
-    quant = reconstruction_error(x, reconstruct(
-        codesets, small_dict, 256, len(x), quantized=True, table=table
-    ))
+    # as decode --quantized reads the events back: each s its channel's center
+    quantized = _read_back(codesets, small_dict, 256, "log")
+    assert len(quantized[0]) == 8 and set(np.abs(quantized[0].s)) <= set(DEFAULT_CENTERS)
+    quant = reconstruction_error(x, reconstruct(quantized, small_dict, 256, len(x)))
     assert math.isfinite(quant.l2_error)
     # quantizing intensities cannot improve on the raw reconstruction here
     assert quant.l2_error >= raw.l2_error

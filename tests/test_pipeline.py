@@ -21,7 +21,7 @@ from spikecodec.decoder import reconstruct
 from spikecodec.dictionary import Dictionary, DictionaryConfig, build_dictionary
 from spikecodec.encoder import EncoderConfig, encode_segment
 from spikecodec.errors import InvalidConfig, IoError, NumericError, SpikeCodecError
-from spikecodec.fixedpoint import FixedFormat, SaturationStats
+from spikecodec.fixedpoint import FixedFormat, SaturationStats, quantize_array
 from spikecodec.pipeline import (
     EVENT_HEADER,
     RunConfig,
@@ -36,7 +36,12 @@ from spikecodec.pipeline import (
     write_events_jsonl,
     write_waveform,
 )
-from spikecodec.spikecoder import EVENT_DTYPE, build_channel_table, emit_stream
+from spikecodec.spikecoder import (
+    EVENT_DTYPE,
+    build_channel_table,
+    emit_stream,
+    nearest_level,
+)
 
 from conftest import codes, column_zero_dictionary
 
@@ -782,16 +787,52 @@ def _config_args(tmp_path, text):
     return _encode_args(tmp_path, "s.csv", b"0.1,0.2", "--config", str(config))
 
 
+def _half_of_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+
+
 def _huge_width_args(tmp_path):
-    # 8 kernels of 10**9 samples take 64 GB: past the memory bound of a host
-    # with less than 128 GB, which the CLI checks before it allocates; were
-    # the check missed, the 1 GiB address space fails the allocation at once
+    # 8 kernels of W samples take 64 W bytes, at the smallest even W past
+    # the memory bound (half of physical memory), which the CLI checks
+    # before it allocates; were the check missed, the 1 GiB address space
+    # fails the allocation at once
     path = tmp_path / "n.f32"
     path.write_bytes(bytes(4 * 4096))
-    return ["encode", str(path), "--width", "1000000000", "--kernels", "8"]
+    width = 2 * (_half_of_memory() // 128 + 1)
+    return ["encode", str(path), "--width", str(width), "--kernels", "8"]
 
 
 _huge_width_args.address_space = 1 << 30
+
+
+def _pursuit_past_memory(fixed):
+    """encode with 1 kernel and k=1 at the smallest power-of-two W whose
+    per-iteration temporary passes the memory bound: direct float's window
+    copy, (W + 1) x the kernels' support doubles (W = 32768 at 8 GB), or
+    fixed point's loose-row products, (W + 1) x the widest raw support
+    int64, which samples of 500 make loose. The bound refuses it before the
+    pursuit starts; run under the 1 GiB address space only, never unlimited."""
+    fmt = FixedFormat()
+
+    def span(width):
+        d = build_dictionary(DictionaryConfig(num_kernels=1, kernel_len=width))
+        if not fixed:
+            return d.support[1] - d.support[0]
+        supports = encoder._kernel_supports(quantize_array(d.kernels, fmt), fmt)
+        return int((supports.hi - supports.lo).max())
+
+    def make_argv(tmp_path):
+        width = 2
+        while (width + 1) * span(width) * 8 <= _half_of_memory():
+            width *= 2
+        path = tmp_path / "n.f32"
+        path.write_bytes(np.full(4096, 500.0, "<f4").tobytes())
+        return ["encode", str(path), "--width", str(width), "--kernels", "1",
+                "--k", "1", *(["--fixed", f"{fmt.total_bits}:{fmt.frac_bits}"]
+                              if fixed else [])]
+
+    make_argv.address_space = 1 << 30
+    return make_argv
 
 
 @pytest.mark.parametrize("make_argv, code", [
@@ -896,6 +937,8 @@ _huge_width_args.address_space = 1 << 30
     (lambda tmp: _config_args(tmp, b"k=\xff\n"), 3),
     (lambda tmp: _labels_args(tmp, b"clip_a,x\n\xff,y\n"), 3),
     (_huge_width_args, 4),
+    (_pursuit_past_memory(fixed=False), 4),
+    (_pursuit_past_memory(fixed=True), 4),
 ], ids=["truncated-wav", "labels-no-comma", "lr-decay-no-at",
         "lr-decay-every-zero", "nan-threshold", "nan-csv", "inf-f32",
         "lr-nan", "lr-negative", "epochs-negative", "batch-zero", "short-wav",
@@ -919,7 +962,8 @@ _huge_width_args.address_space = 1 << 30
         "csv-whitespace-line", "csv-float-in-int-column", "csv-underscore-int",
         "csv-not-utf8", "fixed-48:36", "fixed-54:4", "fixed-32:31",
         "labels-stem-relabelled", "labels-line-repeated", "csv-input-not-utf8",
-        "config-not-utf8", "labels-not-utf8", "width-past-memory"])
+        "config-not-utf8", "labels-not-utf8", "width-past-memory",
+        "window-copy-past-memory", "loose-products-past-memory"])
 def test_cli_malformed_input_exit_codes(tmp_path, make_argv, code):
     limit = getattr(make_argv, "address_space", None)
     out = _cli(*make_argv(tmp_path), address_space=limit)
@@ -1095,6 +1139,30 @@ def test_parse_events_equals_the_per_line_oracle(tmp_path_factory, emitted, fmt)
     got = parse_events(str(path), table)
     want = _parse_events_oracle(str(path), table)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _codes_from_events_oracle(events, width, quantized, table):
+    """`codes_from_events` one event at a time: per segment, in file order,
+    s quantized to the center of the event's level with the raw sign."""
+    segments = {}
+    for t, _, m, level, _, raw in events.tolist():
+        s = math.copysign(table.centers[level], raw) if quantized else raw
+        segments.setdefault(t // width, []).append(
+            (t // width, m, t % width - width // 2, s))
+    return [segments[seg] for seg in sorted(segments)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(emitted=_emitted_events(), width=st.sampled_from([2, 8, 256]),
+       with_raw=st.booleans(), quantized=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_codes_from_events_equals_the_per_event_loop(emitted, width, with_raw,
+                                                     quantized, seed):
+    events, table = emitted
+    events = events[np.random.default_rng(seed).permutation(len(events))]
+    if not with_raw:  # as parse_events reads a file without the raw column
+        events.raw_intensity = events.magnitude_level_center
+    got = [cs.tolist() for cs in codes_from_events(events, width, quantized)]
+    assert got == _codes_from_events_oracle(events, width, quantized, table)
 
 
 # MUTATION_CHARS and MUTATION_TOKENS plus the blanks, underscores, line
@@ -1368,6 +1436,32 @@ def test_only_a_jsonl_raw_intensity_decodes_exactly(tmp_path, clip_csv):
     assert np.array_equal(decoded["jsonl"], exact)
     assert not np.array_equal(decoded["csv"], exact)
     assert np.abs(decoded["csv"] - exact).max() < 1e-5
+
+
+def test_cli_quantized_decode_reads_the_channels_the_file_records(tmp_path):
+    # encoded under --itp linear, some codes fire another level than log
+    # would pick; decode --quantized reconstructs from the fired channels'
+    # centers, whatever its own --itp
+    clip = tmp_path / "clip.csv"
+    write_waveform(30 * make_audio_clip(4096, seed=3), str(clip))
+    samples, _ = read_input(RunConfig(input_path=str(clip)))
+    d = build_dictionary(DictionaryConfig(num_kernels=8, kernel_len=512))
+    codesets = encode_signal(samples, d, EncoderConfig(max_codes=8, width=512))
+    table, quantized = build_channel_table(8), np.concatenate(codesets)
+    level = nearest_level(quantized["s"], table, "linear")
+    assert (level != nearest_level(quantized["s"], table, "log")).any()
+    quantized["s"] = np.copysign(np.array(table.centers)[level], quantized["s"])
+    want = reconstruct([quantized], d, 512, len(samples)).astype("<f4").tobytes()
+    flags = ("--width", "512", "--kernels", "8", "--k", "8")
+    for name, extra in (("csv", ("--with-raw-intensity",)), ("jsonl", JSONL_RAW)):
+        events = tmp_path / f"ev.{name}"
+        assert cli.main(["encode", str(clip), "-o", str(events), "--itp", "linear",
+                         *extra, *flags]) == 0
+        for itp in ("log", "linear"):
+            recon = tmp_path / f"{name}-{itp}.f32"
+            assert cli.main(["decode", str(events), "-o", str(recon), "--quantized",
+                             "--itp", itp, *flags]) == 0
+            assert recon.read_bytes() == want, (name, itp)
 
 
 def test_cli_decode_length_cuts_the_last_partial_segment(tmp_path):
